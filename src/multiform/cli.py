@@ -59,9 +59,9 @@ def _make_config(args: argparse.Namespace) -> ScenarioConfig:
         raw = _load_config_file(args.config)
     cfg = ScenarioConfig(
         scenario=args.scenario,
-        seed=int(raw.get("seed", 0)),
-        points=int(raw.get("points", 100)),
-        lattice_n=int(raw.get("lattice_n", raw.get("lattice", 8))),
+        seed=raw.get("seed", 0),
+        points=raw.get("points", 100),
+        lattice_n=raw.get("lattice_n", raw.get("lattice", 8)),
         tolerances=dict(raw.get("tolerances", {})),
         out=raw.get("out"),
     )

@@ -20,6 +20,7 @@ processed from concurrent contexts without coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations as _permutations
 from typing import Callable, Iterable
@@ -908,6 +909,15 @@ def boundary_current_flat(X: FieldExpr, Y: FieldExpr, kind: str) -> FieldExpr:
         s = prod(prod(Const(GAMMA[mu]), X, kind), Y, "sp")
         acc = add(acc, prod(Const(sta.GAMMA_UP[mu]), s, "gp"))
     return acc
+
+
+def worst_of(*residuals: float) -> float:
+    """The largest residual, ranking NaN above +inf so that a NaN is never dropped.
+
+    ``max(0.0, nan)`` is ``0.0``: the builtin lets a NaN that follows a
+    finite residual vanish, and the check it feeds would pass.
+    """
+    return float(max(residuals, key=lambda r: (math.isnan(r), r)))
 
 
 def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:

@@ -47,6 +47,7 @@ from .fields import (
     determinant_expr,
     prod,
     scale,
+    worst_of,
 )
 from .sta import EVEN_GRADES, GAMMA, GAMMA_UP, Multivector
 
@@ -455,7 +456,7 @@ def check_identity_spinor(
         rhs = sta.sp(d_psi.ev(pts, memo), phi.ev(pts, memo)) + sta.sp(
             psi.ev(pts, memo), d_phi.ev(pts, memo)
         )
-        out = max(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
+        out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
         # the cancellation mechanism behind the identity: the symmetrized
         # correction phi Omega(a) psi~ + psi Omega(a) phi~ is pure grade 2,
         # so its pairing against the 1-form h*(g^mu) vanishes
@@ -466,14 +467,14 @@ def check_identity_spinor(
             )
             wv = w.ev(pts, memo)
             nong2 = wv * (1.0 - sta.grade_mask({2}))
-            out = max(out, float(np.abs(nong2).max()))
+            out = worst_of(out, float(np.abs(nong2).max()))
             pairing = sta.sp(_hstar_basis(bg, mu, upper=True).ev(pts, memo), wv)
-            out = max(out, float(np.abs(np.atleast_1d(pairing)).max()))
+            out = worst_of(out, float(np.abs(np.atleast_1d(pairing)).max()))
     if which in ("both", "divergence"):
         current = boundary_current_gauge(psi, phi, "gp", bg)
         det_vals = bg.h.det_expr().ev(pts, memo)[:, 0]
         rhs = _del_values(current, "lc", pts, memo)[:, 0] / det_vals
-        out = max(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
+        out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
     return out
 
 
@@ -487,7 +488,7 @@ def check_pushforward_vs_omega(
     for mode in ("divergence", "curl", "gradient"):
         via_omega = gauge_del_expr(X, mode, bg, "omega").ev(pts, memo)
         via_push = gauge_del_expr(X, mode, bg, "pushforward").ev(pts, memo)
-        worst = max(worst, float(np.abs(via_omega - via_push).max()))
+        worst = worst_of(worst, float(np.abs(via_omega - via_push).max()))
     return worst
 
 

@@ -44,9 +44,13 @@ class SolverError(RuntimeError):
     """Raised when the stationary solve fails to converge."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Lattice:
-    """Uniform 4D grid: N sites per axis over the given extents."""
+    """Uniform 4D grid: N sites per axis over the given extents.
+
+    Lattices compare and hash by value (origin, extent, sites, bc), so a
+    field defined on one lattice is accepted on an equal one.
+    """
 
     origin: np.ndarray
     extent: np.ndarray
@@ -58,11 +62,24 @@ class Lattice:
         self.extent = np.asarray(self.extent, dtype=float).reshape(4)
         if self.sites < 4:
             raise ValueError("need at least 4 sites per axis")
+        if not (np.isfinite(self.origin).all() and np.isfinite(self.extent).all()):
+            raise ValueError("origin and extents must be finite")
         if np.any(self.extent <= 0):
             raise ValueError("extents must be positive")
         if self.bc not in _BCS:
             raise ValueError(f"bc must be one of {_BCS}")
         self._coords: np.ndarray | None = None
+
+    def _key(self) -> tuple:
+        return (tuple(self.origin.tolist()), tuple(self.extent.tolist()), self.sites, self.bc)
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def spacing(self) -> np.ndarray:

@@ -9,6 +9,7 @@ up to the wall-time fields.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -38,6 +39,7 @@ from .fields import (
     position,
     prod,
     scale,
+    worst_of,
 )
 from .gauge import (
     GaugeBackground,
@@ -99,6 +101,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
             raise KeyError(f"unknown scenario {self.scenario!r}")
+        for name in ("seed", "points", "lattice_n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.points < 1:
             raise ValueError("point count must be at least 1")
         if self.lattice_n < 4:
@@ -187,7 +195,7 @@ def _scenario_algebra(cfg: ScenarioConfig, run: _Runner) -> None:
     for mu in range(4):
         for nu in range(4):
             lhs = GAMMA[mu] * GAMMA[nu] + GAMMA[nu] * GAMMA[mu]
-            worst = max(worst, (lhs - Multivector.scalar(2 * eta[mu, nu])).norm())
+            worst = worst_of(worst, (lhs - Multivector.scalar(2 * eta[mu, nu])).norm())
     run.check("anticommutation", worst, 0.0)
 
     worst = 0.0
@@ -197,22 +205,22 @@ def _scenario_algebra(cfg: ScenarioConfig, run: _Runner) -> None:
             B = Multivector.blade(bm)
             for cm in range(16):
                 C = Multivector.blade(cm)
-                worst = max(worst, abs((a << B).sp(C) - B.sp(a ^ C)))
+                worst = worst_of(worst, abs((a << B).sp(C) - B.sp(a ^ C)))
     run.check("contraction-duality", worst, 0.0)
 
     worst = 0.0
     for _ in range(200):
         x, y, z = (random_multivector(rng, {0, 1, 2, 3, 4}) for _ in range(3))
         scale_ = max(x.norm() * y.norm() * z.norm(), 1e-30)
-        worst = max(worst, (((x * y) * z) - (x * (y * z))).norm() / scale_)
+        worst = worst_of(worst, (((x * y) * z) - (x * (y * z))).norm() / scale_)
     run.check("associativity", worst, 1e-12)
 
     worst = 0.0
     for _ in range(50):
         x, y = (random_multivector(rng, {0, 1, 2, 3, 4}) for _ in range(2))
         s = max(x.norm() * y.norm(), 1e-30)
-        worst = max(worst, ((x * y).reverse() - y.reverse() * x.reverse()).norm() / s)
-        worst = max(worst, abs(x.sp(y) - (x * y.reverse()).grade(0).comps[0]) / s)
+        worst = worst_of(worst, ((x * y).reverse() - y.reverse() * x.reverse()).norm() / s)
+        worst = worst_of(worst, abs(x.sp(y) - (x * y.reverse()).grade(0).comps[0]) / s)
     run.check("reversion-and-scalar-product", worst, 1e-13)
 
     worst = 0.0
@@ -220,11 +228,11 @@ def _scenario_algebra(cfg: ScenarioConfig, run: _Runner) -> None:
         a = Multivector.blade(vm)
         for ym in range(16):
             y = Multivector.blade(ym)
-            worst = max(worst, ((a * y) - ((a << y) + (a ^ y))).norm())
+            worst = worst_of(worst, ((a * y) - ((a << y) + (a ^ y))).norm())
     x = random_multivector(rng, {0, 1, 2, 3, 4})
-    worst = max(worst, (sum((x.grade(r) for r in range(5)), Multivector.zero()) - x).norm())
+    worst = worst_of(worst, (sum((x.grade(r) for r in range(5)), Multivector.zero()) - x).norm())
     even = random_multivector(rng, {0, 2, 4})
-    worst = max(worst, (PSEUDOSCALAR * even - even * PSEUDOSCALAR).norm())
+    worst = worst_of(worst, (PSEUDOSCALAR * even - even * PSEUDOSCALAR).norm())
     run.check("product-decomposition", worst, 0.0)
 
     # extensor invariants over random invertible maps
@@ -242,16 +250,16 @@ def _scenario_algebra(cfg: ScenarioConfig, run: _Runner) -> None:
         B = random_multivector(rng, {1, 2, 3})
         lhs = Multivector(big @ (A ^ B).comps)
         rhs = Multivector(big @ A.comps) ^ Multivector(big @ B.comps)
-        worst_outer = max(worst_outer, (lhs - rhs).norm() / max(1.0, lhs.norm()))
+        worst_outer = worst_of(worst_outer, (lhs - rhs).norm() / max(1.0, lhs.norm()))
         tadj = adjoint(t)
         for mu in range(4):
             a, ta = GAMMA[mu], tadj(GAMMA[mu])
             lhs_rows = sta.lc(a.comps, big.T)  # rows: a . extend(blade_j)
             rhs_rows = sta.lc(ta.comps, eye16) @ big.T
-            worst_transport = max(worst_transport, float(np.abs(lhs_rows - rhs_rows).max()))
+            worst_transport = worst_of(worst_transport, float(np.abs(lhs_rows - rhs_rows).max()))
         r = int(rng.integers(0, 5))
         A, B = random_multivector(rng, {r}), random_multivector(rng, {r})
-        worst_adj = max(
+        worst_adj = worst_of(
             worst_adj,
             abs(
                 float(sta.sp(big @ A.comps, B.comps))
@@ -259,10 +267,10 @@ def _scenario_algebra(cfg: ScenarioConfig, run: _Runner) -> None:
             ),
         )
         d = determinant(t)
-        worst_det = max(worst_det, abs(d - np.linalg.det(m)) / max(1.0, abs(d)))
+        worst_det = worst_of(worst_det, abs(d - np.linalg.det(m)) / max(1.0, abs(d)))
         star = gauge_star(t)
-        worst_det = max(worst_det, abs(determinant(star) * d - 1.0))
-        worst_det = max(
+        worst_det = worst_of(worst_det, abs(determinant(star) * d - 1.0))
+        worst_det = worst_of(
             worst_det, (invert(t).compose(t)(GAMMA[0]) - GAMMA[0]).norm()
         )
     run.check("outermorphism-multiplicativity", worst_outer, 1e-10)
@@ -282,7 +290,7 @@ def _scenario_identities_flat(cfg: ScenarioConfig, run: _Runner) -> None:
         for _ in range(npairs):
             X = random_field(rng, all_grades)
             Y = random_field(rng, all_grades)
-            worst = max(worst, check_identity_flat(X, Y, kind, pts))
+            worst = worst_of(worst, check_identity_flat(X, Y, kind, pts))
         run.check(f"identity-flat-{kind}", worst, 1e-8)
 
     worst = 0.0
@@ -290,12 +298,12 @@ def _scenario_identities_flat(cfg: ScenarioConfig, run: _Runner) -> None:
         X = random_field(rng, all_grades)
         grad = del_expr(X, "gradient").sample(pts)
         split = del_expr(X, "divergence").sample(pts) + del_expr(X, "curl").sample(pts)
-        worst = max(worst, float(np.abs(grad - split).max()))
+        worst = worst_of(worst, float(np.abs(grad - split).max()))
     run.check("gradient-splits", worst, 1e-10)
 
     # midpoint Gauss checks: exact closure for v = x, then trig convergence
     vol, flux = gauss_check(position(), (np.zeros(4), np.ones(4)), 4)
-    run.check("gauss-linear", max(abs(vol - 4.0), abs(flux - 4.0)), 1e-12)
+    run.check("gauss-linear", worst_of(abs(vol - 4.0), abs(flux - 4.0)), 1e-12)
     v = prod(Const(GAMMA[1]), ScalarMap(coordinate(random_vector(rng)), "sin"), "gp")
     d8 = abs(np.subtract(*gauss_check(v, (np.zeros(4), np.ones(4)), 8)))
     d16 = abs(np.subtract(*gauss_check(v, (np.zeros(4), np.ones(4)), 16)))
@@ -315,7 +323,7 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         for _ in range(npairs):
             X = random_field(rng, all_grades)
             Y = random_field(rng, all_grades)
-            worst = max(worst, check_identity_gauge(X, Y, kind, bg, pts, "omega"))
+            worst = worst_of(worst, check_identity_gauge(X, Y, kind, bg, pts, "omega"))
         run.check(f"identity-gauge-rotor-{kind}", worst, 1e-7)
 
     hbg = GaugeBackground(random_invertible_h(rng), None, compatible=False)
@@ -324,20 +332,20 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         for _ in range(3):
             X = random_field(rng, all_grades)
             Y = random_field(rng, all_grades)
-            worst = max(worst, check_identity_gauge(X, Y, kind, hbg, pts, "pushforward"))
+            worst = worst_of(worst, check_identity_gauge(X, Y, kind, hbg, pts, "pushforward"))
         run.check(f"identity-gauge-pushforward-{kind}", worst, 1e-7)
 
     worst = 0.0
     for _ in range(5):
         X = random_field(rng, all_grades)
-        worst = max(worst, check_pushforward_vs_omega(X, bg, pts))
+        worst = worst_of(worst, check_pushforward_vs_omega(X, bg, pts))
     run.check("construction-agreement", worst, 1e-7)
 
     worst = 0.0
     for _ in range(5):
         psi = random_even_field(rng)
         phi = random_even_field(rng)
-        worst = max(worst, check_identity_spinor(psi, phi, bg, pts, which="both"))
+        worst = worst_of(worst, check_identity_spinor(psi, phi, bg, pts, which="both"))
     run.check("spinor-identities-rotor", worst, 1e-7)
 
     incompatible = GaugeBackground(random_invertible_h(rng), random_omega(rng), False)
@@ -345,7 +353,7 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     for _ in range(5):
         psi = random_even_field(rng)
         phi = random_even_field(rng)
-        worst = max(
+        worst = worst_of(
             worst, check_identity_spinor(psi, phi, incompatible, pts, which="derivative")
         )
     run.check("spinor-identity-arbitrary-omega", worst, 1e-7)
@@ -354,7 +362,7 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     for background in (bg, incompatible):
         for _ in range(3):
             psi = random_even_field(rng)
-            worst = max(worst, check_spinor_gradient_split(psi, background, pts))
+            worst = worst_of(worst, check_spinor_gradient_split(psi, background, pts))
     run.check("spinor-gradient-split", worst, 1e-9)
 
     worst = 0.0
@@ -365,7 +373,7 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
             for i in range(min(10, pts.shape[0])):
                 got = gauge_del(X, mode, pts[i], flat_bg, construction)
                 want = apply_del(X, mode, pts[i])
-                worst = max(worst, (got - want).norm())
+                worst = worst_of(worst, (got - want).norm())
     run.check("flat-limit", worst, 1e-12)
 
 
@@ -379,12 +387,12 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
         X0 = random_multivector(rng, grades)
         got = multivector_derivative(lambda W: W.sp(W), X0, grades, poly_degree=2)
         want = 2.0 * X0
-        worst_xx = max(worst_xx, (got - want).norm() / max(1.0, want.norm()))
+        worst_xx = worst_of(worst_xx, (got - want).norm() / max(1.0, want.norm()))
 
         Y = random_multivector(rng, {0, 1, 2, 3, 4})
         got = multivector_derivative(lambda W: W.sp(Y), X0, grades, poly_degree=1)
         want = Y.restrict(grades)
-        worst_xy = max(worst_xy, (got - want).norm() / max(1.0, want.norm()))
+        worst_xy = worst_of(worst_xy, (got - want).norm() / max(1.0, want.norm()))
 
         Xe = random_multivector(rng, {0, 2, 4})
         Yv = random_multivector(rng, {0, 1, 2, 3, 4})
@@ -393,7 +401,7 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
             lambda W: ((Yv * W) * Zv).sp(W), Xe, {0, 2, 4}, poly_degree=2
         )
         want = ((Yv * Xe) * Zv + (Yv.reverse() * Xe) * Zv.reverse()).restrict({0, 2, 4})
-        worst_sandwich = max(worst_sandwich, (got - want).norm() / max(1.0, want.norm()))
+        worst_sandwich = worst_of(worst_sandwich, (got - want).norm() / max(1.0, want.norm()))
     run.check("mvderiv-square", worst_xx, 1e-6)
     run.check("mvderiv-pairing", worst_xy, 1e-6)
     run.check("mvderiv-sandwich", worst_sandwich, 1e-6)
@@ -439,7 +447,7 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
             d2 = (expr.sample(xp2.reshape(1, 4))[0] - expr.sample(xm2.reshape(1, 4))[0]) / h
             fd = (4.0 * d2 - d1) / 3.0
             denom = max(1.0, float(np.abs(fd).max()))
-            worst = max(worst, float(np.abs(got - fd).max()) / denom)
+            worst = worst_of(worst, float(np.abs(got - fd).max()) / denom)
     run.check("structural-vs-finite-difference", worst, 1e-6)
 
 
@@ -458,7 +466,7 @@ def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     L = make_builtin("maxwell_flat")
 
     A = _plane_wave_potential()
-    worst = max(ele_residual_flat(L, A, pts[i]).norm() for i in range(pts.shape[0]))
+    worst = worst_of(*(ele_residual_flat(L, A, pts[i]).norm() for i in range(pts.shape[0])))
     run.check("plane-wave-residual", worst, 1e-9)
 
     worst = 0.0
@@ -467,7 +475,7 @@ def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
         for i in range(3):
             r1 = ele_residual_flat(L, Ar, pts[i])
             r2 = ele_residual_reference(L, Ar, pts[i])
-            worst = max(worst, (r1 - r2).norm() / max(1.0, r1.norm()))
+            worst = worst_of(worst, (r1 - r2).norm() / max(1.0, r1.norm()))
     run.check("residual-two-paths", worst, 1e-8)
 
     worst_var, worst_dec = 0.0, 0.0
@@ -485,8 +493,8 @@ def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
                 return L.density(Xl.at(x), del_expr(Xl, "curl").at(x), x)
 
             fd = (act(h) - act(-h)) / (2 * h)
-            worst_var = max(worst_var, abs(got - fd))
-            worst_dec = max(worst_dec, decomposition_check(L, Ar, Av, x))
+            worst_var = worst_of(worst_var, abs(got - fd))
+            worst_dec = worst_of(worst_dec, decomposition_check(L, Ar, Av, x))
     run.check("variation-vs-fd", worst_var, 1e-8)
     run.check("decomposition", worst_dec, 1e-7)
 
@@ -507,10 +515,10 @@ def _scenario_dirac_flat(cfg: ScenarioConfig, run: _Runner) -> None:
         eq = (gradient(psi, pts[i]) * I_SIGMA3) * params["hbar"] - (
             psi.at(pts[i]) * GAMMA[0]
         ) * mc
-        worst = max(worst, eq.norm())
+        worst = worst_of(worst, eq.norm())
     run.check("candidate-substitution", worst, 1e-10)
 
-    worst = max(ele_residual_flat(L, psi, pts[i]).norm() for i in range(pts.shape[0]))
+    worst = worst_of(*(ele_residual_flat(L, psi, pts[i]).norm() for i in range(pts.shape[0])))
     run.check("free-spinor-residual", worst, 1e-8)
 
     worst = 0.0
@@ -518,7 +526,7 @@ def _scenario_dirac_flat(cfg: ScenarioConfig, run: _Runner) -> None:
         psir = random_even_field(rng)
         eta = random_even_field(rng)
         for i in range(3):
-            worst = max(worst, decomposition_check(L, psir, eta, pts[i]))
+            worst = worst_of(worst, decomposition_check(L, psir, eta, pts[i]))
     run.check("decomposition", worst, 1e-7)
 
     one = Const(Multivector.scalar(1.0))
@@ -536,9 +544,9 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     A_g = bg.h.apply_expr(_plane_wave_potential(), "direct")
     worst = 0.0
     for construction in ("omega", "pushforward"):
-        worst = max(
+        worst = worst_of(
             worst,
-            max(
+            *(
                 ele_residual_gauge(L, A_g, pts[i], bg, construction).norm()
                 for i in range(min(6, pts.shape[0]))
             ),
@@ -552,7 +560,7 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         for i in range(3):
             rg = ele_residual_gauge(L, Ar, pts[i], idbg)
             rf = ele_residual_flat(Lflat, Ar, pts[i])
-            worst = max(worst, (rg - rf).norm())
+            worst = worst_of(worst, (rg - rf).norm())
     run.check("flat-degeneration", worst, 1e-10)
 
     worst = 0.0
@@ -561,7 +569,7 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         for i in range(2):
             r1 = ele_residual_gauge(L, Ar, pts[i], bg)
             r2 = ele_residual_reference(L, Ar, pts[i], bg)
-            worst = max(worst, (r1 - r2).norm() / max(1.0, r1.norm()))
+            worst = worst_of(worst, (r1 - r2).norm() / max(1.0, r1.norm()))
     run.check("residual-two-paths", worst, 1e-8)
 
     worst = 0.0
@@ -569,7 +577,7 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         Ar = random_field(rng, {1})
         Av = random_field(rng, {1})
         for i in range(2):
-            worst = max(worst, decomposition_check(L, Ar, Av, pts[i], bg))
+            worst = worst_of(worst, decomposition_check(L, Ar, Av, pts[i], bg))
     run.check("decomposition", worst, 1e-7)
 
 
@@ -585,9 +593,11 @@ def _scenario_dirac_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     bg = rotor_gauge(R)
     psi_flat = _free_spinor(params["m"], params["c"], params["hbar"])
     psi_g = prod(R, psi_flat, "gp")
-    worst = max(
-        ele_residual_spinor(L, psi_g, pts[i], bg).norm()
-        for i in range(min(8, pts.shape[0]))
+    worst = worst_of(
+        *(
+            ele_residual_spinor(L, psi_g, pts[i], bg).norm()
+            for i in range(min(8, pts.shape[0]))
+        )
     )
     run.check("transported-spinor-residual", worst, 1e-6)
 
@@ -598,7 +608,7 @@ def _scenario_dirac_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         eq = (spinor_grad(psi_g, pts[i], bg) * I_SIGMA3) * params["hbar"] - (
             psi_g.at(pts[i]) * GAMMA[0]
         ) * mc
-        worst = max(worst, eq.norm())
+        worst = worst_of(worst, eq.norm())
     run.check("transported-first-order-equation", worst, 1e-9)
 
     idbg = identity_background()
@@ -608,7 +618,7 @@ def _scenario_dirac_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         for i in range(2):
             rg = ele_residual_spinor(L, psir, pts[i], idbg)
             rf = ele_residual_flat(Lflat, psir, pts[i])
-            worst = max(worst, (rg - rf).norm())
+            worst = worst_of(worst, (rg - rf).norm())
     run.check("flat-degeneration", worst, 1e-10)
 
     worst = 0.0
@@ -616,7 +626,7 @@ def _scenario_dirac_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         psir = random_even_field(rng)
         eta = random_even_field(rng)
         for i in range(2):
-            worst = max(worst, decomposition_check(L, psir, eta, pts[i], bg))
+            worst = worst_of(worst, decomposition_check(L, psir, eta, pts[i], bg))
     run.check("decomposition", worst, 1e-7)
 
 
@@ -633,7 +643,7 @@ def _scenario_lattice_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
         grad = action_gradient(L, F)
         res = discrete_ele_residual(L, F)
         dev = np.abs(grad.comps - lat.cell_volume * res.comps)[lat.interior_mask()].max()
-        worst = max(worst, float(dev))
+        worst = worst_of(worst, float(dev))
     run.check("gradient-residual-duality", worst, 1e-10)
 
     # gradient pairing against a finite difference of the action
@@ -657,7 +667,7 @@ def _scenario_lattice_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
             lat, frozenset({1}), rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask({1})
         )
         vol, flux = discrete_gauss(v)
-        worst = max(worst, abs(vol - flux))
+        worst = worst_of(worst, abs(vol - flux))
     run.check("discrete-gauss", worst, 1e-12)
 
     # sampled continuum solution: residual order between N = 6 and N = 12

@@ -75,34 +75,46 @@ REV_SIGNS = np.array([(-1.0) ** (r * (r - 1) // 2) for r in GRADES])
 SP_DIAG = np.array([REV_SIGNS[m] * _GP_TABLE[m, m, 0] for m in range(DIM)])
 
 
-def _prod(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Bilinear blade product of (...,16) component arrays via a Cayley table."""
+# the Cayley tables flattened to (16, 256): row i holds blade i's products with every blade
+_GP_FLAT, _OP_FLAT, _LC_FLAT = (
+    t.reshape(DIM, DIM * DIM) for t in (_GP_TABLE, _OP_TABLE, _LC_TABLE)
+)
+
+
+def _prod(x: np.ndarray, y: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Bilinear blade product of (...,16) component arrays via a flattened Cayley table.
+
+    Every path forms the left multiplication matrix ``A = x @ flat`` (exact:
+    each entry has one non-zero term) and sums ``A[j, k] * y[j]`` over ``j``
+    in order, so the result does not depend on which path the operand shapes
+    select.  A constant left operand (1-D, or a view broadcast with stride 0)
+    gets one 16x16 matrix instead of one per row; einsum broadcasts the
+    rest, so no operand is materialized at the broadcast shape.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    flat = table.reshape(DIM, DIM * DIM)
-    if x.ndim == 1 and y.ndim == 1:
-        return ((x @ flat).reshape(DIM, DIM) * y[:, None]).sum(axis=0)
-    bshape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    xf = np.broadcast_to(x, bshape + (DIM,)).reshape(-1, DIM)
-    yf = np.broadcast_to(y, bshape + (DIM,)).reshape(-1, DIM)
-    a = (xf @ flat).reshape(-1, DIM, DIM)
-    out = np.einsum("pjk,pj->pk", a, yf)
-    return out.reshape(bshape + (DIM,))
+    if x.ndim == 1 or (x.shape == y.shape and x.size and not any(x.strides[:-1])):
+        a = (x[(0,) * (x.ndim - 1)] @ flat).reshape(DIM, DIM)
+        if y.ndim == 1:
+            return (a * y[:, None]).sum(axis=0)
+        return np.einsum("jk,...j->...k", a, y)
+    a = (x.reshape(-1, DIM) @ flat).reshape(x.shape[:-1] + (DIM, DIM))
+    return np.einsum("...jk,...j->...k", a, y)
 
 
 def gp(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Geometric (Clifford) product on component arrays."""
-    return _prod(x, y, _GP_TABLE)
+    return _prod(x, y, _GP_FLAT)
 
 
 def op(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Outer (wedge) product on component arrays."""
-    return _prod(x, y, _OP_TABLE)
+    return _prod(x, y, _OP_FLAT)
 
 
 def lc(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Left contraction on component arrays."""
-    return _prod(x, y, _LC_TABLE)
+    return _prod(x, y, _LC_FLAT)
 
 
 def sp(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:

@@ -80,6 +80,24 @@ def test_invalid_config_values_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_bad_seed_flag_exits_2_without_traceback(capsys):
+    code, _, err = run_cli(capsys, "verify", "algebra", "--seed", "-1")
+    assert code == 2
+    assert "seed must be non-negative" in err and "Traceback" not in err
+
+
+def test_non_integer_config_values_exit_2(capsys, tmp_path):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    for field, value in [
+        ("seed", 1.5), ("seed", True), ("seed", -3), ("points", 1.5), ("lattice_n", 8.5),
+    ]:
+        with open(cfg, "w") as fh:
+            json.dump({field: value}, fh)
+        code, _, err = run_cli(capsys, "verify", "algebra", "--config", cfg)
+        assert code == 2, (field, value)
+        assert f"error: bad config: {field}" in err and "Traceback" not in err
+
+
 def test_failing_tolerance_exits_1(capsys, tmp_path):
     cfg = os.path.join(tmp_path, "strict.json")
     with open(cfg, "w") as fh:

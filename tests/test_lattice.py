@@ -39,9 +39,31 @@ def test_lattice_validation():
         Lattice(np.zeros(4), -np.ones(4), 6)
     with pytest.raises(ValueError):
         Lattice(np.zeros(4), np.ones(4), 6, bc="absorbing")
+    with pytest.raises(ValueError):
+        Lattice(np.array([0.0, np.nan, 0.0, 0.0]), np.ones(4), 6)
+    with pytest.raises(ValueError):
+        Lattice(np.zeros(4), np.array([1.0, np.inf, 1.0, 1.0]), 6)
     lat = Lattice(np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]), 8)
     assert np.allclose(lat.spacing, [0.125, 0.25, 0.375, 0.5])
     assert lat.cell_volume == pytest.approx(np.prod(lat.spacing))
+
+
+def test_lattice_equality_is_by_value():
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 4, "periodic")
+    twin = Lattice([0.0] * 4, [2 * np.pi] * 4, 4, "periodic")
+    assert lat == twin and twin is not lat and hash(lat) == hash(twin)
+    assert lat != Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 4, "dirichlet")
+    assert lat != Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 5, "periodic")
+    assert lat != Lattice(np.ones(4), 2 * np.pi * np.ones(4), 4, "periodic")
+    assert lat != "lattice"
+    # a current on an equal but distinct lattice is accepted by the solver
+    astar = np.zeros(lat.shape + (16,))
+    astar[..., 4] = np.cos(lat.coords()[..., 1])
+    J = LatticeField(twin, frozenset({1}), maxwell_operator(twin)(astar))
+    A = solve_maxwell(lat, J, tol=1e-8)
+    assert np.linalg.norm(A.comps - astar) / np.linalg.norm(astar) <= 1e-6
+    with pytest.raises(ValueError, match="different lattice"):
+        solve_maxwell(Lattice(np.zeros(4), np.ones(4), 4, "periodic"), J)
 
 
 def test_discretize_constant_and_linear():

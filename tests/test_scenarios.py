@@ -1,10 +1,13 @@
 """End-to-end scenario runs at reduced sizes, plus fixed-seed instances."""
 
 import json
+import math
 import os
 
 import pytest
 
+from multiform import scenarios
+from multiform.fields import worst_of
 from multiform.scenarios import SCENARIOS, ScenarioConfig, list_scenarios, run_scenario
 
 FAST = {
@@ -79,3 +82,17 @@ def test_unknown_scenario_rejected():
         run_scenario(ScenarioConfig(scenario="nope"))
     with pytest.raises(ValueError):
         run_scenario(ScenarioConfig(scenario="algebra", points=0))
+
+
+def test_nan_after_finite_residual_fails_the_check(monkeypatch):
+    residuals = iter([1e-12] + [math.nan] * 100)
+    monkeypatch.setattr(scenarios, "check_identity_flat", lambda *args: next(residuals))
+    report = run_scenario(ScenarioConfig(scenario="identities-flat", seed=1, points=4))
+    rec = {c.name: c for c in report.checks}["identity-flat-lc"]
+    assert math.isnan(rec.max_residual) and not rec.passed and not report.passed
+
+
+def test_worst_of_ranks_nan_above_everything():
+    assert worst_of(0.0, 2.0, 1.0) == 2.0
+    for values in [(0.0, math.nan), (math.nan, 1.0), (math.inf, math.nan, 3.0)]:
+        assert math.isnan(worst_of(*values))
