@@ -466,8 +466,24 @@ class BladeExp(FieldExpr):
         return prod(Const(Multivector(self.b_comps)), inner, "gp")
 
 
-_DEL_KINDS = {"gradient": "gp", "divergence": "lc", "curl": "op"}
-_DUAL_KIND = {"gp": "gp", "lc": "op", "op": "lc"}
+# The derivative aggregates sum_mu g^mu * (d_mu X), one per product kind *:
+# kind -> (mode name, short name in DerivMode values, dual kind).  The dual
+# kind is the product whose aggregate pairs with * in the divergence-form
+# identities and in the Euler-Lagrange residuals.
+AGGREGATES = {
+    "lc": ("divergence", "div", "op"),
+    "op": ("curl", "curl", "lc"),
+    "gp": ("gradient", "grad", "gp"),
+}
+
+
+def aggregate_kind(mode: str) -> str:
+    """The product kind of the derivative aggregate named ``mode``."""
+    for kind, (name, _, _) in AGGREGATES.items():
+        if mode == name:
+            return kind
+    names = [name for name, _, _ in AGGREGATES.values()]
+    raise ValueError(f"mode must be one of {names}, got {mode!r}")
 
 
 class DelExpr(FieldExpr):
@@ -476,7 +492,7 @@ class DelExpr(FieldExpr):
     __slots__ = ("child", "kind")
 
     def __init__(self, child: FieldExpr, kind: str):
-        if kind not in ("gp", "op", "lc"):
+        if kind not in AGGREGATES:
             raise ValueError(f"bad derivative kind {kind!r}")
         super().__init__(_prod_grades(frozenset({1}), child.grades, kind))
         self.child = child
@@ -530,7 +546,7 @@ def del_expr_kind(child: FieldExpr, kind: str) -> FieldExpr:
 
 def del_expr(child: FieldExpr, mode: str) -> FieldExpr:
     """Derivative aggregate as a field; mode is gradient/divergence/curl."""
-    return del_expr_kind(child, _DEL_KINDS[mode])
+    return del_expr_kind(child, aggregate_kind(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -785,20 +801,9 @@ def directional_derivative(X: FieldExpr, a, x) -> Multivector:
     return X.deriv(a).at(x)
 
 
-def _del_values(X: FieldExpr, kind: str, xs: np.ndarray, memo: dict) -> np.ndarray:
-    kernel = sta.PRODUCT_KERNELS[kind]
-    acc = np.zeros((xs.shape[0], DIM))
-    for mu in range(4):
-        acc += kernel(GAMMA_UP_ARR[mu], X.deriv(GAMMA[mu]).ev(xs, memo))
-    return acc
-
-
 def apply_del(X: FieldExpr, mode: str, x) -> Multivector:
     """gradient / divergence / curl of X at x (g^mu summed derivative)."""
-    if mode not in _DEL_KINDS:
-        raise ValueError(f"mode must be one of {sorted(_DEL_KINDS)}, got {mode!r}")
-    pts, _ = _as_coords(x)
-    return Multivector(_del_values(X, _DEL_KINDS[mode], pts, {})[0])
+    return del_expr(X, mode).at(x)
 
 
 def gradient(X: FieldExpr, x) -> Multivector:
@@ -897,13 +902,10 @@ def multivector_derivative(
 # flat boundary currents and the divergence-form identities
 # ---------------------------------------------------------------------------
 
-_PAIR_KINDS = ("lc", "op", "gp")
-
-
 def boundary_current_flat(X: FieldExpr, Y: FieldExpr, kind: str) -> FieldExpr:
     """The 1-form current v = sum_mu g^mu [(g_mu * X) . Y] for * in {lc, op, gp}."""
-    if kind not in _PAIR_KINDS:
-        raise ValueError(f"kind must be one of {_PAIR_KINDS}, got {kind!r}")
+    if kind not in AGGREGATES:
+        raise ValueError(f"kind must be one of {tuple(AGGREGATES)}, got {kind!r}")
     acc: FieldExpr = ZERO
     for mu in range(4):
         s = prod(prod(Const(GAMMA[mu]), X, kind), Y, "sp")
@@ -929,11 +931,12 @@ def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:
     """
     pts, _ = _as_coords(points)
     memo: dict = {}
-    lhs = sta.sp(_del_values(X, kind, pts, memo), Y.ev(pts, memo)) + sta.sp(
-        X.ev(pts, memo), _del_values(Y, _DUAL_KIND[kind], pts, memo)
+    dual = AGGREGATES[kind][2]
+    lhs = sta.sp(del_expr_kind(X, kind).ev(pts, memo), Y.ev(pts, memo)) + sta.sp(
+        X.ev(pts, memo), del_expr_kind(Y, dual).ev(pts, memo)
     )
     current = boundary_current_flat(X, Y, kind)
-    rhs = _del_values(current, "lc", pts, memo)[:, 0]
+    rhs = del_expr_kind(current, "lc").ev(pts, memo)[:, 0]
     return float(np.abs(np.atleast_1d(lhs - rhs)).max())
 
 
@@ -952,7 +955,7 @@ def gauss_check(
     h = (hi - lo) / n
     axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    div_vals = _del_values(v, "lc", grid, {})[:, 0]
+    div_vals = del_expr_kind(v, "lc").sample(grid)[:, 0]
     volume = float(div_vals.sum() * np.prod(h))
 
     flux = 0.0

@@ -28,6 +28,7 @@ import numpy as np
 from . import sta
 from .extensor import Extensor11
 from .fields import (
+    AGGREGATES,
     Const,
     ExtApply,
     FieldExpr,
@@ -40,9 +41,9 @@ from .fields import (
     ScalarMap,
     ZERO,
     _as_coords,
-    _del_values,
     _lift,
     add,
+    aggregate_kind,
     del_expr_kind,
     determinant_expr,
     prod,
@@ -52,7 +53,6 @@ from .fields import (
 from .sta import EVEN_GRADES, GAMMA, GAMMA_UP, Multivector
 
 _VARIANTS = ("direct", "adjoint", "inverse", "star")
-_DUAL = {"lc": "op", "op": "lc", "gp": "gp"}
 
 
 class RotorError(ValueError):
@@ -285,9 +285,6 @@ def require_even(psi: FieldExpr, x=None) -> None:
     raise GradeError("spinor operations take even-grade fields")
 
 
-_require_even = require_even
-
-
 def spinor_directional_expr(psi: FieldExpr, a: Multivector, bg: GaugeBackground) -> FieldExpr:
     omega = bg.omega if bg.omega is not None else OmegaField.zero()
     return add(psi.deriv(a), scale(0.5, prod(omega.expr(a), psi, "gp")))
@@ -297,7 +294,7 @@ def spinor_directional(psi: FieldExpr, a, x, bg: GaugeBackground) -> Multivector
     """D^s_a psi = a.d psi + (1/2) Omega(a) psi at the point x."""
     from .fields import _as_direction
 
-    _require_even(psi, x)
+    require_even(psi, x)
     a = Multivector(_as_direction(a))
     return spinor_directional_expr(psi, a, bg).at(x)
 
@@ -311,7 +308,7 @@ def gauge_del_expr(
     X: FieldExpr, mode: str, bg: GaugeBackground, construction: str | None = None
 ) -> FieldExpr:
     """Covariant divergence/curl/gradient of X as a differentiable field."""
-    kind = {"gradient": "gp", "divergence": "lc", "curl": "op"}[mode]
+    kind = aggregate_kind(mode)
     construction = bg.pick_construction(construction)
     # the cache holds X itself: id() keys are only unique while X is alive
     key = (id(X), kind, construction)
@@ -376,7 +373,7 @@ def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
 
 
 def spinor_grad(psi: FieldExpr, x, bg: GaugeBackground) -> Multivector:
-    _require_even(psi, x)
+    require_even(psi, x)
     return spinor_grad_expr(psi, bg).at(x)
 
 
@@ -411,16 +408,16 @@ def check_identity_gauge(
     the det(h)-weighted gauge current.
     """
     pts, _ = _as_coords(points)
-    mode = {"lc": "divergence", "op": "curl", "gp": "gradient"}
+    mode, _, dual = AGGREGATES[kind]
     memo: dict = {}
-    dx = gauge_del_expr(X, mode[kind], bg, construction)
-    dy = gauge_del_expr(Y, mode[_DUAL[kind]], bg, construction)
+    dx = gauge_del_expr(X, mode, bg, construction)
+    dy = gauge_del_expr(Y, AGGREGATES[dual][0], bg, construction)
     lhs = sta.sp(dx.ev(pts, memo), Y.ev(pts, memo)) + sta.sp(
         X.ev(pts, memo), dy.ev(pts, memo)
     )
     current = boundary_current_gauge(X, Y, kind, bg)
     det_vals = bg.h.det_expr().ev(pts, memo)[:, 0]
-    rhs = _del_values(current, "lc", pts, memo)[:, 0] / det_vals
+    rhs = del_expr_kind(current, "lc").ev(pts, memo)[:, 0] / det_vals
     return float(np.abs(np.atleast_1d(lhs - rhs)).max())
 
 
@@ -440,8 +437,8 @@ def check_identity_spinor(
     """
     if which not in ("both", "derivative", "divergence"):
         raise ValueError(f"bad which {which!r}")
-    _require_even(psi, _PROBE[0])
-    _require_even(phi, _PROBE[0])
+    require_even(psi, _PROBE[0])
+    require_even(phi, _PROBE[0])
     pts, _ = _as_coords(points)
     memo: dict = {}
     ds_psi = spinor_grad_expr(psi, bg)
@@ -473,7 +470,7 @@ def check_identity_spinor(
     if which in ("both", "divergence"):
         current = boundary_current_gauge(psi, phi, "gp", bg)
         det_vals = bg.h.det_expr().ev(pts, memo)[:, 0]
-        rhs = _del_values(current, "lc", pts, memo)[:, 0] / det_vals
+        rhs = del_expr_kind(current, "lc").ev(pts, memo)[:, 0] / det_vals
         out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
     return out
 
@@ -498,7 +495,7 @@ def check_spinor_gradient_split(
     """Max residual of D psi = D^s psi - (1/2) sum_mu h*(g^mu) psi Omega(g_mu)."""
     if bg.omega is None:
         raise ValueError("the gradient split needs a connection field")
-    _require_even(psi, _PROBE[0])
+    require_even(psi, _PROBE[0])
     pts, _ = _as_coords(points)
     memo: dict = {}
     correction: FieldExpr = ZERO

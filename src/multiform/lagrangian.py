@@ -14,10 +14,19 @@ verifies pointwise that the variation splits into the residual pairing plus
 the divergence of the matching boundary current, which is the mechanism the
 stationarity proofs rest on.
 
+Points are batched: the residual operators, ``variation`` and
+``decomposition_check`` take one point or a (P, 4) array.  Each field is
+planned once per (field, background, construction): the plan holds the
+aggregate d and the closed slot gradients, including the dual aggregate of
+grad_d, as expression trees, and a point set is one evaluation of those
+trees.  A single point gives a :class:`Multivector` (or a float), a batch
+gives (P, 16) components (or (P,) values), equal row for row to the single
+point results.
+
 Slot gradients use closed forms when the LagrangianSpec provides them (all
-built-ins do); the generic fallback differentiates the density per blade
-with degree-exact stencils and is also exposed as an independent
-cross-check path.
+built-ins do); the generic fallback differentiates the density per blade and
+per point with degree-exact stencils.  The same per-point path backs
+:func:`ele_residual_reference`, the independent cross-check.
 """
 
 from __future__ import annotations
@@ -30,13 +39,13 @@ import numpy as np
 
 from . import sta
 from .fields import (
+    AGGREGATES,
     Const,
     FieldExpr,
     GradeError,
     Graded,
     ZERO,
     _as_coords,
-    _del_values,
     _lift,
     _prod_grades,
     add,
@@ -46,11 +55,13 @@ from .fields import (
     prod,
     scalar_derivative_at_zero,
     scale,
+    worst_of,
 )
 from .gauge import (
     GaugeBackground,
     boundary_current_gauge,
     gauge_del_expr,
+    require_even,
     spinor_grad_expr,
 )
 from .sta import EVEN_GRADES, GAMMA, GAMMA_UP, Multivector, PSEUDOSCALAR
@@ -58,9 +69,6 @@ from .sta import EVEN_GRADES, GAMMA, GAMMA_UP, Multivector, PSEUDOSCALAR
 SIGMA3 = sta.geometric_product(GAMMA[3], GAMMA[0])
 I_SIGMA3 = sta.geometric_product(PSEUDOSCALAR, SIGMA3)
 I_GAMMA3 = sta.geometric_product(PSEUDOSCALAR, GAMMA[3])
-
-_DUAL = {"lc": "op", "op": "lc", "gp": "gp"}
-_KIND_TO_MODE = {"lc": "divergence", "op": "curl", "gp": "gradient"}
 
 
 class DerivMode(enum.Enum):
@@ -82,11 +90,12 @@ class DerivMode(enum.Enum):
     def star(self) -> str:
         if self is DerivMode.SPINOR:
             return "gp"
-        return {"div": "lc", "curl": "op", "grad": "gp"}[self.value.split("-")[1]]
+        short = self.value.split("-")[1]
+        return next(kind for kind, (_, s, _) in AGGREGATES.items() if s == short)
 
     @property
     def dual(self) -> str:
-        return _DUAL[self.star]
+        return AGGREGATES[self.star][2]
 
     @property
     def weighted(self) -> bool:
@@ -132,21 +141,22 @@ class LagrangianSpec:
         return _prod_grades(frozenset({1}), self.field_grades, self.mode.star)
 
 
-def deriv_aggregate_expr(
+def _aggregate(
     L: LagrangianSpec,
-    X: FieldExpr,
+    Y: FieldExpr,
+    kind: str,
     bg: GaugeBackground | None,
-    construction: str | None = None,
+    construction: str | None,
 ) -> FieldExpr:
-    """The declared derivative aggregate of X as a field expression."""
+    """The aggregate of Y with product ``kind`` in the derivative family of L."""
     fam = L.mode.family
     if fam == "flat":
-        return del_expr_kind(X, L.mode.star)
+        return del_expr_kind(Y, kind)
     if bg is None:
         raise ValueError(f"{L.mode.value} Lagrangians need a gauge background")
     if fam == "gauge":
-        return gauge_del_expr(X, _KIND_TO_MODE[L.mode.star], bg, construction)
-    return spinor_grad_expr(X, bg)
+        return gauge_del_expr(Y, AGGREGATES[kind][0], bg, construction)
+    return spinor_grad_expr(Y, bg)
 
 
 def _plan(
@@ -159,36 +169,35 @@ def _plan(
     key = (id(X), id(bg) if bg is not None else None, construction)
     hit = L._plans.get(key)
     if hit is None:
-        d_expr = deriv_aggregate_expr(L, X, bg, construction)
+        d_expr = _aggregate(L, X, L.mode.star, bg, construction)
+        gd = L.grad_d(X, d_expr) if L.grad_d is not None else None
         hit = {
             "field": X,
             "bg": bg,
             "d": d_expr,
             "gx": L.grad_x(X, d_expr) if L.grad_x is not None else None,
-            "gd": L.grad_d(X, d_expr) if L.grad_d is not None else None,
+            "gd": gd,
+            "dual_gd": None if gd is None else _aggregate(L, gd, L.mode.dual, bg, construction),
         }
         L._plans[key] = hit
     return hit
 
 
-def _check_variation_grades(X: FieldExpr, A: FieldExpr, x) -> None:
-    if A.grades <= X.grades:
-        return
-    pts, _ = _as_coords(x)
-    actual = Multivector(A.sample(pts)[0]).grade_set(1e-14)
-    if not actual <= X.grades:
-        raise GradeError(
-            f"variation direction carries grades {sorted(actual)} outside the "
-            f"field's grade set {sorted(X.grades)}"
-        )
-
-
-def _weight_at(L: LagrangianSpec, bg: GaugeBackground | None, x) -> float:
+def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray, memo: dict):
+    """The density weight at each point: det(h) for weighted modes, else 1."""
     if not L.weighted:
         return 1.0
     if bg is None:
         raise ValueError("weighted Lagrangians need a gauge background")
-    return bg.h.det_at(x)
+    return bg.h.det_expr().ev(pts, memo)[:, 0]
+
+
+def _field_gradient(L: LagrangianSpec, Xc: np.ndarray, dc: np.ndarray, xc) -> Multivector:
+    """grad_X l at one point from the slot components, per blade from the density itself."""
+    dv = Multivector(dc)
+    return multivector_derivative(
+        lambda W: L.density(W, dv, xc), Multivector(Xc), L.field_grades, L.poly_degree
+    )
 
 
 def variation(
@@ -198,26 +207,36 @@ def variation(
     x,
     bg: GaugeBackground | None = None,
     construction: str | None = None,
-) -> float:
+):
     """d/dl of the (weighted) density along X + l A at l = 0.
 
     The composite in l is polynomial for polynomial densities, so the
     stencil differentiation in :func:`scalar_derivative_at_zero` is exact.
+    Returns a float for one point and a (P,) array for a (P, 4) batch.
     """
-    _check_variation_grades(X, A, x)
-    if L.mode.family != "flat" and bg is None:
-        raise ValueError(f"{L.mode.value} Lagrangians need a gauge background")
-    xc = _as_coords(x)[0][0]
-    Xv = X.at(x)
-    Av = A.at(x)
-    dX = _plan(L, X, bg, construction)["d"].at(x)
-    dA = _plan(L, A, bg, construction)["d"].at(x)
-    w = _weight_at(L, bg, x)
-
-    def g(lam: float) -> float:
-        return w * float(L.density(Xv + lam * Av, dX + lam * dA, xc))
-
-    return scalar_derivative_at_zero(g, L.poly_degree)
+    pts, single = _as_coords(x)
+    memo: dict = {}
+    Av = A.ev(pts, memo)
+    if not A.grades <= X.grades:
+        actual = Multivector(np.abs(Av).max(axis=0)).grade_set(1e-14)
+        if not actual <= X.grades:
+            raise GradeError(
+                f"variation direction carries grades {sorted(actual)} outside the "
+                f"field's grade set {sorted(X.grades)}"
+            )
+    # only the aggregates are needed: a plan would also build the slot gradients
+    dX = _aggregate(L, X, L.mode.star, bg, construction).ev(pts, memo)
+    dA = _aggregate(L, A, L.mode.star, bg, construction).ev(pts, memo)
+    Xv = X.ev(pts, memo)
+    w = np.broadcast_to(_weights(L, bg, pts, memo), pts.shape[:1])
+    out = np.empty(pts.shape[0])
+    for i, xc in enumerate(pts):
+        Xi, Ai, dXi, dAi = (Multivector(v[i]) for v in (Xv, Av, dX, dA))
+        out[i] = scalar_derivative_at_zero(
+            lambda lam: w[i] * float(L.density(Xi + lam * Ai, dXi + lam * dAi, xc)),
+            L.poly_degree,
+        )
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +250,31 @@ def _residual(
     x,
     bg: GaugeBackground | None,
     construction: str | None,
-) -> Multivector:
+):
+    pts, single = _as_coords(x)
     plan = _plan(L, X, bg, construction)
-    xc = _as_coords(x)[0][0]
-
+    memo: dict = {}
     if plan["gx"] is not None:
-        t1 = plan["gx"].at(x)
+        t1 = plan["gx"].ev(pts, memo)
     else:
-        dv = plan["d"].at(x)
-        Xv = X.at(x)
-        t1 = multivector_derivative(
-            lambda W: L.density(W, dv, xc), Xv, L.field_grades, L.poly_degree
+        rows = zip(X.ev(pts, memo), plan["d"].ev(pts, memo), pts)
+        t1 = np.array([_field_gradient(L, *row).comps for row in rows])
+    if plan["dual_gd"] is not None:
+        t2 = plan["dual_gd"].ev(pts, memo)
+    else:
+        t2 = np.array(
+            [_dual_of_numeric_slot_gradient(L, X, xc, bg, construction).comps for xc in pts]
         )
+    res = sta.restrict(t1 - t2, L.field_grades)
+    return Multivector(res[0]) if single else res
 
-    if plan["gd"] is not None:
-        p_expr = plan["gd"]
-        fam = L.mode.family
-        if fam == "flat":
-            t2 = del_expr_kind(p_expr, L.mode.dual).at(x)
-        elif fam == "gauge":
-            t2 = gauge_del_expr(p_expr, _KIND_TO_MODE[L.mode.dual], bg, construction).at(x)
-        else:
-            t2 = spinor_grad_expr(p_expr, bg).at(x)
-    else:
-        t2 = _dual_of_numeric_slot_gradient(L, X, x, bg, construction)
 
-    return (t1 - t2).restrict(L.field_grades)
+def residual_norms(res) -> list[float]:
+    """Euclidean norm of each residual row, one ``np.linalg.norm`` per row.
+
+    A single call with ``axis=1`` rounds differently in the last bit.
+    """
+    return [float(np.linalg.norm(row)) for row in res]
 
 
 def _numeric_slot_gradient(
@@ -312,7 +330,7 @@ def _dual_of_numeric_slot_gradient(
     return Multivector(out)
 
 
-def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x) -> Multivector:
+def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x):
     """grad_X l - (dual flat derivative) grad_d l at x, grade-restricted."""
     if L.mode.family != "flat":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not flat")
@@ -325,19 +343,15 @@ def ele_residual_gauge(
     x,
     bg: GaugeBackground,
     construction: str | None = None,
-) -> Multivector:
+):
     """grad_X l - (dual covariant derivative) grad_d l at x."""
     if L.mode.family != "gauge":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not gauge")
     return _residual(L, X, x, bg, construction)
 
 
-def ele_residual_spinor(
-    L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackground
-) -> Multivector:
+def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackground):
     """grad_psi l - D^s grad_{D^s psi} l at x, for even-grade psi."""
-    from .gauge import require_even
-
     if L.mode is not DerivMode.SPINOR:
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not spinor")
     require_even(psi, x)
@@ -350,8 +364,12 @@ def ele_residual(
     x,
     bg: GaugeBackground | None = None,
     construction: str | None = None,
-) -> Multivector:
-    """Mode-dispatching wrapper over the three residual operators."""
+):
+    """Mode-dispatching wrapper over the three residual operators.
+
+    One point gives a :class:`Multivector`, a (P, 4) batch gives (P, 16)
+    components.
+    """
     fam = L.mode.family
     if fam == "flat":
         return ele_residual_flat(L, X, x)
@@ -367,7 +385,7 @@ def ele_residual_reference(
     bg: GaugeBackground | None = None,
     construction: str | None = None,
 ) -> Multivector:
-    """Residual via per-blade numeric slot gradients: the independent path.
+    """Residual at one point via per-blade numeric slot gradients: the independent path.
 
     For gauge and spinor modes the dual derivative is still applied to the
     closed slot-gradient field, but the grad_X term is recomputed per blade
@@ -376,25 +394,17 @@ def ele_residual_reference(
     """
     plan = _plan(L, X, bg, construction)
     xc = _as_coords(x)[0][0]
-    dv = plan["d"].at(x)
-    Xv = X.at(x)
-    t1 = multivector_derivative(
-        lambda W: L.density(W, dv, xc), Xv, L.field_grades, L.poly_degree
-    )
+    t1 = _field_gradient(L, X.at(x).comps, plan["d"].at(x).comps, xc)
     if L.mode.family == "flat":
         t2 = _dual_of_numeric_slot_gradient(L, X, x, bg, construction)
     else:
         p_val = _numeric_slot_gradient(L, X, x, bg, construction)
-        p_expr = plan["gd"]
-        if p_expr is None:
+        if plan["gd"] is None:
             raise ValueError("gauge/spinor reference path needs closed slot gradients")
         # cross-check the closed gradient against the per-blade one first
-        if (p_expr.at(x) - p_val).norm() > 1e-6 * max(1.0, p_val.norm()):
+        if (plan["gd"].at(x) - p_val).norm() > 1e-6 * max(1.0, p_val.norm()):
             raise AssertionError("closed-form slot gradient disagrees with per-blade values")
-        if L.mode.family == "gauge":
-            t2 = gauge_del_expr(p_expr, _KIND_TO_MODE[L.mode.dual], bg, construction).at(x)
-        else:
-            t2 = spinor_grad_expr(p_expr, bg).at(x)
+        t2 = plan["dual_gd"].at(x)
     return (t1 - t2).restrict(L.field_grades)
 
 
@@ -410,28 +420,30 @@ def decomposition_check(
     x,
     bg: GaugeBackground | None = None,
     construction: str | None = None,
-) -> float:
+):
     """|variation - weight A.residual - div(current)| at x.
 
     The current is the boundary current of the matching divergence-form
     identity, applied to the variation direction and the slot-gradient
     field; a vanishing residual is the pointwise content of the
-    stationarity argument.
+    stationarity argument.  Returns a float for one point and a (P,) array
+    for a (P, 4) batch.
     """
+    pts, single = _as_coords(x)
     plan = _plan(L, X, bg, construction)
     if plan["gd"] is None:
         raise ValueError("decomposition check needs a closed-form grad_d")
-    delta = variation(L, X, A, x, bg, construction)
-    res = ele_residual(L, X, x, bg, construction)
-    w = _weight_at(L, bg, x)
-    p_expr = plan["gd"]
+    delta = variation(L, X, A, pts, bg, construction)
+    res = ele_residual(L, X, pts, bg, construction)
+    memo: dict = {}
+    w = _weights(L, bg, pts, memo)
     if L.mode.family == "flat":
-        current = boundary_current_flat(A, p_expr, L.mode.star)
+        current = boundary_current_flat(A, plan["gd"], L.mode.star)
     else:
-        current = boundary_current_gauge(A, p_expr, L.mode.star, bg)
-    pts, _ = _as_coords(x)
-    div = float(_del_values(current, "lc", pts, {})[0, 0])
-    return abs(delta - w * A.at(x).sp(res) - div)
+        current = boundary_current_gauge(A, plan["gd"], L.mode.star, bg)
+    div = del_expr_kind(current, "lc").ev(pts, memo)[:, 0]
+    out = np.abs(delta - w * sta.sp(A.ev(pts, memo), res) - div)
+    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -575,21 +587,15 @@ class EleReport:
         metadata: dict | None = None,
     ) -> "EleReport":
         pts, _ = _as_coords(points)
-        norms = [
-            ele_residual(L, X, pts[i], bg, construction).norm()
-            for i in range(pts.shape[0])
-        ]
+        norms = residual_norms(ele_residual(L, X, pts, bg, construction))
         deco = None
         if A is not None:
-            deco = max(
-                decomposition_check(L, X, A, pts[i], bg, construction)
-                for i in range(pts.shape[0])
-            )
+            deco = worst_of(*decomposition_check(L, X, A, pts, bg, construction))
         return cls(
             mode=L.mode.value,
             field_name=field_name,
             residual_norms=norms,
-            max_residual=max(norms),
+            max_residual=worst_of(*norms),
             mean_residual=float(np.mean(norms)),
             decomposition_residual=deco,
             metadata=metadata or {},

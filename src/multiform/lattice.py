@@ -389,7 +389,7 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def maxwell_operator(lat: Lattice, mu0: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     """The discrete div(curl(.)) map on grade-1 component arrays."""
 
     def apply(comps: np.ndarray) -> np.ndarray:
@@ -455,7 +455,7 @@ def solve_maxwell(
     if J.lattice is not lat and J.lattice != lat:
         raise ValueError("current lives on a different lattice")
 
-    op = maxwell_operator(lat, mu0)
+    op = maxwell_operator(lat)
     eps = SP_DIAG[VECTOR_IDX]  # metric signs of the four vector components
     jc = _zero_boundary(lat, J.comps.copy())
     rhs_field = mu0 * jc[..., VECTOR_IDX]
@@ -537,7 +537,8 @@ def export_field(F: LatticeField, basepath: str) -> tuple[str, str]:
 
 
 def load_field(basepath: str) -> LatticeField:
-    """Read a field written by :func:`export_field`."""
+    """Read a field written by :func:`export_field`; a sidecar that
+    contradicts itself or the ``.bin`` size raises ``ValueError``."""
     with open(basepath + ".txt") as fh:
         lines = [ln.strip() for ln in fh.readlines() if ln.strip()]
     if lines[0] != _HEADER_MAGIC:
@@ -546,16 +547,24 @@ def load_field(basepath: str) -> LatticeField:
     for ln in lines[1:]:
         key, _, rest = ln.partition(":")
         fields[key.strip()] = rest.strip()
-    sites = int(fields["sites"].split()[0])
+    sites = fields["sites"].split()
+    if len(sites) != 4 or len(set(sites)) != 1 or not sites[0].isdigit():
+        raise ValueError(f"sites must be one integer repeated 4 times, got {fields['sites']!r}")
     lat = Lattice(
         origin=np.array([float(v) for v in fields["origin"].split()]),
         extent=np.array([float(v) for v in fields["extent"].split()]),
-        sites=sites,
+        sites=int(sites[0]),
         bc=fields["bc"],
     )
+    spacing = [float(v) for v in fields["spacing"].split()]
+    if spacing != lat.spacing.tolist():
+        raise ValueError(f"spacing {spacing} differs from extent / sites = {lat.spacing.tolist()}")
     grades = frozenset(int(g) for g in fields["grades"].split())
     blades = [int(b) for b in fields["blades"].split()]
     raw = np.fromfile(basepath + ".bin", dtype="<f8")
+    n = lat.n_sites * len(blades)
+    if raw.size != n:
+        raise ValueError(f"{basepath}.bin holds {raw.size} floats, the sidecar implies {n}")
     data = raw.reshape(lat.shape + (len(blades),))
     comps = np.zeros(lat.shape + (DIM,))
     comps[..., blades] = data

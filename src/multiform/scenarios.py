@@ -29,7 +29,7 @@ from .fields import (
     Const,
     PolyMap,
     ScalarMap,
-    apply_del,
+    add,
     check_identity_flat,
     coordinate,
     del_expr,
@@ -47,10 +47,10 @@ from .gauge import (
     check_identity_spinor,
     check_pushforward_vs_omega,
     check_spinor_gradient_split,
-    gauge_del,
+    gauge_del_expr,
     identity_background,
     rotor_gauge,
-    spinor_grad,
+    spinor_grad_expr,
 )
 from .lagrangian import (
     decomposition_check,
@@ -60,6 +60,7 @@ from .lagrangian import (
     ele_residual_spinor,
     I_SIGMA3,
     make_builtin,
+    residual_norms,
     variation,
 )
 from .lattice import (
@@ -369,11 +370,10 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     X = random_field(rng, all_grades)
     flat_bg = identity_background()
     for mode in ("gradient", "divergence", "curl"):
+        want = del_expr(X, mode).sample(pts[:10])
         for construction in ("omega", "pushforward"):
-            for i in range(min(10, pts.shape[0])):
-                got = gauge_del(X, mode, pts[i], flat_bg, construction)
-                want = apply_del(X, mode, pts[i])
-                worst = worst_of(worst, (got - want).norm())
+            got = gauge_del_expr(X, mode, flat_bg, construction).sample(pts[:10])
+            worst = worst_of(worst, *residual_norms(got - want))
     run.check("flat-limit", worst, 1e-12)
 
 
@@ -460,41 +460,48 @@ def _free_spinor(m: float, c: float, hbar: float):
     return BladeExp(GAMMA[1] ^ GAMMA[2], scale(m * c / hbar, coordinate(GAMMA[0])))
 
 
+def _first_order_residuals(dpsi, psi, params) -> list[float]:
+    """Row norms of hbar (D psi) I s3 - m c psi g0, the first-order Dirac-Hestenes form."""
+    mc = params["m"] * params["c"]
+    eq = sta.gp(dpsi, I_SIGMA3.comps) * params["hbar"] - sta.gp(psi, GAMMA[0].comps) * mc
+    return residual_norms(eq)
+
+
 def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     rng = np.random.default_rng(cfg.seed)
     pts = random_points(rng, min(cfg.points, 40))
     L = make_builtin("maxwell_flat")
 
     A = _plane_wave_potential()
-    worst = worst_of(*(ele_residual_flat(L, A, pts[i]).norm() for i in range(pts.shape[0])))
+    worst = worst_of(*residual_norms(ele_residual_flat(L, A, pts)))
     run.check("plane-wave-residual", worst, 1e-9)
 
     worst = 0.0
     for _ in range(5):
         Ar = random_field(rng, {1})
+        r1 = ele_residual_flat(L, Ar, pts[:3])
         for i in range(3):
-            r1 = ele_residual_flat(L, Ar, pts[i])
             r2 = ele_residual_reference(L, Ar, pts[i])
-            worst = worst_of(worst, (r1 - r2).norm() / max(1.0, r1.norm()))
+            rel = np.linalg.norm(r1[i] - r2.comps) / max(1.0, np.linalg.norm(r1[i]))
+            worst = worst_of(worst, rel)
     run.check("residual-two-paths", worst, 1e-8)
 
     worst_var, worst_dec = 0.0, 0.0
     for _ in range(10):
         Ar = random_field(rng, {1})
         Av = random_field(rng, {1})
+        got = variation(L, Ar, Av, pts[:3])
         for i in range(3):
             x = pts[i]
-            got = variation(L, Ar, Av, x)
             h = 1e-5
-            from .fields import add as fadd
 
             def act(lam):
-                Xl = fadd(Ar, scale(lam, Av))
+                Xl = add(Ar, scale(lam, Av))
                 return L.density(Xl.at(x), del_expr(Xl, "curl").at(x), x)
 
             fd = (act(h) - act(-h)) / (2 * h)
-            worst_var = worst_of(worst_var, abs(got - fd))
-            worst_dec = worst_of(worst_dec, decomposition_check(L, Ar, Av, x))
+            worst_var = worst_of(worst_var, abs(got[i] - fd))
+        worst_dec = worst_of(worst_dec, *decomposition_check(L, Ar, Av, pts[:3]))
     run.check("variation-vs-fd", worst_var, 1e-8)
     run.check("decomposition", worst_dec, 1e-7)
 
@@ -507,31 +514,23 @@ def _scenario_dirac_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     psi = _free_spinor(params["m"], params["c"], params["hbar"])
 
     # validate the candidate by substitution into the first-order equation
-    worst = 0.0
-    mc = params["m"] * params["c"]
-    for i in range(pts.shape[0]):
-        from .fields import gradient
-
-        eq = (gradient(psi, pts[i]) * I_SIGMA3) * params["hbar"] - (
-            psi.at(pts[i]) * GAMMA[0]
-        ) * mc
-        worst = worst_of(worst, eq.norm())
+    dpsi = del_expr(psi, "gradient").sample(pts)
+    worst = worst_of(*_first_order_residuals(dpsi, psi.sample(pts), params))
     run.check("candidate-substitution", worst, 1e-10)
 
-    worst = worst_of(*(ele_residual_flat(L, psi, pts[i]).norm() for i in range(pts.shape[0])))
+    worst = worst_of(*residual_norms(ele_residual_flat(L, psi, pts)))
     run.check("free-spinor-residual", worst, 1e-8)
 
     worst = 0.0
     for _ in range(10):
         psir = random_even_field(rng)
         eta = random_even_field(rng)
-        for i in range(3):
-            worst = worst_of(worst, decomposition_check(L, psir, eta, pts[i]))
+        worst = worst_of(worst, *decomposition_check(L, psir, eta, pts[:3]))
     run.check("decomposition", worst, 1e-7)
 
     one = Const(Multivector.scalar(1.0))
     dens = L.density(one.at(pts[0]), Multivector.zero(), pts[0])
-    run.check("unit-spinor-density", abs(dens + mc), 1e-12)
+    run.check("unit-spinor-density", abs(dens + params["m"] * params["c"]), 1e-12)
 
 
 def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
@@ -544,40 +543,34 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     A_g = bg.h.apply_expr(_plane_wave_potential(), "direct")
     worst = 0.0
     for construction in ("omega", "pushforward"):
-        worst = worst_of(
-            worst,
-            *(
-                ele_residual_gauge(L, A_g, pts[i], bg, construction).norm()
-                for i in range(min(6, pts.shape[0]))
-            ),
-        )
+        res = ele_residual_gauge(L, A_g, pts[:6], bg, construction)
+        worst = worst_of(worst, *residual_norms(res))
     run.check("transported-plane-wave-residual", worst, 1e-6)
 
     idbg = identity_background()
     worst = 0.0
     for _ in range(3):
         Ar = random_field(rng, {1})
-        for i in range(3):
-            rg = ele_residual_gauge(L, Ar, pts[i], idbg)
-            rf = ele_residual_flat(Lflat, Ar, pts[i])
-            worst = worst_of(worst, (rg - rf).norm())
+        rg = ele_residual_gauge(L, Ar, pts[:3], idbg)
+        rf = ele_residual_flat(Lflat, Ar, pts[:3])
+        worst = worst_of(worst, *residual_norms(rg - rf))
     run.check("flat-degeneration", worst, 1e-10)
 
     worst = 0.0
     for _ in range(3):
         Ar = random_field(rng, {1})
+        r1 = ele_residual_gauge(L, Ar, pts[:2], bg)
         for i in range(2):
-            r1 = ele_residual_gauge(L, Ar, pts[i], bg)
             r2 = ele_residual_reference(L, Ar, pts[i], bg)
-            worst = worst_of(worst, (r1 - r2).norm() / max(1.0, r1.norm()))
+            rel = np.linalg.norm(r1[i] - r2.comps) / max(1.0, np.linalg.norm(r1[i]))
+            worst = worst_of(worst, rel)
     run.check("residual-two-paths", worst, 1e-8)
 
     worst = 0.0
     for _ in range(5):
         Ar = random_field(rng, {1})
         Av = random_field(rng, {1})
-        for i in range(2):
-            worst = worst_of(worst, decomposition_check(L, Ar, Av, pts[i], bg))
+        worst = worst_of(worst, *decomposition_check(L, Ar, Av, pts[:2], bg))
     run.check("decomposition", worst, 1e-7)
 
 
@@ -593,40 +586,28 @@ def _scenario_dirac_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     bg = rotor_gauge(R)
     psi_flat = _free_spinor(params["m"], params["c"], params["hbar"])
     psi_g = prod(R, psi_flat, "gp")
-    worst = worst_of(
-        *(
-            ele_residual_spinor(L, psi_g, pts[i], bg).norm()
-            for i in range(min(8, pts.shape[0]))
-        )
-    )
+    worst = worst_of(*residual_norms(ele_residual_spinor(L, psi_g, pts[:8], bg)))
     run.check("transported-spinor-residual", worst, 1e-6)
 
     # first-order form of the transported solution
-    mc = params["m"] * params["c"]
-    worst = 0.0
-    for i in range(min(6, pts.shape[0])):
-        eq = (spinor_grad(psi_g, pts[i], bg) * I_SIGMA3) * params["hbar"] - (
-            psi_g.at(pts[i]) * GAMMA[0]
-        ) * mc
-        worst = worst_of(worst, eq.norm())
+    dpsi = spinor_grad_expr(psi_g, bg).sample(pts[:6])
+    worst = worst_of(*_first_order_residuals(dpsi, psi_g.sample(pts[:6]), params))
     run.check("transported-first-order-equation", worst, 1e-9)
 
     idbg = identity_background()
     worst = 0.0
     for _ in range(3):
         psir = random_even_field(rng)
-        for i in range(2):
-            rg = ele_residual_spinor(L, psir, pts[i], idbg)
-            rf = ele_residual_flat(Lflat, psir, pts[i])
-            worst = worst_of(worst, (rg - rf).norm())
+        rg = ele_residual_spinor(L, psir, pts[:2], idbg)
+        rf = ele_residual_flat(Lflat, psir, pts[:2])
+        worst = worst_of(worst, *residual_norms(rg - rf))
     run.check("flat-degeneration", worst, 1e-10)
 
     worst = 0.0
     for _ in range(4):
         psir = random_even_field(rng)
         eta = random_even_field(rng)
-        for i in range(2):
-            worst = worst_of(worst, decomposition_check(L, psir, eta, pts[i], bg))
+        worst = worst_of(worst, *decomposition_check(L, psir, eta, pts[:2], bg))
     run.check("decomposition", worst, 1e-7)
 
 

@@ -25,11 +25,13 @@ from multiform.lagrangian import (
     I_SIGMA3,
     LagrangianSpec,
     decomposition_check,
+    ele_residual,
     ele_residual_flat,
     ele_residual_gauge,
     ele_residual_reference,
     ele_residual_spinor,
     make_builtin,
+    residual_norms,
     variation,
 )
 from multiform.sampling import (
@@ -501,3 +503,74 @@ def test_ele_report():
     assert report.decomposition_residual <= 1e-7
     assert len(report.residual_norms) == 8
     assert report.mode == "flat-curl"
+
+
+def singular(X):
+    """X recip(x.g0): finite for x0 != 0, NaN residuals at x0 = 0."""
+    return prod(X, ScalarMap(coordinate(GAMMA[0]), "recip"), "gp")
+
+
+def test_ele_report_keeps_a_nan_residual():
+    L = make_builtin("maxwell_flat")
+    V = random_field(np.random.default_rng(26), {1})
+    pts = np.array([[0.5, 0.1, -0.2, 0.3], [0.0, 0.1, -0.2, 0.3]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = EleReport.evaluate(L, singular(Const(GAMMA[2])), pts, A=V)
+    assert report.residual_norms[0] == 16.0
+    assert np.isnan(report.residual_norms[1])
+    assert np.isnan(report.max_residual)
+    assert np.isnan(report.decomposition_residual)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+
+def _single_values(fn, pts):
+    out = [fn(x) for x in pts]
+    return np.array([v.comps if isinstance(v, Multivector) else v for v in out])
+
+
+@pytest.mark.parametrize(
+    "name, construction",
+    [
+        ("maxwell_flat", None),
+        ("dirac_flat", None),
+        ("maxwell_gauge", "omega"),
+        ("maxwell_gauge", "pushforward"),
+        ("dirac_gauge", None),
+        ("generic", None),
+    ],
+)
+def test_batch_matches_single_points(name, construction):
+    """One (P, 4) call equals P single-point calls bit for bit, NaN rows included."""
+    rng = np.random.default_rng(27)
+    bg = rotor_gauge(random_rotor(rng)) if name.endswith("gauge") else None
+    if name == "generic":
+        L = make_builtin("maxwell_flat", sources={"J": random_field(rng, {1})})
+        L = dataclasses.replace(L, grad_x=None, grad_d=None)
+    else:
+        L = make_builtin(name)
+    grades = {1} if L.field_grades == {1} else {0, 2, 4}
+    A = random_field(rng, grades)
+    pts = random_points(rng, 4)
+    pts[2, 0] = 0.0  # the singular point of singular()
+    X0 = random_field(rng, grades)
+    for X, has_nan in ((X0, False), (singular(X0), True)):
+        ops = [
+            lambda x: ele_residual(L, X, x, bg, construction),
+            lambda x: variation(L, X, A, x, bg, construction),
+        ]
+        if name != "generic":
+            ops.append(lambda x: decomposition_check(L, X, A, x, bg, construction))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for op in ops:
+                batch = op(pts)
+                assert np.array_equal(batch, _single_values(op, pts), equal_nan=True)
+            norms = [ele_residual(L, X, x, bg, construction).norm() for x in pts]
+            assert np.array_equal(residual_norms(ops[0](pts)), norms, equal_nan=True)
+        assert np.isnan(norms).tolist() == [False, False, has_nan, False]
+    if name == "generic":
+        with pytest.raises(ValueError):
+            decomposition_check(L, A, A, pts, bg, construction)

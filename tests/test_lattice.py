@@ -311,6 +311,30 @@ def test_export_and_load_roundtrip(tmp_path):
     assert np.allclose(back.lattice.extent, lat.extent)
 
 
+@pytest.mark.parametrize(
+    "line, new_line, drop, match",
+    [
+        (None, None, 1, "holds 1023 floats"),
+        ("sites: 4 4 4 4", "sites: 4 4 4 5", 0, "sites must be one integer"),
+        ("spacing: 0.25 ", "spacing: 0.5 ", 0, "spacing .* differs from extent / sites"),
+    ],
+    ids=["bin-size", "unequal-sites", "spacing"],
+)
+def test_load_field_rejects_malformed_pair(tmp_path, line, new_line, drop, match):
+    lat = Lattice(np.zeros(4), np.array([1.0, 2.0, 1.5, 3.0]), 4, bc="dirichlet")
+    base = os.path.join(tmp_path, "field")
+    bin_path, txt_path = export_field(random_grade1_field(lat, np.random.default_rng(5)), base)
+    if drop:
+        np.fromfile(bin_path, dtype="<f8")[:-drop].tofile(bin_path)
+    if line is not None:
+        header = open(txt_path).read()
+        assert line in header
+        with open(txt_path, "w") as fh:
+            fh.write(header.replace(line, new_line))
+    with pytest.raises(ValueError, match=match):
+        load_field(base)
+
+
 def test_lattice_field_grade_guard():
     lat = Lattice(np.zeros(4), np.ones(4), 4)
     bad = np.ones(lat.shape + (16,))
