@@ -9,13 +9,26 @@ that is again a tree, so derivatives nest to any order; finite differences
 appear in this package only as independent test oracles.
 
 Evaluation is batched: ``expr.sample(xs)`` takes an (P, 4) array of
-coordinates and returns (P, 16) component arrays, memoizing shared subtrees
-per call.  ``expr.at(x)`` is the single-point wrapper returning a
-:class:`Multivector`.
+coordinates and returns (P, 16) component arrays.  ``expr.at(x)`` is the
+single-point wrapper returning a :class:`Multivector`; it refuses a batch.
 
-Trees are immutable after construction and evaluation is pure (derivative
-trees are cached lazily but idempotently), so point batches may be
-processed from concurrent contexts without coordination.
+Every node (field or matrix) owns one value slot, ``(point-set key,
+value)`` from its last evaluation, and returns the stored value while the
+key matches.  The key is the float64 bytes of the (P, 4) coordinates,
+computed once per top-level call: an equal array built anew hits the slot,
+a point set changed in place misses it.  A subtree shared between trees,
+such as the extensor field of a gauge background, is therefore evaluated
+once per point set however many trees and calls use it.  Stored values are
+read-only arrays.  A slot lives as long as its node, and trees derived
+from a node (derivatives, aggregates, residual plans) are owned by that
+node, so a field nothing holds is freed with its trees and their values.
+Derived trees often point back at their source, so that happens at the
+next garbage collection rather than at once.
+
+Trees are immutable after construction and evaluation is pure, so point
+batches may be processed from concurrent contexts.  Each slot is replaced
+as one tuple: concurrent callers always get correct values, but may
+recompute a value another caller has just stored.
 """
 
 from __future__ import annotations
@@ -75,6 +88,14 @@ def _as_coords(x) -> tuple[np.ndarray, bool]:
     raise ValueError(f"points must have shape (4,) or (P, 4), got {arr.shape}")
 
 
+def _one_point(x) -> np.ndarray:
+    """A single-point argument as (1, 4) coordinates; any other point count is refused."""
+    pts, _ = _as_coords(x)
+    if pts.shape[0] != 1:
+        raise ValueError(f"a single-point call takes one point, got shape {pts.shape}")
+    return pts
+
+
 def _as_direction(a) -> np.ndarray:
     """Normalize a direction to grade-1 (16,) components."""
     if isinstance(a, Multivector):
@@ -116,50 +137,64 @@ def _prod_grades(ga: frozenset, gb: frozenset, kind: str) -> frozenset:
     return frozenset(out)
 
 
-class FieldExpr:
+class _Node:
+    """Base of field and matrix nodes: one value slot and the trees derived from the node."""
+
+    __slots__ = ("_dcache", "_value", "__weakref__")
+
+    def __init__(self):
+        self._dcache: dict = {}
+        self._value: tuple = (None, None)
+
+    # subclasses implement _eval(xs, key) -> array
+
+    def _eval(self, xs: np.ndarray, key: bytes) -> np.ndarray:
+        raise NotImplementedError
+
+    def ev(self, xs: np.ndarray, key: bytes) -> np.ndarray:
+        """Values at the points xs, whose cache key (``xs.tobytes()``) is key."""
+        hit = self._value
+        if hit[0] == key:
+            return hit[1]
+        out = self._eval(xs, key)
+        out.flags.writeable = False
+        self._value = (key, out)
+        return out
+
+    def derived(self, key, build: Callable[[], object]):
+        """The tree that ``build`` makes from this node, built once per key and owned here."""
+        hit = self._dcache.get(key)
+        if hit is None:
+            hit = self._dcache[key] = build()
+        return hit
+
+
+class FieldExpr(_Node):
     """Base node: a multiform-valued function of the position 1-form."""
 
-    __slots__ = ("grades", "_dcache")
+    __slots__ = ("grades",)
 
     def __init__(self, grades: Iterable[int]):
+        super().__init__()
         self.grades = frozenset(grades)
-        self._dcache: dict[bytes, FieldExpr] = {}
 
-    # subclasses implement _eval(xs, memo) -> (P, 16) and _build_deriv(a)
-
-    def _eval(self, xs: np.ndarray, memo: dict) -> np.ndarray:
-        raise NotImplementedError
+    # subclasses implement _eval(xs, key) -> (P, 16) and _build_deriv(a)
 
     def _build_deriv(self, a: np.ndarray) -> "FieldExpr":
         raise NotImplementedError
 
-    def ev(self, xs: np.ndarray, memo: dict) -> np.ndarray:
-        # the memo entry keeps self alive so the id() key stays unique for
-        # the memo's whole lifetime, even if callers build trees lazily
-        key = id(self)
-        hit = memo.get(key)
-        if hit is None:
-            hit = (self, self._eval(xs, memo))
-            memo[key] = hit
-        return hit[1]
-
     def deriv(self, a) -> "FieldExpr":
         """Structural derivative in the constant grade-1 direction a."""
         comps = _as_direction(a)
-        key = comps.tobytes()
-        hit = self._dcache.get(key)
-        if hit is None:
-            hit = self._build_deriv(comps)
-            self._dcache[key] = hit
-        return hit
+        return self.derived(comps.tobytes(), lambda: self._build_deriv(comps))
 
     def sample(self, xs) -> np.ndarray:
         pts, _ = _as_coords(xs)
-        return self.ev(pts, {})
+        return self.ev(pts, pts.tobytes())
 
     def at(self, x) -> Multivector:
-        pts, _ = _as_coords(x)
-        return Multivector(self.ev(pts, {})[0])
+        pts = _one_point(x)
+        return Multivector(self.ev(pts, pts.tobytes())[0])
 
     @property
     def is_zero(self) -> bool:
@@ -225,7 +260,7 @@ class Const(FieldExpr):
         super().__init__(value.grade_set())
         self.value = value
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs, key):
         return np.broadcast_to(self.value.comps, (xs.shape[0], DIM))
 
     def _build_deriv(self, a):
@@ -238,6 +273,10 @@ class Const(FieldExpr):
 
 ZERO = Const(Multivector.zero())
 
+# the basis 1-forms g_mu and g^mu as shared constant nodes
+GAMMA_NODES = tuple(Const(g) for g in GAMMA)
+GAMMA_UP_NODES = tuple(Const(g) for g in sta.GAMMA_UP)
+
 
 class Position(FieldExpr):
     __slots__ = ()
@@ -245,7 +284,7 @@ class Position(FieldExpr):
     def __init__(self):
         super().__init__({1})
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs, key):
         out = np.zeros((xs.shape[0], DIM))
         out[:, VECTOR_IDX] = xs
         return out
@@ -279,8 +318,8 @@ class Add(FieldExpr):
         self.left = left
         self.right = right
 
-    def _eval(self, xs, memo):
-        return self.left.ev(xs, memo) + self.right.ev(xs, memo)
+    def _eval(self, xs, key):
+        return self.left.ev(xs, key) + self.right.ev(xs, key)
 
     def _build_deriv(self, a):
         return add(self.left.deriv(a), self.right.deriv(a))
@@ -294,8 +333,8 @@ class Scale(FieldExpr):
         self.factor = float(factor)
         self.child = child
 
-    def _eval(self, xs, memo):
-        return self.factor * self.child.ev(xs, memo)
+    def _eval(self, xs, key):
+        return self.factor * self.child.ev(xs, key)
 
     def _build_deriv(self, a):
         return scale(self.factor, self.child.deriv(a))
@@ -312,9 +351,9 @@ class Prod(FieldExpr):
         self.right = right
         self.kind = kind
 
-    def _eval(self, xs, memo):
-        lv = self.left.ev(xs, memo)
-        rv = self.right.ev(xs, memo)
+    def _eval(self, xs, key):
+        lv = self.left.ev(xs, key)
+        rv = self.right.ev(xs, key)
         if self.kind == "sp":
             out = np.zeros((xs.shape[0], DIM))
             out[:, 0] = sta.sp(lv, rv)
@@ -335,8 +374,8 @@ class Rev(FieldExpr):
         super().__init__(child.grades)
         self.child = child
 
-    def _eval(self, xs, memo):
-        return self.child.ev(xs, memo) * sta.REV_SIGNS
+    def _eval(self, xs, key):
+        return self.child.ev(xs, key) * sta.REV_SIGNS
 
     def _build_deriv(self, a):
         return Rev(self.child.deriv(a))
@@ -352,8 +391,8 @@ class Graded(FieldExpr):
         self.keep = keep
         self.mask = sta.grade_mask(keep)
 
-    def _eval(self, xs, memo):
-        return self.child.ev(xs, memo) * self.mask
+    def _eval(self, xs, key):
+        return self.child.ev(xs, key) * self.mask
 
     def _build_deriv(self, a):
         # projection commutes with the derivative; keep the original mask
@@ -383,8 +422,8 @@ class ScalarMap(FieldExpr):
         self.child = child
         self.kind = kind
 
-    def _eval(self, xs, memo):
-        s = self.child.ev(xs, memo)[:, 0]
+    def _eval(self, xs, key):
+        s = self.child.ev(xs, key)[:, 0]
         out = np.zeros((xs.shape[0], DIM))
         out[:, 0] = _SCALAR_FNS[self.kind](s)
         return out
@@ -413,8 +452,8 @@ class PolyMap(FieldExpr):
         self.child = child
         self.coeffs = np.asarray(coeffs, dtype=float)
 
-    def _eval(self, xs, memo):
-        s = self.child.ev(xs, memo)[:, 0]
+    def _eval(self, xs, key):
+        s = self.child.ev(xs, key)[:, 0]
         acc = np.zeros_like(s)
         for c in self.coeffs[::-1]:
             acc = acc * s + c
@@ -446,8 +485,8 @@ class BladeExp(FieldExpr):
         self.beta = float(beta)
         self.child = child
 
-    def _eval(self, xs, memo):
-        s = self.child.ev(xs, memo)[:, 0]
+    def _eval(self, xs, key):
+        s = self.child.ev(xs, key)[:, 0]
         if self.beta < -1e-12:
             w = np.sqrt(-self.beta)
             c, k = np.cos(w * s), np.sin(w * s) / w
@@ -498,11 +537,11 @@ class DelExpr(FieldExpr):
         self.child = child
         self.kind = kind
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs, key):
         kernel = sta.PRODUCT_KERNELS[self.kind]
         acc = np.zeros((xs.shape[0], DIM))
         for mu in range(4):
-            dmu = self.child.deriv(GAMMA[mu]).ev(xs, memo)
+            dmu = self.child.deriv(GAMMA[mu]).ev(xs, key)
             acc += kernel(GAMMA_UP_ARR[mu], dmu)
         return acc
 
@@ -554,36 +593,17 @@ def del_expr(child: FieldExpr, mode: str) -> FieldExpr:
 # ---------------------------------------------------------------------------
 
 
-class MatExpr:
+class MatExpr(_Node):
     """A (..., 4, 4) matrix-valued function of position, differentiable."""
 
-    __slots__ = ("_dcache",)
-
-    def __init__(self):
-        self._dcache: dict[bytes, MatExpr] = {}
-
-    def _eval(self, xs: np.ndarray, memo: dict) -> np.ndarray:
-        raise NotImplementedError
+    __slots__ = ()
 
     def _build_deriv(self, a: np.ndarray) -> "MatExpr":
         raise NotImplementedError
 
-    def ev(self, xs, memo):
-        key = id(self)
-        hit = memo.get(key)
-        if hit is None:
-            hit = (self, self._eval(xs, memo))
-            memo[key] = hit
-        return hit[1]
-
     def deriv(self, a) -> "MatExpr":
         comps = _as_direction(a)
-        key = comps.tobytes()
-        hit = self._dcache.get(key)
-        if hit is None:
-            hit = self._build_deriv(comps)
-            self._dcache[key] = hit
-        return hit
+        return self.derived(comps.tobytes(), lambda: self._build_deriv(comps))
 
     @property
     def is_zero(self) -> bool:
@@ -604,11 +624,11 @@ class MFromEntries(MatExpr):
                     raise GradeError("extensor entries must be scalar-valued fields")
         self.entries = tuple(tuple(row) for row in rows)
 
-    def _eval(self, xs, memo):
+    def _eval(self, xs, key):
         out = np.empty((xs.shape[0], 4, 4))
         for i in range(4):
             for j in range(4):
-                out[:, i, j] = self.entries[i][j].ev(xs, memo)[:, 0]
+                out[:, i, j] = self.entries[i][j].ev(xs, key)[:, 0]
         return out
 
     def _build_deriv(self, a):
@@ -628,8 +648,8 @@ class MAdj(MatExpr):
         super().__init__()
         self.sub = sub
 
-    def _eval(self, xs, memo):
-        return adjoint_mats(self.sub.ev(xs, memo))
+    def _eval(self, xs, key):
+        return adjoint_mats(self.sub.ev(xs, key))
 
     def _build_deriv(self, a):
         return MAdj(self.sub.deriv(Multivector(a)))
@@ -646,8 +666,8 @@ class MInv(MatExpr):
         super().__init__()
         self.sub = sub
 
-    def _eval(self, xs, memo):
-        ms = self.sub.ev(xs, memo)
+    def _eval(self, xs, key):
+        ms = self.sub.ev(xs, key)
         dets = np.linalg.det(ms)
         if np.abs(dets).min() <= DET_GATE:
             raise SingularExtensorError(
@@ -668,8 +688,8 @@ class MMul(MatExpr):
         self.left = left
         self.right = right
 
-    def _eval(self, xs, memo):
-        return self.left.ev(xs, memo) @ self.right.ev(xs, memo)
+    def _eval(self, xs, key):
+        return self.left.ev(xs, key) @ self.right.ev(xs, key)
 
     def _build_deriv(self, a):
         am = Multivector(a)
@@ -691,8 +711,8 @@ class MAdd(MatExpr):
         self.left = left
         self.right = right
 
-    def _eval(self, xs, memo):
-        return self.left.ev(xs, memo) + self.right.ev(xs, memo)
+    def _eval(self, xs, key):
+        return self.left.ev(xs, key) + self.right.ev(xs, key)
 
     def _build_deriv(self, a):
         am = Multivector(a)
@@ -710,8 +730,8 @@ class MNeg(MatExpr):
         super().__init__()
         self.sub = sub
 
-    def _eval(self, xs, memo):
-        return -self.sub.ev(xs, memo)
+    def _eval(self, xs, key):
+        return -self.sub.ev(xs, key)
 
     def _build_deriv(self, a):
         return MNeg(self.sub.deriv(Multivector(a)))
@@ -719,6 +739,25 @@ class MNeg(MatExpr):
     @property
     def is_zero(self):
         return self.sub.is_zero
+
+
+class Outermorphism(_Node):
+    """The (P, 16, 16) outermorphism matrix of mat, or its multilinear
+    derivative along the tangent matrices; one node per (mat, tangents)."""
+
+    __slots__ = ("mat", "tangents")
+
+    def __init__(self, mat: MatExpr, tangents: tuple):
+        super().__init__()
+        self.mat = mat
+        self.tangents = tangents
+
+    def _eval(self, xs, key):
+        m = self.mat.ev(xs, key)
+        if self.tangents:
+            ns = tuple(t.ev(xs, key) for t in self.tangents)
+            return outermorphism_matrix_derivative(m, ns)
+        return outermorphism_matrix(m)
 
 
 class ExtApply(FieldExpr):
@@ -729,30 +768,21 @@ class ExtApply(FieldExpr):
     the child value.  Differentiation appends the base derivative as a new
     tangent, differentiates each existing tangent, and recurses into the
     child -- so the node set is closed under derivatives of any order.
+    Applications sharing (mat, tangents) share one :class:`Outermorphism`.
     """
 
-    __slots__ = ("mat", "tangents", "child")
+    __slots__ = ("mat", "tangents", "child", "outer")
 
     def __init__(self, mat: MatExpr, child: FieldExpr, tangents: tuple = ()):
         super().__init__(child.grades)
         self.mat = mat
         self.tangents = tangents
         self.child = child
+        self.outer = mat.derived(("outer",) + tangents, lambda: Outermorphism(mat, tangents))
 
-    def _eval(self, xs, memo):
-        m = self.mat.ev(xs, memo)
-        key = ("om", id(self.mat), tuple(id(t) for t in self.tangents))
-        hit = memo.get(key)
-        if hit is None:
-            if self.tangents:
-                ns = tuple(t.ev(xs, memo) for t in self.tangents)
-                big = outermorphism_matrix_derivative(m, ns)
-            else:
-                big = outermorphism_matrix(m)
-            hit = (self.mat, self.tangents, big)
-            memo[key] = hit
-        cv = self.child.ev(xs, memo)
-        return np.einsum("pij,pj->pi", hit[2], cv)
+    def _eval(self, xs, key):
+        big = self.outer.ev(xs, key)
+        return np.einsum("pij,pj->pi", big, self.child.ev(xs, key))
 
     def _build_deriv(self, a):
         am = Multivector(a)
@@ -908,8 +938,8 @@ def boundary_current_flat(X: FieldExpr, Y: FieldExpr, kind: str) -> FieldExpr:
         raise ValueError(f"kind must be one of {tuple(AGGREGATES)}, got {kind!r}")
     acc: FieldExpr = ZERO
     for mu in range(4):
-        s = prod(prod(Const(GAMMA[mu]), X, kind), Y, "sp")
-        acc = add(acc, prod(Const(sta.GAMMA_UP[mu]), s, "gp"))
+        s = prod(prod(GAMMA_NODES[mu], X, kind), Y, "sp")
+        acc = add(acc, prod(GAMMA_UP_NODES[mu], s, "gp"))
     return acc
 
 
@@ -930,13 +960,13 @@ def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:
     the divergence of :func:`boundary_current_flat`.
     """
     pts, _ = _as_coords(points)
-    memo: dict = {}
+    key = pts.tobytes()
     dual = AGGREGATES[kind][2]
-    lhs = sta.sp(del_expr_kind(X, kind).ev(pts, memo), Y.ev(pts, memo)) + sta.sp(
-        X.ev(pts, memo), del_expr_kind(Y, dual).ev(pts, memo)
+    lhs = sta.sp(del_expr_kind(X, kind).ev(pts, key), Y.ev(pts, key)) + sta.sp(
+        X.ev(pts, key), del_expr_kind(Y, dual).ev(pts, key)
     )
     current = boundary_current_flat(X, Y, kind)
-    rhs = del_expr_kind(current, "lc").ev(pts, memo)[:, 0]
+    rhs = del_expr_kind(current, "lc").ev(pts, key)[:, 0]
     return float(np.abs(np.atleast_1d(lhs - rhs)).max())
 
 

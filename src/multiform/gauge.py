@@ -29,6 +29,8 @@ from . import sta
 from .extensor import Extensor11
 from .fields import (
     AGGREGATES,
+    GAMMA_NODES,
+    GAMMA_UP_NODES,
     Const,
     ExtApply,
     FieldExpr,
@@ -41,7 +43,9 @@ from .fields import (
     ScalarMap,
     ZERO,
     _as_coords,
+    _as_direction,
     _lift,
+    _one_point,
     add,
     aggregate_kind,
     del_expr_kind,
@@ -50,7 +54,7 @@ from .fields import (
     scale,
     worst_of,
 )
-from .sta import EVEN_GRADES, GAMMA, GAMMA_UP, Multivector
+from .sta import EVEN_GRADES, GAMMA, Multivector
 
 _VARIANTS = ("direct", "adjoint", "inverse", "star")
 
@@ -63,9 +67,9 @@ class ExtensorField:
     """Position-dependent (1,1)-extensor with scalar field-expression entries.
 
     Column mu of the matrix holds the components of h(g_mu).  Matrix variants
-    (adjoint, inverse, gauge star) and the determinant are derived lazily and
-    shared, so repeated use inside one expression tree evaluates them once
-    per point batch.
+    (adjoint, inverse, gauge star), the determinant and the star images of
+    the basis 1-forms are built lazily, once per extensor field, and shared
+    by every tree that uses them, so each is evaluated once per point set.
     """
 
     def __init__(self, entries):
@@ -107,9 +111,15 @@ class ExtensorField:
             self._det = determinant_expr(self._entries)
         return self._det
 
+    def star_basis(self, mu: int, upper: bool) -> FieldExpr:
+        """h*(g^mu) (upper) or h*(g_mu) as a field."""
+        star = self.matrix("star")
+        base = (GAMMA_UP_NODES if upper else GAMMA_NODES)[mu]
+        return star.derived(("apply", base), lambda: ExtApply(star, base))
+
     def matrix_at(self, x, variant: str = "direct") -> np.ndarray:
-        pts, _ = _as_coords(x)
-        return self.matrix(variant).ev(pts, {})[0]
+        pts = _one_point(x)
+        return self.matrix(variant).ev(pts, pts.tobytes())[0]
 
     def at(self, x, variant: str = "direct") -> Extensor11:
         return Extensor11(self.matrix_at(x, variant))
@@ -186,7 +196,6 @@ class GaugeBackground:
         self.h = h
         self.omega = omega
         self.compatible = compatible
-        self._agg_cache: dict[tuple, FieldExpr] = {}
 
     def pick_construction(self, construction: str | None) -> str:
         if construction is not None:
@@ -225,8 +234,8 @@ def rotor_gauge(R, points=None) -> GaugeBackground:
     entries = [
         [
             prod(
-                Const(GAMMA_UP[nu]),
-                prod(prod(expr, Const(GAMMA[mu]), "gp"), rev_r, "gp"),
+                GAMMA_UP_NODES[nu],
+                prod(prod(expr, GAMMA_NODES[mu], "gp"), rev_r, "gp"),
                 "sp",
             )
             for mu in range(4)
@@ -251,8 +260,6 @@ def covariant_directional_expr(X: FieldExpr, a: Multivector, bg: GaugeBackground
 
 def covariant_directional(X: FieldExpr, a, x, bg: GaugeBackground) -> Multivector:
     """D_a X = a.dX + Omega(a) x X at the point x."""
-    from .fields import _as_direction
-
     a = Multivector(_as_direction(a))
     return covariant_directional_expr(X, a, bg).at(x)
 
@@ -292,30 +299,23 @@ def spinor_directional_expr(psi: FieldExpr, a: Multivector, bg: GaugeBackground)
 
 def spinor_directional(psi: FieldExpr, a, x, bg: GaugeBackground) -> Multivector:
     """D^s_a psi = a.d psi + (1/2) Omega(a) psi at the point x."""
-    from .fields import _as_direction
-
     require_even(psi, x)
     a = Multivector(_as_direction(a))
     return spinor_directional_expr(psi, a, bg).at(x)
 
 
-def _hstar_basis(bg: GaugeBackground, mu: int, upper: bool) -> FieldExpr:
-    base = GAMMA_UP[mu] if upper else GAMMA[mu]
-    return bg.h.apply_expr(Const(base), "star")
-
-
 def gauge_del_expr(
     X: FieldExpr, mode: str, bg: GaugeBackground, construction: str | None = None
 ) -> FieldExpr:
-    """Covariant divergence/curl/gradient of X as a differentiable field."""
+    """Covariant divergence/curl/gradient of X as a differentiable field, owned by X."""
     kind = aggregate_kind(mode)
     construction = bg.pick_construction(construction)
-    # the cache holds X itself: id() keys are only unique while X is alive
-    key = (id(X), kind, construction)
-    hit = bg._agg_cache.get(key)
-    if hit is not None:
-        return hit[1]
+    return X.derived(
+        ("gauge", kind, construction, bg), lambda: _gauge_del(X, kind, bg, construction)
+    )
 
+
+def _gauge_del(X: FieldExpr, kind: str, bg: GaugeBackground, construction: str) -> FieldExpr:
     if construction == "omega":
         acc: FieldExpr = ZERO
         for mu in range(4):
@@ -323,28 +323,22 @@ def gauge_del_expr(
                 X.deriv(GAMMA[mu]),
                 prod(bg.omega.column(mu), X, "cross"),
             )
-            acc = add(acc, prod(_hstar_basis(bg, mu, upper=True), da, kind))
-        out = acc
-    else:
-        if kind == "lc":
-            det = bg.h.det_expr()
-            inner = prod(det, bg.h.apply_expr(X, "inverse"), "gp")
-            out = prod(
-                ScalarMap(det, "recip"),
-                bg.h.apply_expr(del_expr_kind(inner, "lc"), "direct"),
-                "gp",
-            )
-        elif kind == "op":
-            out = bg.h.apply_expr(
-                del_expr_kind(bg.h.apply_expr(X, "adjoint"), "op"), "star"
-            )
-        else:
-            out = add(
-                gauge_del_expr(X, "divergence", bg, construction),
-                gauge_del_expr(X, "curl", bg, construction),
-            )
-    bg._agg_cache[key] = (X, out)
-    return out
+            acc = add(acc, prod(bg.h.star_basis(mu, upper=True), da, kind))
+        return acc
+    if kind == "lc":
+        det = bg.h.det_expr()
+        inner = prod(det, bg.h.apply_expr(X, "inverse"), "gp")
+        return prod(
+            ScalarMap(det, "recip"),
+            bg.h.apply_expr(del_expr_kind(inner, "lc"), "direct"),
+            "gp",
+        )
+    if kind == "op":
+        return bg.h.apply_expr(del_expr_kind(bg.h.apply_expr(X, "adjoint"), "op"), "star")
+    return add(
+        gauge_del_expr(X, "divergence", bg, construction),
+        gauge_del_expr(X, "curl", bg, construction),
+    )
 
 
 def gauge_del(
@@ -354,7 +348,7 @@ def gauge_del(
 
 
 def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
-    """D^s psi = sum_mu h*(g^mu) D^s_{g_mu} psi as a differentiable field.
+    """D^s psi = sum_mu h*(g^mu) D^s_{g_mu} psi as a differentiable field, owned by psi.
 
     Defined for any multiform argument; the evenness contract is enforced by
     the public spinor entry points, while the Euler-Lagrange machinery also
@@ -362,13 +356,17 @@ def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
     """
     if bg.omega is None:
         raise ValueError("spinor derivatives need a connection field")
+    return psi.derived(("spinor", bg), lambda: _spinor_grad(psi, bg))
+
+
+def _spinor_grad(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
     acc: FieldExpr = ZERO
     for mu in range(4):
         da = add(
             psi.deriv(GAMMA[mu]),
             scale(0.5, prod(bg.omega.column(mu), psi, "gp")),
         )
-        acc = add(acc, prod(_hstar_basis(bg, mu, upper=True), da, "gp"))
+        acc = add(acc, prod(bg.h.star_basis(mu, upper=True), da, "gp"))
     return acc
 
 
@@ -388,8 +386,8 @@ def boundary_current_gauge(
     """det(h) sum_mu g^mu [(h*(g_mu) * X) . Y], the gauge boundary current."""
     acc: FieldExpr = ZERO
     for mu in range(4):
-        s = prod(prod(_hstar_basis(bg, mu, upper=False), X, kind), Y, "sp")
-        acc = add(acc, prod(Const(GAMMA_UP[mu]), s, "gp"))
+        s = prod(prod(bg.h.star_basis(mu, upper=False), X, kind), Y, "sp")
+        acc = add(acc, prod(GAMMA_UP_NODES[mu], s, "gp"))
     return prod(bg.h.det_expr(), acc, "gp")
 
 
@@ -409,15 +407,15 @@ def check_identity_gauge(
     """
     pts, _ = _as_coords(points)
     mode, _, dual = AGGREGATES[kind]
-    memo: dict = {}
+    key = pts.tobytes()
     dx = gauge_del_expr(X, mode, bg, construction)
     dy = gauge_del_expr(Y, AGGREGATES[dual][0], bg, construction)
-    lhs = sta.sp(dx.ev(pts, memo), Y.ev(pts, memo)) + sta.sp(
-        X.ev(pts, memo), dy.ev(pts, memo)
+    lhs = sta.sp(dx.ev(pts, key), Y.ev(pts, key)) + sta.sp(
+        X.ev(pts, key), dy.ev(pts, key)
     )
     current = boundary_current_gauge(X, Y, kind, bg)
-    det_vals = bg.h.det_expr().ev(pts, memo)[:, 0]
-    rhs = del_expr_kind(current, "lc").ev(pts, memo)[:, 0] / det_vals
+    det_vals = bg.h.det_expr().ev(pts, key)[:, 0]
+    rhs = del_expr_kind(current, "lc").ev(pts, key)[:, 0] / det_vals
     return float(np.abs(np.atleast_1d(lhs - rhs)).max())
 
 
@@ -440,18 +438,18 @@ def check_identity_spinor(
     require_even(psi, _PROBE[0])
     require_even(phi, _PROBE[0])
     pts, _ = _as_coords(points)
-    memo: dict = {}
+    key = pts.tobytes()
     ds_psi = spinor_grad_expr(psi, bg)
     ds_phi = spinor_grad_expr(phi, bg)
-    lhs = sta.sp(ds_psi.ev(pts, memo), phi.ev(pts, memo)) + sta.sp(
-        psi.ev(pts, memo), ds_phi.ev(pts, memo)
+    lhs = sta.sp(ds_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
+        psi.ev(pts, key), ds_phi.ev(pts, key)
     )
     out = 0.0
     if which in ("both", "derivative"):
         d_psi = gauge_del_expr(psi, "gradient", bg, "omega")
         d_phi = gauge_del_expr(phi, "gradient", bg, "omega")
-        rhs = sta.sp(d_psi.ev(pts, memo), phi.ev(pts, memo)) + sta.sp(
-            psi.ev(pts, memo), d_phi.ev(pts, memo)
+        rhs = sta.sp(d_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
+            psi.ev(pts, key), d_phi.ev(pts, key)
         )
         out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
         # the cancellation mechanism behind the identity: the symmetrized
@@ -462,15 +460,15 @@ def check_identity_spinor(
                 prod(prod(phi, bg.omega.column(mu), "gp"), Rev(psi), "gp"),
                 prod(prod(psi, bg.omega.column(mu), "gp"), Rev(phi), "gp"),
             )
-            wv = w.ev(pts, memo)
+            wv = w.ev(pts, key)
             nong2 = wv * (1.0 - sta.grade_mask({2}))
             out = worst_of(out, float(np.abs(nong2).max()))
-            pairing = sta.sp(_hstar_basis(bg, mu, upper=True).ev(pts, memo), wv)
+            pairing = sta.sp(bg.h.star_basis(mu, upper=True).ev(pts, key), wv)
             out = worst_of(out, float(np.abs(np.atleast_1d(pairing)).max()))
     if which in ("both", "divergence"):
         current = boundary_current_gauge(psi, phi, "gp", bg)
-        det_vals = bg.h.det_expr().ev(pts, memo)[:, 0]
-        rhs = del_expr_kind(current, "lc").ev(pts, memo)[:, 0] / det_vals
+        det_vals = bg.h.det_expr().ev(pts, key)[:, 0]
+        rhs = del_expr_kind(current, "lc").ev(pts, key)[:, 0] / det_vals
         out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
     return out
 
@@ -480,11 +478,11 @@ def check_pushforward_vs_omega(
 ) -> float:
     """Max disagreement between the two covariant-aggregate constructions."""
     pts, _ = _as_coords(points)
-    memo: dict = {}
+    key = pts.tobytes()
     worst = 0.0
     for mode in ("divergence", "curl", "gradient"):
-        via_omega = gauge_del_expr(X, mode, bg, "omega").ev(pts, memo)
-        via_push = gauge_del_expr(X, mode, bg, "pushforward").ev(pts, memo)
+        via_omega = gauge_del_expr(X, mode, bg, "omega").ev(pts, key)
+        via_push = gauge_del_expr(X, mode, bg, "pushforward").ev(pts, key)
         worst = worst_of(worst, float(np.abs(via_omega - via_push).max()))
     return worst
 
@@ -497,16 +495,16 @@ def check_spinor_gradient_split(
         raise ValueError("the gradient split needs a connection field")
     require_even(psi, _PROBE[0])
     pts, _ = _as_coords(points)
-    memo: dict = {}
+    key = pts.tobytes()
     correction: FieldExpr = ZERO
     for mu in range(4):
         term = prod(
-            prod(_hstar_basis(bg, mu, upper=True), psi, "gp"),
+            prod(bg.h.star_basis(mu, upper=True), psi, "gp"),
             bg.omega.column(mu),
             "gp",
         )
         correction = add(correction, term)
-    d_psi = gauge_del_expr(psi, "gradient", bg, "omega").ev(pts, memo)
-    ds_psi = spinor_grad_expr(psi, bg).ev(pts, memo)
-    corr = correction.ev(pts, memo)
+    d_psi = gauge_del_expr(psi, "gradient", bg, "omega").ev(pts, key)
+    ds_psi = spinor_grad_expr(psi, bg).ev(pts, key)
+    corr = correction.ev(pts, key)
     return float(np.abs(d_psi - ds_psi + 0.5 * corr).max())

@@ -16,12 +16,13 @@ stationarity proofs rest on.
 
 Points are batched: the residual operators, ``variation`` and
 ``decomposition_check`` take one point or a (P, 4) array.  Each field is
-planned once per (field, background, construction): the plan holds the
-aggregate d and the closed slot gradients, including the dual aggregate of
-grad_d, as expression trees, and a point set is one evaluation of those
-trees.  A single point gives a :class:`Multivector` (or a float), a batch
-gives (P, 16) components (or (P,) values), equal row for row to the single
-point results.
+planned once per (derivative mode, slot-gradient builders, background,
+construction), and the field owns its plans: a plan holds the aggregate d
+and the closed slot gradients, including the dual aggregate of grad_d, as
+expression trees, and a point set is one evaluation of those trees.  A
+single point gives a :class:`Multivector` (or a float), a batch gives
+(P, 16) components (or (P,) values), equal row for row to the single point
+results.
 
 Slot gradients use closed forms when the LagrangianSpec provides them (all
 built-ins do); the generic fallback differentiates the density per blade and
@@ -47,6 +48,7 @@ from .fields import (
     ZERO,
     _as_coords,
     _lift,
+    _one_point,
     _prod_grades,
     add,
     del_expr_kind,
@@ -130,7 +132,6 @@ class LagrangianSpec:
 
     def __post_init__(self):
         self.field_grades = frozenset(self.field_grades)
-        self._plans: dict = {}
 
     @property
     def weighted(self) -> bool:
@@ -165,31 +166,28 @@ def _plan(
     bg: GaugeBackground | None,
     construction: str | None,
 ) -> dict:
-    # the plan holds X and bg: id() keys are only unique while they are alive
-    key = (id(X), id(bg) if bg is not None else None, construction)
-    hit = L._plans.get(key)
-    if hit is None:
+    """The residual trees of X under L, built once and owned by X."""
+
+    def build() -> dict:
         d_expr = _aggregate(L, X, L.mode.star, bg, construction)
         gd = L.grad_d(X, d_expr) if L.grad_d is not None else None
-        hit = {
-            "field": X,
-            "bg": bg,
+        return {
             "d": d_expr,
             "gx": L.grad_x(X, d_expr) if L.grad_x is not None else None,
             "gd": gd,
             "dual_gd": None if gd is None else _aggregate(L, gd, L.mode.dual, bg, construction),
         }
-        L._plans[key] = hit
-    return hit
+
+    return X.derived(("plan", L.mode, L.grad_x, L.grad_d, bg, construction), build)
 
 
-def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray, memo: dict):
+def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray, key: bytes):
     """The density weight at each point: det(h) for weighted modes, else 1."""
     if not L.weighted:
         return 1.0
     if bg is None:
         raise ValueError("weighted Lagrangians need a gauge background")
-    return bg.h.det_expr().ev(pts, memo)[:, 0]
+    return bg.h.det_expr().ev(pts, key)[:, 0]
 
 
 def _field_gradient(L: LagrangianSpec, Xc: np.ndarray, dc: np.ndarray, xc) -> Multivector:
@@ -215,8 +213,8 @@ def variation(
     Returns a float for one point and a (P,) array for a (P, 4) batch.
     """
     pts, single = _as_coords(x)
-    memo: dict = {}
-    Av = A.ev(pts, memo)
+    key = pts.tobytes()
+    Av = A.ev(pts, key)
     if not A.grades <= X.grades:
         actual = Multivector(np.abs(Av).max(axis=0)).grade_set(1e-14)
         if not actual <= X.grades:
@@ -225,10 +223,10 @@ def variation(
                 f"field's grade set {sorted(X.grades)}"
             )
     # only the aggregates are needed: a plan would also build the slot gradients
-    dX = _aggregate(L, X, L.mode.star, bg, construction).ev(pts, memo)
-    dA = _aggregate(L, A, L.mode.star, bg, construction).ev(pts, memo)
-    Xv = X.ev(pts, memo)
-    w = np.broadcast_to(_weights(L, bg, pts, memo), pts.shape[:1])
+    dX = _aggregate(L, X, L.mode.star, bg, construction).ev(pts, key)
+    dA = _aggregate(L, A, L.mode.star, bg, construction).ev(pts, key)
+    Xv = X.ev(pts, key)
+    w = np.broadcast_to(_weights(L, bg, pts, key), pts.shape[:1])
     out = np.empty(pts.shape[0])
     for i, xc in enumerate(pts):
         Xi, Ai, dXi, dAi = (Multivector(v[i]) for v in (Xv, Av, dX, dA))
@@ -253,14 +251,14 @@ def _residual(
 ):
     pts, single = _as_coords(x)
     plan = _plan(L, X, bg, construction)
-    memo: dict = {}
+    key = pts.tobytes()
     if plan["gx"] is not None:
-        t1 = plan["gx"].ev(pts, memo)
+        t1 = plan["gx"].ev(pts, key)
     else:
-        rows = zip(X.ev(pts, memo), plan["d"].ev(pts, memo), pts)
+        rows = zip(X.ev(pts, key), plan["d"].ev(pts, key), pts)
         t1 = np.array([_field_gradient(L, *row).comps for row in rows])
     if plan["dual_gd"] is not None:
-        t2 = plan["dual_gd"].ev(pts, memo)
+        t2 = plan["dual_gd"].ev(pts, key)
     else:
         t2 = np.array(
             [_dual_of_numeric_slot_gradient(L, X, xc, bg, construction).comps for xc in pts]
@@ -286,9 +284,10 @@ def _numeric_slot_gradient(
 ) -> Multivector:
     """grad_d l at the point y, per blade from the density itself."""
     plan = _plan(L, X, bg, construction)
-    yc = _as_coords(y)[0][0]
-    Xv = X.at(y)
-    dv = plan["d"].at(y).restrict(L.d_grades())
+    pts = _one_point(y)
+    yc = pts[0]
+    Xv = X.at(pts)
+    dv = plan["d"].at(pts).restrict(L.d_grades())
     return multivector_derivative(
         lambda W: L.density(Xv, W, yc), dv, L.d_grades(), L.poly_degree
     )
@@ -313,7 +312,7 @@ def _dual_of_numeric_slot_gradient(
         raise ValueError(
             f"Lagrangian {L.name!r} needs closed-form slot gradients for mode {L.mode.value}"
         )
-    xc = _as_coords(x)[0][0]
+    xc = _one_point(x)[0]
     kernel = sta.PRODUCT_KERNELS[L.mode.dual]
     out = np.zeros(sta.DIM)
     h = 1e-3
@@ -392,19 +391,20 @@ def ele_residual_reference(
     from the density, so the two code paths share no gradient formulas for
     that term; flat modes recompute both terms numerically.
     """
+    pts = _one_point(x)
     plan = _plan(L, X, bg, construction)
-    xc = _as_coords(x)[0][0]
-    t1 = _field_gradient(L, X.at(x).comps, plan["d"].at(x).comps, xc)
+    xc = pts[0]
+    t1 = _field_gradient(L, X.at(pts).comps, plan["d"].at(pts).comps, xc)
     if L.mode.family == "flat":
-        t2 = _dual_of_numeric_slot_gradient(L, X, x, bg, construction)
+        t2 = _dual_of_numeric_slot_gradient(L, X, pts, bg, construction)
     else:
-        p_val = _numeric_slot_gradient(L, X, x, bg, construction)
+        p_val = _numeric_slot_gradient(L, X, pts, bg, construction)
         if plan["gd"] is None:
             raise ValueError("gauge/spinor reference path needs closed slot gradients")
         # cross-check the closed gradient against the per-blade one first
-        if (plan["gd"].at(x) - p_val).norm() > 1e-6 * max(1.0, p_val.norm()):
+        if (plan["gd"].at(pts) - p_val).norm() > 1e-6 * max(1.0, p_val.norm()):
             raise AssertionError("closed-form slot gradient disagrees with per-blade values")
-        t2 = plan["dual_gd"].at(x)
+        t2 = plan["dual_gd"].at(pts)
     return (t1 - t2).restrict(L.field_grades)
 
 
@@ -435,14 +435,14 @@ def decomposition_check(
         raise ValueError("decomposition check needs a closed-form grad_d")
     delta = variation(L, X, A, pts, bg, construction)
     res = ele_residual(L, X, pts, bg, construction)
-    memo: dict = {}
-    w = _weights(L, bg, pts, memo)
+    key = pts.tobytes()
+    w = _weights(L, bg, pts, key)
     if L.mode.family == "flat":
         current = boundary_current_flat(A, plan["gd"], L.mode.star)
     else:
         current = boundary_current_gauge(A, plan["gd"], L.mode.star, bg)
-    div = del_expr_kind(current, "lc").ev(pts, memo)[:, 0]
-    out = np.abs(delta - w * sta.sp(A.ev(pts, memo), res) - div)
+    div = del_expr_kind(current, "lc").ev(pts, key)[:, 0]
+    out = np.abs(delta - w * sta.sp(A.ev(pts, key), res) - div)
     return float(out[0]) if single else out
 
 

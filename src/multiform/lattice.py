@@ -26,6 +26,7 @@ checked against the true discrete operator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,15 +169,9 @@ class LatticeField:
 # stencils
 # ---------------------------------------------------------------------------
 
-_AXIS_CACHE: dict[tuple, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def axis_derivative_matrix(n: int, h: float, bc: str) -> np.ndarray:
-    """Dense 1D first-derivative stencil matrix for one axis."""
-    key = (n, h, bc)
-    hit = _AXIS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Dense 1D first-derivative stencil matrix for one axis (read-only, shared)."""
     d = np.zeros((n, n))
     for i in range(n):
         d[i, (i + 1) % n] += 1.0 / (2 * h)
@@ -187,7 +182,6 @@ def axis_derivative_matrix(n: int, h: float, bc: str) -> np.ndarray:
         d[-1, :] = 0.0
         d[-1, -1], d[-1, -2], d[-1, -3] = 3.0 / (2 * h), -4.0 / (2 * h), 1.0 / (2 * h)
     d.flags.writeable = False
-    _AXIS_CACHE[key] = d
     return d
 
 

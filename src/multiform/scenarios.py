@@ -8,6 +8,7 @@ up to the wall-time fields.
 
 from __future__ import annotations
 
+import gc
 import json
 import numbers
 import time
@@ -723,6 +724,9 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     runner = _Runner(cfg)
     runner.start()
     body(cfg, runner)
+    # derivative caches point back at their nodes, so a scenario's trees are
+    # reference cycles: free them, with their cached values, before returning
+    gc.collect()
     report = Report(config=cfg, checks=runner.records)
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -126,10 +126,11 @@ def _strip_walltimes(payload: str) -> str:
 
 
 def test_report_determinism_modulo_walltime():
-    cfg = ScenarioConfig(scenario="derivatives", seed=42, points=20)
-    first = run_scenario(cfg).to_json()
-    second = run_scenario(cfg).to_json()
-    assert _strip_walltimes(first) == _strip_walltimes(second)
+    for scenario, points in (("derivatives", 20), ("identities-gauge", 10), ("maxwell-gauge", 10)):
+        cfg = ScenarioConfig(scenario=scenario, seed=42, points=points)
+        first = run_scenario(cfg).to_json()
+        second = run_scenario(cfg).to_json()
+        assert _strip_walltimes(first) == _strip_walltimes(second), scenario
 
 
 def test_json_output_matches_report(capsys):
