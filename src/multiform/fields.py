@@ -266,6 +266,11 @@ class Const(FieldExpr):
     def _build_deriv(self, a):
         return ZERO
 
+    def derived(self, key, build):
+        # rebuilt on demand: a shared leaf (ZERO, position(), the basis nodes)
+        # would otherwise keep a tree for every direction and background it meets
+        return build()
+
     @property
     def is_zero(self):
         return not np.any(self.value.comps)
@@ -291,6 +296,8 @@ class Position(FieldExpr):
 
     def _build_deriv(self, a):
         return Const(Multivector(a))
+
+    derived = Const.derived
 
 
 _POSITION = Position()
@@ -874,7 +881,7 @@ class ScalarFn:
 def scalar_derivative_at_zero(
     g: Callable[[float], float], poly_degree: int | None = None, step: float = 1e-3
 ) -> float:
-    """d/dl g(l) at l = 0.
+    """d/dl g(l) at l = 0 (elementwise when g returns an array).
 
     For declared polynomial degree <= 4 the symmetric stencils below are
     algebraically exact; otherwise two-level Richardson extrapolation of the

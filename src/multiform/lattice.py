@@ -15,13 +15,15 @@ boundary condition the two therefore satisfy
 exactly at interior sites, which is the discrete form of the variation
 decomposition with the boundary term annihilated.
 
-The stationary Maxwell problem is an indefinite symmetric linear system
-(the Minkowski scalar product is indefinite); it is solved with MINRES,
-with the modes annihilated by every central-difference stencil (constants
-and the per-axis alternating patterns) projected out of the operator on
-every application.  Pure-gauge null directions never enter the Krylov
-space when the right side is consistent, and the returned potential is
-checked against the true discrete operator.
+The stationary Maxwell operator is that residual for the source-free flat
+Maxwell density.  Its system is indefinite and symmetric (the Minkowski
+scalar product is indefinite); it is solved with MINRES, with the modes
+annihilated by every central-difference stencil (constants and the
+per-axis alternating patterns) removed on every application by
+subtracting the mean over each parity class of sites, so no basis of them
+is stored.  Pure-gauge null directions never enter the Krylov space when
+the right side is consistent, and the returned potential is checked
+against the true discrete operator.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import sta
-from .fields import FieldExpr, GradeError
+from .fields import FieldExpr, GradeError, scalar_derivative_at_zero
 from .lagrangian import LagrangianSpec
 from .sta import DIM, GAMMA_UP_ARR, GRADES, Multivector, SP_DIAG, VECTOR_IDX
 
@@ -233,25 +235,41 @@ def _require_flat(L: LagrangianSpec) -> None:
         )
 
 
-def _aggregate(L: LagrangianSpec, F: LatticeField) -> np.ndarray:
-    """The discrete derivative aggregate sum_mu g^mu * D_mu F at every site."""
-    kernel = sta.PRODUCT_KERNELS[L.mode.star]
-    acc = np.zeros(F.comps.shape)
+def _aggregate(lat: Lattice, kind: str, comps: np.ndarray) -> np.ndarray:
+    """The discrete derivative aggregate sum_mu g^mu * D_mu comps at every site."""
+    kernel = sta.PRODUCT_KERNELS[kind]
+    acc = np.zeros(comps.shape)
     for mu in range(4):
-        acc += kernel(GAMMA_UP_ARR[mu], _diff(F.lattice, F.comps, mu))
+        acc += kernel(GAMMA_UP_ARR[mu], _diff(lat, comps, mu))
     return acc
 
 
-def _density_values(L: LagrangianSpec, F: LatticeField, d: np.ndarray) -> np.ndarray:
-    xs = F.lattice.coords().reshape(-1, 4)
-    fc = F.comps.reshape(-1, DIM)
-    dc = d.reshape(-1, DIM)
+def _dual_diff(lat: Lattice, arr: np.ndarray, axis: int) -> np.ndarray:
+    """The adjoint-consistent dual stencil Dhat = -D^T along one axis."""
+    if lat.bc == "periodic":
+        return _diff(lat, arr, axis)  # -D^T = D for the circulant stencil
+    return -_diff_transpose(lat, arr, axis)
+
+
+def _dual_aggregate(
+    lat: Lattice, kind: str, arr: np.ndarray, acc: np.ndarray, grades
+) -> np.ndarray:
+    """acc + sum_mu g^mu *' Dhat_mu arr (acc updated in place) on the given
+    grades, zero on the dirichlet shell: the adjoint-consistent dual of _aggregate."""
+    kernel = sta.PRODUCT_KERNELS[kind]
+    for mu in range(4):
+        acc += kernel(GAMMA_UP_ARR[mu], _dual_diff(lat, arr, mu))
+    return _zero_boundary(lat, acc * sta.grade_mask(grades))
+
+
+def _densities(L: LagrangianSpec, fc: np.ndarray, dc: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The density at every site from (sites, 16) slot components."""
     if L.density_batch is not None:
         return np.asarray(L.density_batch(fc, dc, xs), dtype=float)
-    out = np.empty(fc.shape[0])
-    for i in range(fc.shape[0]):
-        out[i] = L.density(Multivector(fc[i]), Multivector(dc[i]), xs[i])
-    return out
+    return np.array(
+        [L.density(Multivector(f), Multivector(d), x) for f, d, x in zip(fc, dc, xs)],
+        dtype=float,
+    )
 
 
 def _slot_gradients(
@@ -267,37 +285,22 @@ def _slot_gradients(
             np.asarray(gx, float).reshape(F.comps.shape),
             np.asarray(gd, float).reshape(F.comps.shape),
         )
-    # generic per-blade stencil differentiation of the density
+    # per-blade slot derivatives of the density, degree-exact for a declared polynomial
     d_grades = L.d_grades()
     gx = np.zeros_like(fc)
     gd = np.zeros_like(dc)
-
-    def dens(fcomp, dcomp):
-        if L.density_batch is not None:
-            return np.asarray(L.density_batch(fcomp, dcomp, xs), float)
-        return np.array(
-            [
-                L.density(Multivector(fcomp[i]), Multivector(dcomp[i]), xs[i])
-                for i in range(fcomp.shape[0])
-            ]
-        )
-
     for mask in range(DIM):
         e = np.zeros(DIM)
         e[mask] = 1.0
         if GRADES[mask] in L.field_grades:
-            if L.poly_degree is not None and L.poly_degree <= 2:
-                der = 0.5 * (dens(fc + e, dc) - dens(fc - e, dc))
-            else:
-                h = 1e-4
-                der = (dens(fc + h * e, dc) - dens(fc - h * e, dc)) / (2 * h)
+            der = scalar_derivative_at_zero(
+                lambda lam: _densities(L, fc + lam * e, dc, xs), L.poly_degree
+            )
             gx[:, mask] = SP_DIAG[mask] * der
         if GRADES[mask] in d_grades:
-            if L.poly_degree is not None and L.poly_degree <= 2:
-                der = 0.5 * (dens(fc, dc + e) - dens(fc, dc - e))
-            else:
-                h = 1e-4
-                der = (dens(fc, dc + h * e) - dens(fc, dc - h * e)) / (2 * h)
+            der = scalar_derivative_at_zero(
+                lambda lam: _densities(L, fc, dc + lam * e, xs), L.poly_degree
+            )
             gd[:, mask] = SP_DIAG[mask] * der
     return gx.reshape(F.comps.shape), gd.reshape(F.comps.shape)
 
@@ -305,8 +308,10 @@ def _slot_gradients(
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
     """Sum over sites of the density times the cell volume."""
     _require_flat(L)
-    d = _aggregate(L, F)
-    return float(_density_values(L, F, d).sum() * F.lattice.cell_volume)
+    d = _aggregate(F.lattice, L.mode.star, F.comps)
+    xs = F.lattice.coords().reshape(-1, 4)
+    dens = _densities(L, F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
+    return float(dens.sum() * F.lattice.cell_volume)
 
 
 def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
@@ -319,7 +324,7 @@ def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     """
     _require_flat(L)
     lat = F.lattice
-    d = _aggregate(L, F)
+    d = _aggregate(lat, L.mode.star, F.comps)
     gx, gd = _slot_gradients(L, F, d)
     acc = gx.copy()
     adjoint_kernel = sta.PRODUCT_KERNELS[L.mode.dual]
@@ -339,17 +344,10 @@ def discrete_ele_residual(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     """
     _require_flat(L)
     lat = F.lattice
-    d = _aggregate(L, F)
+    d = _aggregate(lat, L.mode.star, F.comps)
     gx, gd = _slot_gradients(L, F, d)
-    kernel = sta.PRODUCT_KERNELS[L.mode.dual]
-    acc = gx.copy()
-    for mu in range(4):
-        if lat.bc == "periodic":
-            dual = _diff(lat, gd, mu)  # -D^T = D for the circulant stencil
-        else:
-            dual = -_diff_transpose(lat, gd, mu)
-        acc -= kernel(GAMMA_UP_ARR[mu], dual)
-    acc = _zero_boundary(lat, acc * sta.grade_mask(L.field_grades))
+    # adding the dual aggregate of -gd subtracts that of gd bit for bit
+    acc = _dual_aggregate(lat, L.mode.dual, -gd, gx.copy(), L.field_grades)
     return LatticeField(lat, L.field_grades, acc)
 
 
@@ -384,50 +382,30 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
 
 
 def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
-    """The discrete div(curl(.)) map on grade-1 component arrays."""
+    """The discrete div(curl(.)) map on grade-1 component arrays.
+
+    This is the discrete Euler-Lagrange residual of the source-free flat
+    Maxwell density with mu0 = 1, whose d-slot gradient is -(curl A).
+    """
 
     def apply(comps: np.ndarray) -> np.ndarray:
-        w = np.zeros(lat.shape + (DIM,))
-        for nu in range(4):
-            w += sta.op(GAMMA_UP_ARR[nu], _diff(lat, comps, nu))
-        out = np.zeros(lat.shape + (DIM,))
-        for mu in range(4):
-            if lat.bc == "periodic":
-                dual = _diff(lat, w, mu)
-            else:
-                dual = -_diff_transpose(lat, w, mu)
-            out += sta.lc(GAMMA_UP_ARR[mu], dual)
-        return _zero_boundary(lat, out * sta.grade_mask({1}))
+        curl = _aggregate(lat, "op", comps)
+        return _dual_aggregate(lat, "lc", curl, np.zeros(comps.shape), {1})
 
     return apply
 
 
-def _stencil_null_basis(lat: Lattice) -> np.ndarray:
-    """Orthonormal basis of modes killed by every axis stencil (periodic).
+def _remove_stencil_kernel(lat: Lattice, u: np.ndarray) -> np.ndarray:
+    """u (flat grade-1 site components) minus its part in the common stencil kernel.
 
-    Constants and, for even N, the per-axis alternating sign patterns; these
-    are exactly the common kernel of the wraparound central differences.
+    The kernel is spanned per component by the constants and, on an even
+    periodic lattice, the per-axis alternating patterns; its orthogonal
+    projection is the mean over each parity class of sites.
     """
     n = lat.sites
-    signs = [np.ones(n)]
-    if lat.bc == "periodic" and n % 2 == 0:
-        alt = (-1.0) ** np.arange(n)
-        patterns = []
-        for bits in range(16):
-            axes = [alt if bits & (1 << k) else np.ones(n) for k in range(4)]
-            pat = axes[0][:, None, None, None] * axes[1][None, :, None, None]
-            pat = pat * axes[2][None, None, :, None] * axes[3][None, None, None, :]
-            patterns.append(pat)
-    else:
-        patterns = [np.ones(lat.shape)]
-    basis = []
-    for pat in patterns:
-        for slot in range(4):
-            vec = np.zeros(lat.shape + (4,))
-            vec[..., slot] = pat
-            flat = vec.reshape(-1)
-            basis.append(flat / np.linalg.norm(flat))
-    return np.stack(basis)
+    p = 2 if lat.bc == "periodic" and n % 2 == 0 else 1
+    v = u.reshape((n // p, p) * 4 + (4,))
+    return (v - v.mean(axis=(0, 2, 4, 6), keepdims=True)).reshape(-1)
 
 
 def solve_maxwell(
@@ -463,10 +441,6 @@ def solve_maxwell(
             )
 
     nvec = 4 * lat.n_sites
-    null_basis = _stencil_null_basis(lat)
-
-    def project(u: np.ndarray) -> np.ndarray:
-        return u - null_basis.T @ (null_basis @ u)
 
     def to_comps(u: np.ndarray) -> np.ndarray:
         comps = np.zeros(lat.shape + (DIM,))
@@ -474,11 +448,11 @@ def solve_maxwell(
         return comps
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        comps = to_comps(project(u))
+        comps = to_comps(_remove_stencil_kernel(lat, u))
         out = op(comps)[..., VECTOR_IDX] * eps
-        return project(out.reshape(-1))
+        return _remove_stencil_kernel(lat, out.reshape(-1))
 
-    b = project((rhs_field * eps).reshape(-1))
+    b = _remove_stencil_kernel(lat, (rhs_field * eps).reshape(-1))
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return LatticeField.zeros(lat, {1})
@@ -489,7 +463,7 @@ def solve_maxwell(
     if info != 0:
         raise SolverError(f"MINRES did not converge (info={info})")
 
-    comps = to_comps(project(u))
+    comps = to_comps(_remove_stencil_kernel(lat, u))
     resid = op(comps) - mu0 * jc
     rel = np.linalg.norm(resid[..., VECTOR_IDX]) / np.linalg.norm(rhs_field)
     if rel > tol:

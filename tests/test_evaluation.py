@@ -187,10 +187,17 @@ def test_checks_do_not_keep_fields_alive():
     ele_residual_gauge(L, X, pts, bg)
     decomposition_check(L, X, A, pts, bg)
     check_identity_gauge(X, Y, "lc", bg, pts)
-    refs = [weakref.ref(field) for field in (X, A, Y)]
-    del X, A, Y
+    # the shared leaves keep neither derivative directions nor backgrounds
+    for _ in range(50):
+        position().deriv(rng.normal(size=4))
+    other = rotor_gauge(random_rotor(rng))
+    gauge_del(position(), "divergence", pts[0], other)
+    decomposition_check(L, X, f.ZERO, pts, other)
+    assert len(position()._dcache) == 0 and len(f.ZERO._dcache) == 0
+    refs = [weakref.ref(obj) for obj in (X, A, Y, other)]
+    del X, A, Y, other
     gc.collect()
-    assert [ref() for ref in refs] == [None, None, None]
+    assert [ref() for ref in refs] == [None, None, None, None]
     # the background and the Lagrangian are still in use
     assert bg.h.det_at(pts[0]) == pytest.approx(1.0, abs=1e-10)
     assert L.mode.family == "gauge"

@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 
 from multiform import sta
-from multiform.fields import Const, GradeError, ScalarMap, coordinate, position, prod
-from multiform.lagrangian import make_builtin
+from multiform.fields import (
+    Const,
+    GradeError,
+    ScalarMap,
+    coordinate,
+    position,
+    prod,
+    scalar_derivative_at_zero,
+)
+from multiform.lagrangian import DerivMode, LagrangianSpec, make_builtin
 from multiform.lattice import (
     Lattice,
     LatticeField,
+    _diff,
+    _remove_stencil_kernel,
     action_gradient,
     axis_derivative_matrix,
     discrete_action,
@@ -115,12 +125,22 @@ def test_discrete_action_values():
         discrete_action(make_builtin("maxwell_gauge"), F)
 
 
-@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-def test_gradient_residual_duality(bc):
+@pytest.mark.parametrize(
+    "bc, name",
+    [
+        pytest.param("periodic", "maxwell_flat", id="periodic"),
+        pytest.param("dirichlet", "maxwell_flat", id="dirichlet"),
+        # no slot_grads_batch: the slot gradients come from the density itself
+        pytest.param("periodic", "dirac_flat", id="dirac_flat-periodic"),
+        pytest.param("dirichlet", "dirac_flat", id="dirac_flat-dirichlet"),
+    ],
+)
+def test_gradient_residual_duality(bc, name):
     rng = np.random.default_rng(0)
-    L = make_builtin("maxwell_flat")
+    L = make_builtin(name)
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 6, bc=bc)
-    F = random_grade1_field(lat, rng)
+    comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask(L.field_grades)
+    F = LatticeField(lat, L.field_grades, comps)
     grad = action_gradient(L, F)
     res = discrete_ele_residual(L, F)
     dev = np.abs(grad.comps - lat.cell_volume * res.comps)[lat.interior_mask()]
@@ -145,6 +165,32 @@ def test_action_gradient_matches_fd(bc):
     sm_ = discrete_action(L, LatticeField(lat, frozenset({1}), F.comps - h * delta.comps))
     fd = (sp_ - sm_) / (2 * h)
     assert abs(grad.pair(delta) - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+_K = Multivector.vector([0.3, -0.2, 0.5, 0.1])
+
+
+def _cubic_density(Av, Fv, x):
+    return -0.5 * Fv.sp(Fv) * (1.0 + Av.sp(_K)) + Av.sp(Av) * Av.sp(GAMMA[1])
+
+
+@pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 5)])
+def test_generic_slot_gradients_are_degree_exact(bc, n):
+    """A declared cubic density with no batch forms: the per-site slot
+    gradients take the degree-exact stencil, so the gradient pairing equals
+    the exact derivative of the cubic l -> action(F + l delta)."""
+    L = LagrangianSpec("cubic_flat", DerivMode.FLAT_CURL, _cubic_density, {1}, poly_degree=3)
+    rng = np.random.default_rng(6)
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
+    F = random_grade1_field(lat, rng)
+    delta = random_grade1_field(lat, rng, interior_only=(bc == "dirichlet"))
+    exact = scalar_derivative_at_zero(
+        lambda lam: discrete_action(
+            L, LatticeField(lat, frozenset({1}), F.comps + lam * delta.comps)
+        ),
+        poly_degree=3,
+    )
+    assert abs(action_gradient(L, F).pair(delta) - exact) <= 1e-12 * abs(exact)
 
 
 def test_residual_zero_field_cases():
@@ -194,6 +240,60 @@ def test_discrete_gauss_identity():
                 rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask({2}),
             )
         )
+
+
+# the dense basis the solver once stored, kept as the oracle for the parity-class means
+def _stencil_null_basis(lat: Lattice) -> np.ndarray:
+    """Orthonormal basis of modes killed by every axis stencil (periodic).
+
+    Constants and, for even N, the per-axis alternating sign patterns; these
+    are exactly the common kernel of the wraparound central differences.
+    """
+    n = lat.sites
+    signs = [np.ones(n)]
+    if lat.bc == "periodic" and n % 2 == 0:
+        alt = (-1.0) ** np.arange(n)
+        patterns = []
+        for bits in range(16):
+            axes = [alt if bits & (1 << k) else np.ones(n) for k in range(4)]
+            pat = axes[0][:, None, None, None] * axes[1][None, :, None, None]
+            pat = pat * axes[2][None, None, :, None] * axes[3][None, None, None, :]
+            patterns.append(pat)
+    else:
+        patterns = [np.ones(lat.shape)]
+    basis = []
+    for pat in patterns:
+        for slot in range(4):
+            vec = np.zeros(lat.shape + (4,))
+            vec[..., slot] = pat
+            flat = vec.reshape(-1)
+            basis.append(flat / np.linalg.norm(flat))
+    return np.stack(basis)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_kernel_removal_matches_dense_null_basis(n, bc):
+    """The parity-class means remove exactly the span of the dense null basis."""
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
+    u = np.random.default_rng(n).uniform(-1, 1, 4 * lat.n_sites)
+    basis = _stencil_null_basis(lat)
+    got = _remove_stencil_kernel(lat, u)
+    assert np.abs(got - (u - basis.T @ (basis @ u))).max() <= 1e-14
+    assert np.abs(_remove_stencil_kernel(lat, got) - got).max() <= 1e-14
+    removed = (u - got).reshape(lat.shape + (4,))
+    assert np.abs(removed).max() > 0.0
+    for axis in range(4):
+        assert np.abs(_diff(lat, removed, axis)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_maxwell_operator_is_the_flat_maxwell_residual(n, bc):
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
+    F = random_grade1_field(lat, np.random.default_rng(n))
+    res = discrete_ele_residual(make_builtin("maxwell_flat"), F)
+    assert np.array_equal(maxwell_operator(lat)(F.comps), res.comps)
 
 
 def test_manufactured_solution_solve():
