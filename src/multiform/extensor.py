@@ -164,14 +164,9 @@ def _columns_as_mv(ms: np.ndarray) -> list[np.ndarray]:
 
 
 def outermorphism_matrix(ms: np.ndarray) -> np.ndarray:
-    """Blade-wise outermorphism matrix, (..., 16, 16) from (..., 4, 4)."""
-    ms = np.asarray(ms, dtype=float)
-    cols = _columns_as_mv(ms)
-    out = np.zeros(ms.shape[:-2] + (DIM, DIM))
-    for mask in range(DIM):
-        img = _wedge_columns([cols[k] for k in _BLADE_BITS[mask]])
-        out[..., :, mask] = img
-    return out
+    """Blade-wise outermorphism matrix, (..., 16, 16) from (..., 4, 4): the
+    derivative of order zero."""
+    return outermorphism_matrix_derivative(ms, ())
 
 
 def outermorphism_matrix_derivative(

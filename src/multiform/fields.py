@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations as _permutations
 from typing import Callable, Iterable
 
 import numpy as np
@@ -811,21 +810,6 @@ class ExtApply(FieldExpr):
         for t in terms[1:]:
             acc = Add(acc, t)
         return acc
-
-
-def determinant_expr(entries) -> FieldExpr:
-    """det of a 4x4 grid of scalar fields, as an explicit polynomial tree."""
-    rows = [list(row) for row in entries]
-    acc: FieldExpr = ZERO
-    for perm in _permutations(range(4)):
-        inversions = sum(
-            1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j]
-        )
-        term: FieldExpr = rows[0][perm[0]]
-        for r in range(1, 4):
-            term = prod(term, rows[r][perm[r]], "gp")
-        acc = add(acc, scale((-1.0) ** inversions, term))
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -49,14 +49,16 @@ from .fields import (
     add,
     aggregate_kind,
     del_expr_kind,
-    determinant_expr,
     prod,
     scale,
     worst_of,
 )
-from .sta import EVEN_GRADES, GAMMA, Multivector
+from .sta import EVEN_GRADES, GAMMA, PSEUDOSCALAR, Multivector
 
 _VARIANTS = ("direct", "adjoint", "inverse", "star")
+
+# the pseudoscalar I; I^-1 = -I and sp(A, I) = <A I>, so <A I^-1> = -sp(A, I)
+_I = Const(PSEUDOSCALAR)
 
 
 class RotorError(ValueError):
@@ -66,18 +68,16 @@ class RotorError(ValueError):
 class ExtensorField:
     """Position-dependent (1,1)-extensor with scalar field-expression entries.
 
-    Column mu of the matrix holds the components of h(g_mu).  Matrix variants
-    (adjoint, inverse, gauge star), the determinant and the star images of
-    the basis 1-forms are built lazily, once per extensor field, and shared
-    by every tree that uses them, so each is evaluated once per point set.
+    Column mu of the matrix holds the components of h(g_mu).  Everything
+    else is a tree derived on that matrix node, built once per extensor field
+    and shared by every tree that uses it, so each is evaluated once per
+    point set: the adjoint, the inverse, the gauge star (the adjoint of that
+    same inverse, so h is inverted once), the star images of the basis
+    1-forms, and det h as the pseudoscalar image of the outermorphism.
     """
 
     def __init__(self, entries):
-        rows = [[_lift(e) for e in row] for row in entries]
-        self._entries = rows
-        self._mat = MFromEntries(rows)
-        self._variants: dict[str, MatExpr] = {"direct": self._mat}
-        self._det: FieldExpr | None = None
+        self._mat = MFromEntries([[_lift(e) for e in row] for row in entries])
 
     @classmethod
     def from_matrix(cls, m) -> "ExtensorField":
@@ -89,27 +89,29 @@ class ExtensorField:
         return cls.from_matrix(np.eye(4))
 
     def matrix(self, variant: str = "direct") -> MatExpr:
-        if variant not in _VARIANTS:
-            raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-        hit = self._variants.get(variant)
-        if hit is None:
-            if variant == "adjoint":
-                hit = MAdj(self._mat)
-            elif variant == "inverse":
-                hit = MInv(self._mat)
-            else:  # star = (h^-1) adjoint
-                hit = MAdj(MInv(self._mat))
-            self._variants[variant] = hit
-        return hit
+        if variant == "direct":
+            return self._mat
+        if variant == "adjoint":
+            return self._mat.derived(variant, lambda: MAdj(self._mat))
+        if variant == "inverse":
+            return self._mat.derived(variant, lambda: MInv(self._mat))
+        if variant == "star":  # h* = (h^-1) adjoint
+            return self._mat.derived(variant, lambda: MAdj(self.matrix("inverse")))
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
     def apply_expr(self, child, variant: str = "direct") -> FieldExpr:
         """The field x -> variant(h)_x underbar applied to child(x)."""
         return ExtApply(self.matrix(variant), _lift(child))
 
     def det_expr(self) -> FieldExpr:
-        if self._det is None:
-            self._det = determinant_expr(self._entries)
-        return self._det
+        """det h = <h(I) I^-1>, the factor by which the outermorphism scales I.
+
+        Its derivatives are the tangent slots of the outermorphism, and it
+        stays defined (zero) where h is singular.
+        """
+        return self._mat.derived(
+            "det", lambda: scale(-1.0, prod(ExtApply(self._mat, _I), _I, "sp"))
+        )
 
     def star_basis(self, mu: int, upper: bool) -> FieldExpr:
         """h*(g^mu) (upper) or h*(g_mu) as a field."""
@@ -304,6 +306,15 @@ def spinor_directional(psi: FieldExpr, a, x, bg: GaugeBackground) -> Multivector
     return spinor_directional_expr(psi, a, bg).at(x)
 
 
+def _star_contraction(X: FieldExpr, kind: str, bg: GaugeBackground, directional) -> FieldExpr:
+    """sum_mu h*(g^mu) * D_{g_mu} X, with D the given directional derivative expression."""
+    acc: FieldExpr = ZERO
+    for mu in range(4):
+        da = directional(X, GAMMA[mu], bg)
+        acc = add(acc, prod(bg.h.star_basis(mu, upper=True), da, kind))
+    return acc
+
+
 def gauge_del_expr(
     X: FieldExpr, mode: str, bg: GaugeBackground, construction: str | None = None
 ) -> FieldExpr:
@@ -317,14 +328,7 @@ def gauge_del_expr(
 
 def _gauge_del(X: FieldExpr, kind: str, bg: GaugeBackground, construction: str) -> FieldExpr:
     if construction == "omega":
-        acc: FieldExpr = ZERO
-        for mu in range(4):
-            da = add(
-                X.deriv(GAMMA[mu]),
-                prod(bg.omega.column(mu), X, "cross"),
-            )
-            acc = add(acc, prod(bg.h.star_basis(mu, upper=True), da, kind))
-        return acc
+        return _star_contraction(X, kind, bg, covariant_directional_expr)
     if kind == "lc":
         det = bg.h.det_expr()
         inner = prod(det, bg.h.apply_expr(X, "inverse"), "gp")
@@ -356,18 +360,9 @@ def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
     """
     if bg.omega is None:
         raise ValueError("spinor derivatives need a connection field")
-    return psi.derived(("spinor", bg), lambda: _spinor_grad(psi, bg))
-
-
-def _spinor_grad(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
-    acc: FieldExpr = ZERO
-    for mu in range(4):
-        da = add(
-            psi.deriv(GAMMA[mu]),
-            scale(0.5, prod(bg.omega.column(mu), psi, "gp")),
-        )
-        acc = add(acc, prod(bg.h.star_basis(mu, upper=True), da, "gp"))
-    return acc
+    return psi.derived(
+        ("spinor", bg), lambda: _star_contraction(psi, "gp", bg, spinor_directional_expr)
+    )
 
 
 def spinor_grad(psi: FieldExpr, x, bg: GaugeBackground) -> Multivector:
@@ -389,6 +384,15 @@ def boundary_current_gauge(
         s = prod(prod(bg.h.star_basis(mu, upper=False), X, kind), Y, "sp")
         acc = add(acc, prod(GAMMA_UP_NODES[mu], s, "gp"))
     return prod(bg.h.det_expr(), acc, "gp")
+
+
+def _weighted_current_divergence(
+    X: FieldExpr, Y: FieldExpr, kind: str, bg: GaugeBackground, pts: np.ndarray, key: bytes
+) -> np.ndarray:
+    """det(h^-1) times the flat divergence of the gauge boundary current, per point."""
+    current = boundary_current_gauge(X, Y, kind, bg)
+    det_vals = bg.h.det_expr().ev(pts, key)[:, 0]
+    return del_expr_kind(current, "lc").ev(pts, key)[:, 0] / det_vals
 
 
 def check_identity_gauge(
@@ -413,9 +417,7 @@ def check_identity_gauge(
     lhs = sta.sp(dx.ev(pts, key), Y.ev(pts, key)) + sta.sp(
         X.ev(pts, key), dy.ev(pts, key)
     )
-    current = boundary_current_gauge(X, Y, kind, bg)
-    det_vals = bg.h.det_expr().ev(pts, key)[:, 0]
-    rhs = del_expr_kind(current, "lc").ev(pts, key)[:, 0] / det_vals
+    rhs = _weighted_current_divergence(X, Y, kind, bg, pts, key)
     return float(np.abs(np.atleast_1d(lhs - rhs)).max())
 
 
@@ -466,9 +468,7 @@ def check_identity_spinor(
             pairing = sta.sp(bg.h.star_basis(mu, upper=True).ev(pts, key), wv)
             out = worst_of(out, float(np.abs(np.atleast_1d(pairing)).max()))
     if which in ("both", "divergence"):
-        current = boundary_current_gauge(psi, phi, "gp", bg)
-        det_vals = bg.h.det_expr().ev(pts, key)[:, 0]
-        rhs = del_expr_kind(current, "lc").ev(pts, key)[:, 0] / det_vals
+        rhs = _weighted_current_divergence(psi, phi, "gp", bg, pts, key)
         out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
     return out
 

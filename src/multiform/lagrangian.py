@@ -315,17 +315,13 @@ def _dual_of_numeric_slot_gradient(
     xc = _one_point(x)[0]
     kernel = sta.PRODUCT_KERNELS[L.mode.dual]
     out = np.zeros(sta.DIM)
-    h = 1e-3
     for mu in range(4):
         def p(s: float) -> np.ndarray:
             shifted = xc.copy()
             shifted[mu] += s
             return _numeric_slot_gradient(L, X, shifted, bg, construction).comps
 
-        d1 = (p(h) - p(-h)) / (2.0 * h)
-        d2 = (p(h / 2.0) - p(-h / 2.0)) / h
-        dmu = (4.0 * d2 - d1) / 3.0
-        out += kernel(GAMMA_UP[mu].comps, dmu)
+        out += kernel(GAMMA_UP[mu].comps, scalar_derivative_at_zero(p))
     return Multivector(out)
 
 

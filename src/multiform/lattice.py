@@ -408,6 +408,26 @@ def _remove_stencil_kernel(lat: Lattice, u: np.ndarray) -> np.ndarray:
     return (v - v.mean(axis=(0, 2, 4, 6), keepdims=True)).reshape(-1)
 
 
+def _solver_potential(lat: Lattice, u: np.ndarray) -> np.ndarray:
+    """The 1-form components a solver vector stands for: stencil kernel removed,
+    boundary sites zeroed on a Dirichlet lattice."""
+    comps = np.zeros(lat.shape + (DIM,))
+    comps[..., VECTOR_IDX] = _remove_stencil_kernel(lat, u).reshape(lat.shape + (4,))
+    return _zero_boundary(lat, comps)
+
+
+def _projected_operator(lat: Lattice, op) -> Callable[[np.ndarray], np.ndarray]:
+    """The matvec MINRES solves with: op between the kernel and boundary
+    projections, signed by the metric so that the system is symmetric."""
+    eps = SP_DIAG[VECTOR_IDX]  # metric signs of the four vector components
+
+    def matvec(u: np.ndarray) -> np.ndarray:
+        out = op(_solver_potential(lat, u))[..., VECTOR_IDX] * eps
+        return _remove_stencil_kernel(lat, out.reshape(-1))
+
+    return matvec
+
+
 def solve_maxwell(
     lat: Lattice,
     J: LatticeField,
@@ -418,9 +438,10 @@ def solve_maxwell(
     """Solve the discrete stationarity system div(curl A) = mu0 J.
 
     MINRES on the symmetric indefinite component system, with the stencil
-    kernel modes projected out of every operator application; convergence is
-    certified against the unprojected discrete operator at the requested
-    relative residual.
+    kernel modes projected out of every operator application and, on a
+    Dirichlet lattice, the boundary sites masked on input as on output;
+    convergence is certified against the unprojected discrete operator at
+    the requested relative residual.
     """
     if not J.grades <= {1}:
         raise GradeError("the current must be a 1-form field")
@@ -428,7 +449,6 @@ def solve_maxwell(
         raise ValueError("current lives on a different lattice")
 
     op = maxwell_operator(lat)
-    eps = SP_DIAG[VECTOR_IDX]  # metric signs of the four vector components
     jc = _zero_boundary(lat, J.comps.copy())
     rhs_field = mu0 * jc[..., VECTOR_IDX]
 
@@ -440,30 +460,19 @@ def solve_maxwell(
                 "periodic solve needs a compatible current (site sum must vanish)"
             )
 
-    nvec = 4 * lat.n_sites
-
-    def to_comps(u: np.ndarray) -> np.ndarray:
-        comps = np.zeros(lat.shape + (DIM,))
-        comps[..., VECTOR_IDX] = u.reshape(lat.shape + (4,))
-        return comps
-
-    def matvec(u: np.ndarray) -> np.ndarray:
-        comps = to_comps(_remove_stencil_kernel(lat, u))
-        out = op(comps)[..., VECTOR_IDX] * eps
-        return _remove_stencil_kernel(lat, out.reshape(-1))
-
-    b = _remove_stencil_kernel(lat, (rhs_field * eps).reshape(-1))
+    b = _remove_stencil_kernel(lat, (rhs_field * SP_DIAG[VECTOR_IDX]).reshape(-1))
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         return LatticeField.zeros(lat, {1})
 
-    linop = spla.LinearOperator((nvec, nvec), matvec=matvec)
+    nvec = 4 * lat.n_sites
+    linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat, op))
     maxiter = maxiter or 40 * lat.sites**2
     u, info = spla.minres(linop, b, rtol=min(tol, 1e-9), maxiter=maxiter)
     if info != 0:
         raise SolverError(f"MINRES did not converge (info={info})")
 
-    comps = to_comps(_remove_stencil_kernel(lat, u))
+    comps = _solver_potential(lat, u)
     resid = op(comps) - mu0 * jc
     rel = np.linalg.norm(resid[..., VECTOR_IDX]) / np.linalg.norm(rhs_field)
     if rel > tol:

@@ -36,7 +36,8 @@ def test_verify_algebra_passes_and_writes_report(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", "algebra", "--seed", "7", "--out", out_path)
     assert code == 0
     assert "PASS:" in out
-    report = json.load(open(out_path))
+    with open(out_path) as fh:
+        report = json.load(fh)
     assert set(report) == {"config", "checks", "pass", "version"}
     assert report["pass"] is True
     assert report["config"]["seed"] == 7
@@ -116,9 +117,19 @@ def test_config_file_with_flag_overrides(capsys, tmp_path):
         capsys, "verify", "derivatives", "--config", cfg, "--seed", "9", "--out", out_path
     )
     assert code == 0
-    report = json.load(open(out_path))
+    with open(out_path) as fh:
+        report = json.load(fh)
     assert report["config"]["seed"] == 9  # flag wins
     assert report["config"]["points"] == 17  # file value survives
+
+
+def test_maxwell_gauge_runs_at_one_point(capsys):
+    code, out, err = run_cli(capsys, "verify", "maxwell-gauge", "--points", "1", "--json")
+    assert code in (0, 1)
+    assert "Traceback" not in out + err
+    payload = json.loads(out)
+    assert payload["config"]["points"] == 1
+    assert "residual-two-paths" in {c["name"] for c in payload["checks"]}
 
 
 def _strip_walltimes(payload: str) -> str:

@@ -1,10 +1,13 @@
 """Gauge background and covariant-derivative tests."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from multiform import sta
 from multiform.fields import (
+    ZERO,
     BladeExp,
     Const,
     GradeError,
@@ -14,6 +17,7 @@ from multiform.fields import (
     apply_del,
     position,
     prod,
+    add,
     scale,
 )
 from multiform.gauge import (
@@ -40,6 +44,7 @@ from multiform.sampling import (
     random_omega,
     random_points,
     random_rotor,
+    random_rotor_background,
     random_vector,
 )
 from multiform.sta import GAMMA, Multivector, ONE
@@ -72,6 +77,60 @@ def test_rotor_background_properties():
         a = random_vector(rng)
         om = bg.omega.at(x, a)
         assert om.grade_set(1e-12) <= {2}
+
+
+def permutation_determinant(entries):
+    """det of a 4x4 grid of scalar fields expanded over the 24 permutations: the oracle."""
+    rows = [list(row) for row in entries]
+    acc = ZERO
+    for perm in permutations(range(4)):
+        inversions = sum(
+            1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j]
+        )
+        term = rows[0][perm[0]]
+        for r in range(1, 4):
+            term = prod(term, rows[r][perm[r]], "gp")
+        acc = add(acc, scale((-1.0) ** inversions, term))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "make_h",
+    [random_invertible_h, lambda rng: random_rotor_background(rng).h],
+    ids=["invertible-h", "rotor"],
+)
+def test_det_expr_matches_permutation_expansion(make_h):
+    """det h as the pseudoscalar image agrees with the permutation expansion,
+    with its first and second directional derivatives."""
+    rng = np.random.default_rng(17)
+    h = make_h(rng)
+    det, oracle = h.det_expr(), permutation_determinant(h.matrix().entries)
+    assert det.grades == {0}
+    pts = random_points(rng, 12)
+    a, b = random_vector(rng), random_vector(rng)
+    pairs = [
+        (det, oracle),
+        (det.deriv(a), oracle.deriv(a)),
+        (det.deriv(b), oracle.deriv(b)),
+        (det.deriv(a).deriv(b), oracle.deriv(a).deriv(b)),
+    ]
+    for got, want in pairs:
+        g, w = got.sample(pts), want.sample(pts)
+        assert not np.any(g[:, 1:])
+        assert np.all(np.abs(g[:, 0] - w[:, 0]) <= 1e-12 * np.maximum(1.0, np.abs(w[:, 0])))
+
+
+def test_det_expr_is_zero_where_h_is_singular():
+    """h = diag(x^0, 1, 1, 1) is singular at x^0 = 0: det is 0 there, and its
+    derivative along g_0 is 1, while the inverse refuses the point."""
+    entries = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    entries[0][0] = coordinate(GAMMA[0])
+    h = ExtensorField(entries)
+    x = np.array([0.0, 0.3, -0.2, 0.1])
+    assert h.det_at(x) == 0.0
+    assert directional_derivative(h.det_expr(), GAMMA[0], x).comps[0] == 1.0
+    with pytest.raises(SingularExtensorError):
+        h.matrix_at(x, "inverse")
 
 
 def test_rotor_compatibility_oracle():

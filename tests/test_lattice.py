@@ -20,6 +20,7 @@ from multiform.lattice import (
     Lattice,
     LatticeField,
     _diff,
+    _projected_operator,
     _remove_stencil_kernel,
     action_gradient,
     axis_derivative_matrix,
@@ -296,6 +297,17 @@ def test_maxwell_operator_is_the_flat_maxwell_residual(n, bc):
     assert np.array_equal(maxwell_operator(lat)(F.comps), res.comps)
 
 
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_solver_system_is_symmetric(bc):
+    """MINRES needs a symmetric system; on Dirichlet the input is masked like the output."""
+    lat = Lattice(np.zeros(4), np.ones(4), 6, bc=bc)
+    matvec = _projected_operator(lat, maxwell_operator(lat))
+    rng = np.random.default_rng(6)
+    u, v = rng.standard_normal((2, 4 * lat.n_sites))
+    vau, uav = v @ matvec(u), u @ matvec(v)
+    assert abs(vau - uav) / max(abs(vau), abs(uav)) <= 1e-12
+
+
 def test_manufactured_solution_solve():
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 8, bc="periodic")
     xs = lat.coords()
@@ -393,7 +405,8 @@ def test_export_and_load_roundtrip(tmp_path):
     base = os.path.join(tmp_path, "field")
     bin_path, txt_path = export_field(F, base)
     # header carries the geometry and the component layout
-    header = open(txt_path).read()
+    with open(txt_path) as fh:
+        header = fh.read()
     assert "sites: 4 4 4 4" in header
     assert "blades: 1 2 4 8" in header
     assert "grades: 1" in header
@@ -427,7 +440,8 @@ def test_load_field_rejects_malformed_pair(tmp_path, line, new_line, drop, match
     if drop:
         np.fromfile(bin_path, dtype="<f8")[:-drop].tofile(bin_path)
     if line is not None:
-        header = open(txt_path).read()
+        with open(txt_path) as fh:
+            header = fh.read()
         assert line in header
         with open(txt_path, "w") as fh:
             fh.write(header.replace(line, new_line))

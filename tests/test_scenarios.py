@@ -59,7 +59,8 @@ def test_run_scenario_writes_report(tmp_path):
     out = os.path.join(tmp_path, "report.json")
     cfg = ScenarioConfig(scenario="derivatives", seed=5, points=10, out=out)
     report = run_scenario(cfg)
-    ondisk = json.load(open(out))
+    with open(out) as fh:
+        ondisk = json.load(fh)
     assert ondisk["pass"] == report.passed
     assert ondisk["config"]["out"] == out
 
