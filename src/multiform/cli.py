@@ -45,11 +45,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_KEYS = ("seed", "points", "lattice_n", "out", "tolerances")
+
+
 def _load_config_file(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    if unknown:
+        allowed = ", ".join(_CONFIG_KEYS)
+        raise ValueError(f"unknown key(s) {', '.join(unknown)}; allowed: {allowed}")
     return data
 
 
@@ -61,7 +68,7 @@ def _make_config(args: argparse.Namespace) -> ScenarioConfig:
         scenario=args.scenario,
         seed=raw.get("seed", 0),
         points=raw.get("points", 100),
-        lattice_n=raw.get("lattice_n", raw.get("lattice", 8)),
+        lattice_n=raw.get("lattice_n", 8),
         tolerances=dict(raw.get("tolerances", {})),
         out=raw.get("out"),
     )

@@ -41,8 +41,6 @@ import numpy as np
 
 from . import sta
 from .extensor import (
-    DET_GATE,
-    SingularExtensorError,
     adjoint_mats,
     outermorphism_matrix,
     outermorphism_matrix_derivative,
@@ -659,88 +657,6 @@ class MAdj(MatExpr):
 
     def _build_deriv(self, a):
         return MAdj(self.sub.deriv(Multivector(a)))
-
-    @property
-    def is_zero(self):
-        return self.sub.is_zero
-
-
-class MInv(MatExpr):
-    __slots__ = ("sub",)
-
-    def __init__(self, sub: MatExpr):
-        super().__init__()
-        self.sub = sub
-
-    def _eval(self, xs, key):
-        ms = self.sub.ev(xs, key)
-        dets = np.linalg.det(ms)
-        if np.abs(dets).min() <= DET_GATE:
-            raise SingularExtensorError(
-                f"extensor field is singular at a sample point (|det| = {np.abs(dets).min():.3e})"
-            )
-        return np.linalg.inv(ms)
-
-    def _build_deriv(self, a):
-        da = self.sub.deriv(Multivector(a))
-        return MNeg(MMul(MMul(self, da), self))
-
-
-class MMul(MatExpr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: MatExpr, right: MatExpr):
-        super().__init__()
-        self.left = left
-        self.right = right
-
-    def _eval(self, xs, key):
-        return self.left.ev(xs, key) @ self.right.ev(xs, key)
-
-    def _build_deriv(self, a):
-        am = Multivector(a)
-        return MAdd(
-            MMul(self.left.deriv(am), self.right),
-            MMul(self.left, self.right.deriv(am)),
-        )
-
-    @property
-    def is_zero(self):
-        return self.left.is_zero or self.right.is_zero
-
-
-class MAdd(MatExpr):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: MatExpr, right: MatExpr):
-        super().__init__()
-        self.left = left
-        self.right = right
-
-    def _eval(self, xs, key):
-        return self.left.ev(xs, key) + self.right.ev(xs, key)
-
-    def _build_deriv(self, a):
-        am = Multivector(a)
-        return MAdd(self.left.deriv(am), self.right.deriv(am))
-
-    @property
-    def is_zero(self):
-        return self.left.is_zero and self.right.is_zero
-
-
-class MNeg(MatExpr):
-    __slots__ = ("sub",)
-
-    def __init__(self, sub: MatExpr):
-        super().__init__()
-        self.sub = sub
-
-    def _eval(self, xs, key):
-        return -self.sub.ev(xs, key)
-
-    def _build_deriv(self, a):
-        return MNeg(self.sub.deriv(Multivector(a)))
 
     @property
     def is_zero(self):

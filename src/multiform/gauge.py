@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sta
-from .extensor import Extensor11
+from .extensor import DET_GATE, Extensor11, SingularExtensorError, adjoint, invert
 from .fields import (
     AGGREGATES,
     GAMMA_NODES,
@@ -38,7 +38,6 @@ from .fields import (
     MAdj,
     MatExpr,
     MFromEntries,
-    MInv,
     Rev,
     ScalarMap,
     ZERO,
@@ -65,15 +64,40 @@ class RotorError(ValueError):
     """Raised when a field fails the unit-rotor gate R R~ = 1."""
 
 
+class _RecipDet(ScalarMap):
+    """1/det h, refusing a point set on which |det h| <= DET_GATE.
+
+    Its derivative is the reciprocal's, -(1/det h)^2 d det h.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, det: FieldExpr):
+        super().__init__(det, "recip")
+
+    def _eval(self, xs, key):
+        worst = np.abs(self.child.ev(xs, key)[:, 0]).min()
+        if worst <= DET_GATE:
+            raise SingularExtensorError(
+                f"extensor field is singular at a sample point (|det| = {worst:.3e})"
+            )
+        return super()._eval(xs, key)
+
+
 class ExtensorField:
     """Position-dependent (1,1)-extensor with scalar field-expression entries.
 
-    Column mu of the matrix holds the components of h(g_mu).  Everything
-    else is a tree derived on that matrix node, built once per extensor field
-    and shared by every tree that uses it, so each is evaluated once per
-    point set: the adjoint, the inverse, the gauge star (the adjoint of that
-    same inverse, so h is inverted once), the star images of the basis
-    1-forms, and det h as the pseudoscalar image of the outermorphism.
+    Column mu of the matrix holds the components of h(g_mu); ``matrix()``
+    gives that node (``direct``) or its adjoint.  Everything else is a tree
+    derived on the matrix node, built once per extensor field and shared by
+    every tree that uses it, so each is evaluated once per point set: det h
+    as the pseudoscalar image of the outermorphism, its gated reciprocal, and
+    the star images of the basis 1-forms.  No matrix is inverted: the inverse
+    and the gauge star are the duals of the two outermorphisms,
+
+        h^-1(X) = adj h(X I) I^-1 / det h,    h*(X) = h(X I) I^-1 / det h,
+
+    which raise ``SingularExtensorError`` where h is singular.
     """
 
     def __init__(self, entries):
@@ -93,15 +117,23 @@ class ExtensorField:
             return self._mat
         if variant == "adjoint":
             return self._mat.derived(variant, lambda: MAdj(self._mat))
-        if variant == "inverse":
-            return self._mat.derived(variant, lambda: MInv(self._mat))
-        if variant == "star":  # h* = (h^-1) adjoint
-            return self._mat.derived(variant, lambda: MAdj(self.matrix("inverse")))
-        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+        raise ValueError(f"variant must be 'direct' or 'adjoint', got {variant!r}")
 
     def apply_expr(self, child, variant: str = "direct") -> FieldExpr:
         """The field x -> variant(h)_x underbar applied to child(x)."""
-        return ExtApply(self.matrix(variant), _lift(child))
+        child = _lift(child)
+        if variant == "inverse":
+            return prod(self._recip_det(), self._dual(child, "adjoint"), "gp")
+        if variant == "star":  # h* = (h^-1) adjoint
+            return prod(self._recip_det(), self._dual(child, "direct"), "gp")
+        if variant in ("direct", "adjoint"):
+            return ExtApply(self.matrix(variant), child)
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+
+    def _dual(self, child: FieldExpr, variant: str) -> FieldExpr:
+        """variant(h)(child I) I^-1: det h times the inverse of the other variant."""
+        applied = ExtApply(self.matrix(variant), prod(child, _I, "gp"))
+        return scale(-1.0, prod(applied, _I, "gp"))
 
     def det_expr(self) -> FieldExpr:
         """det h = <h(I) I^-1>, the factor by which the outermorphism scales I.
@@ -113,18 +145,29 @@ class ExtensorField:
             "det", lambda: scale(-1.0, prod(ExtApply(self._mat, _I), _I, "sp"))
         )
 
+    def _recip_det(self) -> FieldExpr:
+        return self._mat.derived("recip_det", lambda: _RecipDet(self.det_expr()))
+
     def star_basis(self, mu: int, upper: bool) -> FieldExpr:
         """h*(g^mu) (upper) or h*(g_mu) as a field."""
-        star = self.matrix("star")
         base = (GAMMA_UP_NODES if upper else GAMMA_NODES)[mu]
-        return star.derived(("apply", base), lambda: ExtApply(star, base))
-
-    def matrix_at(self, x, variant: str = "direct") -> np.ndarray:
-        pts = _one_point(x)
-        return self.matrix(variant).ev(pts, pts.tobytes())[0]
+        return self._mat.derived(("star", base), lambda: self.apply_expr(base, "star"))
 
     def at(self, x, variant: str = "direct") -> Extensor11:
-        return Extensor11(self.matrix_at(x, variant))
+        pts = _one_point(x)
+        t = Extensor11(self._mat.ev(pts, pts.tobytes())[0])
+        if variant == "direct":
+            return t
+        if variant == "adjoint":
+            return adjoint(t)
+        if variant == "inverse":
+            return invert(t)
+        if variant == "star":
+            return adjoint(invert(t))
+        raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
+
+    def matrix_at(self, x, variant: str = "direct") -> np.ndarray:
+        return self.at(x, variant).m
 
     def det_at(self, x) -> float:
         return float(self.det_expr().at(x).comps[0])
@@ -330,10 +373,10 @@ def _gauge_del(X: FieldExpr, kind: str, bg: GaugeBackground, construction: str) 
     if construction == "omega":
         return _star_contraction(X, kind, bg, covariant_directional_expr)
     if kind == "lc":
-        det = bg.h.det_expr()
-        inner = prod(det, bg.h.apply_expr(X, "inverse"), "gp")
+        # det h h^-1(X) = adj h(X I) I^-1 needs no inverse
+        inner = bg.h._dual(X, "adjoint")
         return prod(
-            ScalarMap(det, "recip"),
+            bg.h._recip_det(),
             bg.h.apply_expr(del_expr_kind(inner, "lc"), "direct"),
             "gp",
         )

@@ -216,15 +216,13 @@ def _zero_boundary(lat: Lattice, arr: np.ndarray) -> np.ndarray:
 def discretize(X: FieldExpr, lat: Lattice, grades) -> LatticeField:
     """Sample a field expression at the site centers."""
     grades = frozenset(grades)
+    vals = X.sample(lat.coords().reshape(-1, 4))
     if not X.grades <= grades:
-        vals = X.sample(lat.coords().reshape(-1, 4))
         outside = np.abs(vals * (1.0 - sta.grade_mask(grades))).max()
         if outside > 1e-12:
             raise GradeError(
                 f"field carries grades outside {sorted(grades)} (max {outside:.3e})"
             )
-    else:
-        vals = X.sample(lat.coords().reshape(-1, 4))
     return LatticeField(lat, grades, vals.reshape(lat.shape + (DIM,)))
 
 
@@ -485,12 +483,18 @@ def solve_maxwell(
 # ---------------------------------------------------------------------------
 
 _HEADER_MAGIC = "multiform-lattice-field v1"
+_SIDECAR_KEYS = ("sites", "origin", "extent", "spacing", "bc", "grades", "blades")
+
+
+def _blade_masks(grades) -> list[int]:
+    """The stored components of a field with the given grades, in storage order."""
+    return [m for m in range(DIM) if GRADES[m] in grades]
 
 
 def export_field(F: LatticeField, basepath: str) -> tuple[str, str]:
     """Write <basepath>.bin (little-endian float64, site-major, component-minor)
     and the <basepath>.txt sidecar header."""
-    blades = [m for m in range(DIM) if GRADES[m] in F.grades]
+    blades = _blade_masks(F.grades)
     data = F.comps[..., blades].astype("<f8")
     bin_path = basepath + ".bin"
     txt_path = basepath + ".txt"
@@ -514,16 +518,20 @@ def export_field(F: LatticeField, basepath: str) -> tuple[str, str]:
 
 
 def load_field(basepath: str) -> LatticeField:
-    """Read a field written by :func:`export_field`; a sidecar that
-    contradicts itself or the ``.bin`` size raises ``ValueError``."""
+    """Read a field written by :func:`export_field`; a sidecar that is
+    incomplete, contradicts itself or the ``.bin`` size raises ``ValueError``."""
     with open(basepath + ".txt") as fh:
         lines = [ln.strip() for ln in fh.readlines() if ln.strip()]
-    if lines[0] != _HEADER_MAGIC:
-        raise ValueError(f"not a lattice field header: {lines[0]!r}")
+    head = lines[0] if lines else ""
+    if head != _HEADER_MAGIC:
+        raise ValueError(f"not a lattice field header: {head!r}")
     fields = {}
     for ln in lines[1:]:
         key, _, rest = ln.partition(":")
         fields[key.strip()] = rest.strip()
+    missing = [key for key in _SIDECAR_KEYS if key not in fields]
+    if missing:
+        raise ValueError(f"sidecar lacks {', '.join(missing)}")
     sites = fields["sites"].split()
     if len(sites) != 4 or len(set(sites)) != 1 or not sites[0].isdigit():
         raise ValueError(f"sites must be one integer repeated 4 times, got {fields['sites']!r}")
@@ -538,6 +546,9 @@ def load_field(basepath: str) -> LatticeField:
         raise ValueError(f"spacing {spacing} differs from extent / sites = {lat.spacing.tolist()}")
     grades = frozenset(int(g) for g in fields["grades"].split())
     blades = [int(b) for b in fields["blades"].split()]
+    masks = _blade_masks(grades)
+    if blades != masks:
+        raise ValueError(f"blades {blades} are not the masks of grades {sorted(grades)}: {masks}")
     raw = np.fromfile(basepath + ".bin", dtype="<f8")
     n = lat.n_sites * len(blades)
     if raw.size != n:

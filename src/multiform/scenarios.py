@@ -39,6 +39,7 @@ from .fields import (
     multivector_derivative,
     position,
     prod,
+    scalar_derivative_at_zero,
     scale,
     worst_of,
 )
@@ -439,14 +440,9 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
             x = pts[i]
             a = random_vector(rng)
             got = directional_derivative(expr, a, x).comps
-            h = 1e-3
-            xp = x + h * a.vector_coords()
-            xm = x - h * a.vector_coords()
-            d1 = (expr.sample(xp.reshape(1, 4))[0] - expr.sample(xm.reshape(1, 4))[0]) / (2 * h)
-            xp2 = x + 0.5 * h * a.vector_coords()
-            xm2 = x - 0.5 * h * a.vector_coords()
-            d2 = (expr.sample(xp2.reshape(1, 4))[0] - expr.sample(xm2.reshape(1, 4))[0]) / h
-            fd = (4.0 * d2 - d1) / 3.0
+            fd = scalar_derivative_at_zero(
+                lambda lam: expr.sample((x + lam * a.vector_coords()).reshape(1, 4))[0]
+            )
             denom = max(1.0, float(np.abs(fd).max()))
             worst = worst_of(worst, float(np.abs(got - fd).max()) / denom)
     run.check("structural-vs-finite-difference", worst, 1e-6)

@@ -99,6 +99,31 @@ def test_non_integer_config_values_exit_2(capsys, tmp_path):
         assert f"error: bad config: {field}" in err and "Traceback" not in err
 
 
+def test_unknown_config_keys_exit_2(capsys, tmp_path):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    for raw, key in [({"pionts": 5}, "pionts"), ({"seed": 1, "lattice": 6}, "lattice")]:
+        with open(cfg, "w") as fh:
+            json.dump(raw, fh)
+        code, out, err = run_cli(capsys, "verify", "algebra", "--config", cfg)
+        assert code == 2, raw
+        assert "error: bad config:" in err and key in err and "Traceback" not in err
+        assert out == ""
+
+
+def test_every_documented_config_key_is_accepted(capsys, tmp_path):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    out_path = os.path.join(tmp_path, "r.json")
+    with open(cfg, "w") as fh:
+        json.dump(
+            {"seed": 2, "points": 5, "lattice_n": 6, "out": out_path, "tolerances": {}}, fh
+        )
+    code, _, err = run_cli(capsys, "verify", "algebra", "--config", cfg)
+    assert code == 0, err
+    with open(out_path) as fh:
+        report = json.load(fh)
+    assert report["config"]["lattice_n"] == 6 and report["config"]["points"] == 5
+
+
 def test_failing_tolerance_exits_1(capsys, tmp_path):
     cfg = os.path.join(tmp_path, "strict.json")
     with open(cfg, "w") as fh:

@@ -101,11 +101,10 @@ def _trees(seed: int) -> list:
     psi = random_even_field(rng)
     s = coordinate(GAMMA[3])
     a, b = GAMMA[0], GAMMA[2]
-    variants = ("direct", "adjoint", "inverse", "star")
-    applied = [h.apply_expr(V, variant) for variant in variants]
-    mats = [h.matrix(variant) for variant in variants]  # MFromEntries, MAdj, MInv
-    tangent = [ExtApply(m, V, (m.deriv(a),)) for m in mats]  # MMul, MNeg
-    two_tangents = [ExtApply(m, X, (m.deriv(a), m.deriv(b).deriv(a))) for m in mats]  # MAdd
+    applied = [h.apply_expr(V, variant) for variant in ("direct", "adjoint", "inverse", "star")]
+    mats = [h.matrix(variant) for variant in ("direct", "adjoint")]  # MFromEntries, MAdj
+    tangent = [ExtApply(m, V, (m.deriv(a),)) for m in mats]
+    two_tangents = [ExtApply(m, X, (m.deriv(a), m.deriv(b).deriv(a))) for m in mats]
     return [
         Const(Multivector.vector([0.1, 0.2, 0.3, 0.4])),
         position(),

@@ -1,5 +1,6 @@
 """Gauge background and covariant-derivative tests."""
 
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -18,6 +19,7 @@ from multiform.fields import (
     position,
     prod,
     add,
+    scalar_derivative_at_zero,
     scale,
 )
 from multiform.gauge import (
@@ -36,7 +38,7 @@ from multiform.gauge import (
     spinor_directional,
     spinor_grad,
 )
-from multiform.extensor import SingularExtensorError
+from multiform.extensor import SingularExtensorError, adjoint_mats, outermorphism_matrix
 from multiform.sampling import (
     random_even_field,
     random_field,
@@ -131,6 +133,67 @@ def test_det_expr_is_zero_where_h_is_singular():
     assert directional_derivative(h.det_expr(), GAMMA[0], x).comps[0] == 1.0
     with pytest.raises(SingularExtensorError):
         h.matrix_at(x, "inverse")
+
+
+def _outermorphism_oracle(h, X, variant):
+    """Points -> (h^-1 or h*) underbar X, from each point's inverted 4x4 matrix of h."""
+
+    def at(pts):
+        inv = np.linalg.inv(h.matrix().ev(pts, pts.tobytes()))
+        big = outermorphism_matrix(inv if variant == "inverse" else adjoint_mats(inv))
+        return np.einsum("pij,pj->pi", big, X.sample(pts))
+
+    return at
+
+
+@pytest.mark.parametrize("variant", ["inverse", "star"])
+@pytest.mark.parametrize(
+    "make_h",
+    [random_invertible_h, lambda rng: random_rotor_background(rng).h],
+    ids=["invertible-h", "rotor"],
+)
+def test_inverse_and_star_match_inverted_matrix(make_h, variant):
+    """h^-1 and h* as duals of the outermorphisms agree with the outermorphism
+    of the inverted matrix, with their first and second directional derivatives."""
+    rng = np.random.default_rng(19)
+    h = make_h(rng)
+    X = random_field(rng, {0, 1, 2, 3, 4})
+    pts = random_points(rng, 10)
+    a, b = random_vector(rng).vector_coords(), random_vector(rng).vector_coords()
+    oracle = _outermorphism_oracle(h, X, variant)
+    tree = h.apply_expr(X, variant)
+    want = oracle(pts)
+    bound = 1e-12 * np.maximum(1.0, np.abs(want).max(axis=1))
+    assert np.all(np.abs(tree.sample(pts) - want).max(axis=1) <= bound)
+
+    def along_a(p):
+        return scalar_derivative_at_zero(lambda lam: oracle(p + lam * a))
+
+    first = along_a(pts)
+    second = scalar_derivative_at_zero(lambda mu: along_a(pts + mu * b))
+    for got, fd in ((tree.deriv(a), first), (tree.deriv(a).deriv(b), second)):
+        denom = np.maximum(1.0, np.abs(fd).max(axis=1))
+        assert np.all(np.abs(got.sample(pts) - fd).max(axis=1) <= 1e-6 * denom)
+
+
+def test_singular_h_raises_without_warning():
+    """h = diag(x^0, 1, 1, 1) at x^0 = 0: the pushforward aggregates and the
+    inverse and star applications refuse the point before dividing by det h."""
+    entries = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    entries[0][0] = coordinate(GAMMA[0])
+    bg = GaugeBackground(ExtensorField(entries), None, compatible=False)
+    X = random_field(np.random.default_rng(23), {1, 2})
+    x = np.array([0.0, 0.3, -0.2, 0.1])
+    calls = [
+        lambda mode=mode: gauge_del(X, mode, x, bg, "pushforward")
+        for mode in ("divergence", "curl", "gradient")
+    ]
+    calls += [lambda v=v: bg.h.apply_expr(X, v).at(x) for v in ("inverse", "star")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(SingularExtensorError):
+                call()
 
 
 def test_rotor_compatibility_oracle():

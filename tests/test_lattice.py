@@ -430,8 +430,22 @@ def test_export_and_load_roundtrip(tmp_path):
         (None, None, 1, "holds 1023 floats"),
         ("sites: 4 4 4 4", "sites: 4 4 4 5", 0, "sites must be one integer"),
         ("spacing: 0.25 ", "spacing: 0.5 ", 0, "spacing .* differs from extent / sites"),
+        ("", "", 0, "not a lattice field header"),
+        ("bc: dirichlet\n", "", 0, "sidecar lacks bc"),
+        ("grades: 1\n", "", 0, "sidecar lacks grades"),
+        ("blades: 1 2 4 8", "blades: 1 2 4 16", 0, "blades .* are not the masks of grades"),
+        ("grades: 1", "grades: 2", 0, "blades .* are not the masks of grades"),
     ],
-    ids=["bin-size", "unequal-sites", "spacing"],
+    ids=[
+        "bin-size",
+        "unequal-sites",
+        "spacing",
+        "empty-sidecar",
+        "missing-bc",
+        "missing-grades",
+        "blade-mask-16",
+        "grades-contradict-blades",
+    ],
 )
 def test_load_field_rejects_malformed_pair(tmp_path, line, new_line, drop, match):
     lat = Lattice(np.zeros(4), np.array([1.0, 2.0, 1.5, 3.0]), 4, bc="dirichlet")
@@ -443,8 +457,8 @@ def test_load_field_rejects_malformed_pair(tmp_path, line, new_line, drop, match
         with open(txt_path) as fh:
             header = fh.read()
         assert line in header
-        with open(txt_path, "w") as fh:
-            fh.write(header.replace(line, new_line))
+        with open(txt_path, "w") as fh:  # an empty line stands for the whole sidecar
+            fh.write(header.replace(line, new_line) if line else new_line)
     with pytest.raises(ValueError, match=match):
         load_field(base)
 
