@@ -40,11 +40,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import sta
-from .extensor import (
-    adjoint_mats,
-    outermorphism_matrix,
-    outermorphism_matrix_derivative,
-)
+from .extensor import outermorphism_matrix, outermorphism_matrix_derivative
 from .sta import (
     ALL_GRADES,
     DIM,
@@ -598,23 +594,8 @@ def del_expr(child: FieldExpr, mode: str) -> FieldExpr:
 
 
 class MatExpr(_Node):
-    """A (..., 4, 4) matrix-valued function of position, differentiable."""
+    """A (P, 4, 4) matrix of scalar fields of position, with exact derivatives."""
 
-    __slots__ = ()
-
-    def _build_deriv(self, a: np.ndarray) -> "MatExpr":
-        raise NotImplementedError
-
-    def deriv(self, a) -> "MatExpr":
-        comps = _as_direction(a)
-        return self.derived(comps.tobytes(), lambda: self._build_deriv(comps))
-
-    @property
-    def is_zero(self) -> bool:
-        return False
-
-
-class MFromEntries(MatExpr):
     __slots__ = ("entries",)
 
     def __init__(self, entries):
@@ -635,32 +616,17 @@ class MFromEntries(MatExpr):
                 out[:, i, j] = self.entries[i][j].ev(xs, key)[:, 0]
         return out
 
-    def _build_deriv(self, a):
-        return MFromEntries(
-            [[e.deriv(Multivector(a)) for e in row] for row in self.entries]
+    def deriv(self, a) -> "MatExpr":
+        """The entry-wise structural derivative in the constant grade-1 direction a."""
+        comps = _as_direction(a)
+        return self.derived(
+            comps.tobytes(),
+            lambda: MatExpr([[e.deriv(comps) for e in row] for row in self.entries]),
         )
 
     @property
-    def is_zero(self):
+    def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
-
-
-class MAdj(MatExpr):
-    __slots__ = ("sub",)
-
-    def __init__(self, sub: MatExpr):
-        super().__init__()
-        self.sub = sub
-
-    def _eval(self, xs, key):
-        return adjoint_mats(self.sub.ev(xs, key))
-
-    def _build_deriv(self, a):
-        return MAdj(self.sub.deriv(Multivector(a)))
-
-    @property
-    def is_zero(self):
-        return self.sub.is_zero
 
 
 class Outermorphism(_Node):
@@ -683,43 +649,55 @@ class Outermorphism(_Node):
 
 
 class ExtApply(FieldExpr):
-    """Outermorphism application t(child), with tangent slots for derivatives.
+    """Outermorphism application t(child), or its adjoint, with tangent slots
+    for derivatives.
 
     With tangent matrix expressions (n_1..n_k) attached, the node computes
     the k-th multilinear derivative of the blade-wise extension, applied to
     the child value.  Differentiation appends the base derivative as a new
     tangent, differentiates each existing tangent, and recurses into the
     child -- so the node set is closed under derivatives of any order.
-    Applications sharing (mat, tangents) share one :class:`Outermorphism`.
+    With ``adjoint`` set the node applies the adjoint extension S O^T S,
+    where O is the extension (or its derivative) and S = ``SP_DIAG``: the
+    extension of the adjoint is the adjoint of the extension, and adjoining
+    is linear, so derivatives keep the tangents of t itself.  Applications
+    sharing (mat, tangents) share one :class:`Outermorphism`, adjoint or not.
     """
 
-    __slots__ = ("mat", "tangents", "child", "outer")
+    __slots__ = ("mat", "tangents", "child", "adjoint", "outer")
 
-    def __init__(self, mat: MatExpr, child: FieldExpr, tangents: tuple = ()):
+    def __init__(
+        self, mat: MatExpr, child: FieldExpr, tangents: tuple = (), adjoint: bool = False
+    ):
         super().__init__(child.grades)
         self.mat = mat
         self.tangents = tangents
         self.child = child
+        self.adjoint = adjoint
         self.outer = mat.derived(("outer",) + tangents, lambda: Outermorphism(mat, tangents))
 
     def _eval(self, xs, key):
         big = self.outer.ev(xs, key)
+        if self.adjoint:
+            return SP_DIAG * np.einsum("pji,pj->pi", big, SP_DIAG * self.child.ev(xs, key))
         return np.einsum("pij,pj->pi", big, self.child.ev(xs, key))
 
     def _build_deriv(self, a):
-        am = Multivector(a)
+        def apply(child, tangents):
+            return ExtApply(self.mat, child, tangents, self.adjoint)
+
         terms: list[FieldExpr] = []
-        dmat = self.mat.deriv(am)
+        dmat = self.mat.deriv(a)
         if not dmat.is_zero:
-            terms.append(ExtApply(self.mat, self.child, self.tangents + (dmat,)))
+            terms.append(apply(self.child, self.tangents + (dmat,)))
         for i, t in enumerate(self.tangents):
-            dt = t.deriv(am)
+            dt = t.deriv(a)
             if not dt.is_zero:
                 tg = self.tangents[:i] + (dt,) + self.tangents[i + 1 :]
-                terms.append(ExtApply(self.mat, self.child, tg))
-        dchild = self.child.deriv(am)
+                terms.append(apply(self.child, tg))
+        dchild = self.child.deriv(a)
         if not dchild.is_zero:
-            terms.append(ExtApply(self.mat, dchild, self.tangents))
+            terms.append(apply(dchild, self.tangents))
         if not terms:
             return ZERO
         acc = terms[0]
@@ -839,15 +817,20 @@ def multivector_derivative(
 # flat boundary currents and the divergence-form identities
 # ---------------------------------------------------------------------------
 
+def _boundary_current(frames, X: FieldExpr, Y: FieldExpr, kind: str) -> FieldExpr:
+    """sum_mu g^mu [(frames[mu] * X) . Y] over four frame 1-form fields."""
+    acc: FieldExpr = ZERO
+    for mu in range(4):
+        s = prod(prod(frames[mu], X, kind), Y, "sp")
+        acc = add(acc, prod(GAMMA_UP_NODES[mu], s, "gp"))
+    return acc
+
+
 def boundary_current_flat(X: FieldExpr, Y: FieldExpr, kind: str) -> FieldExpr:
     """The 1-form current v = sum_mu g^mu [(g_mu * X) . Y] for * in {lc, op, gp}."""
     if kind not in AGGREGATES:
         raise ValueError(f"kind must be one of {tuple(AGGREGATES)}, got {kind!r}")
-    acc: FieldExpr = ZERO
-    for mu in range(4):
-        s = prod(prod(GAMMA_NODES[mu], X, kind), Y, "sp")
-        acc = add(acc, prod(GAMMA_UP_NODES[mu], s, "gp"))
-    return acc
+    return _boundary_current(GAMMA_NODES, X, Y, kind)
 
 
 def worst_of(*residuals: float) -> float:

@@ -35,14 +35,13 @@ from .fields import (
     ExtApply,
     FieldExpr,
     GradeError,
-    MAdj,
     MatExpr,
-    MFromEntries,
     Rev,
     ScalarMap,
     ZERO,
     _as_coords,
     _as_direction,
+    _boundary_current,
     _lift,
     _one_point,
     add,
@@ -88,12 +87,13 @@ class ExtensorField:
     """Position-dependent (1,1)-extensor with scalar field-expression entries.
 
     Column mu of the matrix holds the components of h(g_mu); ``matrix()``
-    gives that node (``direct``) or its adjoint.  Everything else is a tree
-    derived on the matrix node, built once per extensor field and shared by
-    every tree that uses it, so each is evaluated once per point set: det h
-    as the pseudoscalar image of the outermorphism, its gated reciprocal, and
-    the star images of the basis 1-forms.  No matrix is inverted: the inverse
-    and the gauge star are the duals of the two outermorphisms,
+    gives that node, the one matrix node of the field.  Everything else is a
+    tree derived on it, built once per extensor field and shared by every
+    tree that uses it, so each is evaluated once per point set.  h and its
+    adjoint apply one outermorphism per tangent set, the adjoint as its
+    transpose under the scalar product; det h is the pseudoscalar image of
+    that outermorphism, with a gated reciprocal.  No matrix is inverted: the
+    inverse and the gauge star are the duals
 
         h^-1(X) = adj h(X I) I^-1 / det h,    h*(X) = h(X I) I^-1 / det h,
 
@@ -101,7 +101,7 @@ class ExtensorField:
     """
 
     def __init__(self, entries):
-        self._mat = MFromEntries([[_lift(e) for e in row] for row in entries])
+        self._mat = MatExpr([[_lift(e) for e in row] for row in entries])
 
     @classmethod
     def from_matrix(cls, m) -> "ExtensorField":
@@ -112,12 +112,8 @@ class ExtensorField:
     def identity(cls) -> "ExtensorField":
         return cls.from_matrix(np.eye(4))
 
-    def matrix(self, variant: str = "direct") -> MatExpr:
-        if variant == "direct":
-            return self._mat
-        if variant == "adjoint":
-            return self._mat.derived(variant, lambda: MAdj(self._mat))
-        raise ValueError(f"variant must be 'direct' or 'adjoint', got {variant!r}")
+    def matrix(self) -> MatExpr:
+        return self._mat
 
     def apply_expr(self, child, variant: str = "direct") -> FieldExpr:
         """The field x -> variant(h)_x underbar applied to child(x)."""
@@ -127,12 +123,12 @@ class ExtensorField:
         if variant == "star":  # h* = (h^-1) adjoint
             return prod(self._recip_det(), self._dual(child, "direct"), "gp")
         if variant in ("direct", "adjoint"):
-            return ExtApply(self.matrix(variant), child)
+            return ExtApply(self._mat, child, adjoint=variant == "adjoint")
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
     def _dual(self, child: FieldExpr, variant: str) -> FieldExpr:
         """variant(h)(child I) I^-1: det h times the inverse of the other variant."""
-        applied = ExtApply(self.matrix(variant), prod(child, _I, "gp"))
+        applied = self.apply_expr(prod(child, _I, "gp"), variant)
         return scale(-1.0, prod(applied, _I, "gp"))
 
     def det_expr(self) -> FieldExpr:
@@ -422,11 +418,8 @@ def boundary_current_gauge(
     X: FieldExpr, Y: FieldExpr, kind: str, bg: GaugeBackground
 ) -> FieldExpr:
     """det(h) sum_mu g^mu [(h*(g_mu) * X) . Y], the gauge boundary current."""
-    acc: FieldExpr = ZERO
-    for mu in range(4):
-        s = prod(prod(bg.h.star_basis(mu, upper=False), X, kind), Y, "sp")
-        acc = add(acc, prod(GAMMA_UP_NODES[mu], s, "gp"))
-    return prod(bg.h.det_expr(), acc, "gp")
+    frames = [bg.h.star_basis(mu, upper=False) for mu in range(4)]
+    return prod(bg.h.det_expr(), _boundary_current(frames, X, Y, kind), "gp")
 
 
 def _weighted_current_divergence(

@@ -150,18 +150,6 @@ class LatticeField:
     def zeros(cls, lattice: Lattice, grades) -> "LatticeField":
         return cls(lattice, frozenset(grades), np.zeros(lattice.shape + (DIM,)))
 
-    def copy(self) -> "LatticeField":
-        return LatticeField(self.lattice, self.grades, self.comps.copy())
-
-    def site(self, idx) -> Multivector:
-        return Multivector(self.comps[tuple(idx)])
-
-    def max_norm(self, interior_only: bool = False) -> float:
-        norms = np.linalg.norm(self.comps, axis=-1)
-        if interior_only:
-            norms = norms[self.lattice.interior_mask()]
-        return float(norms.max())
-
     def pair(self, other: "LatticeField") -> float:
         """Sum over sites of the algebra scalar product of the two values."""
         return float((self.comps * SP_DIAG * other.comps).sum())

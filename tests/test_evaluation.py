@@ -102,9 +102,11 @@ def _trees(seed: int) -> list:
     s = coordinate(GAMMA[3])
     a, b = GAMMA[0], GAMMA[2]
     applied = [h.apply_expr(V, variant) for variant in ("direct", "adjoint", "inverse", "star")]
-    mats = [h.matrix(variant) for variant in ("direct", "adjoint")]  # MFromEntries, MAdj
-    tangent = [ExtApply(m, V, (m.deriv(a),)) for m in mats]
-    two_tangents = [ExtApply(m, X, (m.deriv(a), m.deriv(b).deriv(a))) for m in mats]
+    m = h.matrix()
+    tangent = [ExtApply(m, V, (m.deriv(a),), adj) for adj in (False, True)]
+    two_tangents = [
+        ExtApply(m, X, (m.deriv(a), m.deriv(b).deriv(a)), adj) for adj in (False, True)
+    ]
     return [
         Const(Multivector.vector([0.1, 0.2, 0.3, 0.4])),
         position(),

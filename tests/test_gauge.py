@@ -136,25 +136,30 @@ def test_det_expr_is_zero_where_h_is_singular():
 
 
 def _outermorphism_oracle(h, X, variant):
-    """Points -> (h^-1 or h*) underbar X, from each point's inverted 4x4 matrix of h."""
+    """Points -> variant(h) underbar X, from the outermorphism of each point's
+    4x4 matrix of h, inverted and adjoined as the variant needs."""
 
     def at(pts):
-        inv = np.linalg.inv(h.matrix().ev(pts, pts.tobytes()))
-        big = outermorphism_matrix(inv if variant == "inverse" else adjoint_mats(inv))
-        return np.einsum("pij,pj->pi", big, X.sample(pts))
+        m = h.matrix().ev(pts, pts.tobytes())
+        if variant in ("inverse", "star"):
+            m = np.linalg.inv(m)
+        if variant in ("adjoint", "star"):
+            m = adjoint_mats(m)
+        return np.einsum("pij,pj->pi", outermorphism_matrix(m), X.sample(pts))
 
     return at
 
 
-@pytest.mark.parametrize("variant", ["inverse", "star"])
+@pytest.mark.parametrize("variant", ["direct", "adjoint", "inverse", "star"])
 @pytest.mark.parametrize(
     "make_h",
     [random_invertible_h, lambda rng: random_rotor_background(rng).h],
     ids=["invertible-h", "rotor"],
 )
 def test_inverse_and_star_match_inverted_matrix(make_h, variant):
-    """h^-1 and h* as duals of the outermorphisms agree with the outermorphism
-    of the inverted matrix, with their first and second directional derivatives."""
+    """h, its adjoint (h's outermorphism transposed), and h^-1 and h* (the duals
+    of the two) agree with the outermorphism of the adjoined or inverted
+    matrix, with their first and second directional derivatives."""
     rng = np.random.default_rng(19)
     h = make_h(rng)
     X = random_field(rng, {0, 1, 2, 3, 4})
@@ -174,6 +179,17 @@ def test_inverse_and_star_match_inverted_matrix(make_h, variant):
     for got, fd in ((tree.deriv(a), first), (tree.deriv(a).deriv(b), second)):
         denom = np.maximum(1.0, np.abs(fd).max(axis=1))
         assert np.all(np.abs(got.sample(pts) - fd).max(axis=1) <= 1e-6 * denom)
+
+
+def test_adjoint_shares_the_outermorphism_of_h():
+    """h and its adjoint read one outermorphism node per tangent set."""
+    rng = np.random.default_rng(21)
+    h = random_invertible_h(rng)
+    X, Y = random_field(rng, {1, 2}), random_field(rng, {0, 3})
+    a = random_vector(rng)
+    direct, adjoint = h.apply_expr(Y, "direct"), h.apply_expr(X, "adjoint")
+    assert adjoint.outer is direct.outer
+    assert adjoint.deriv(a).left.outer is direct.deriv(a).left.outer
 
 
 def test_singular_h_raises_without_warning():

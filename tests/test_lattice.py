@@ -323,6 +323,21 @@ def test_manufactured_solution_solve():
     assert np.linalg.norm(op(A.comps) - jc) / np.linalg.norm(jc) <= 1e-8
 
 
+def test_dirichlet_manufactured_solution_solve():
+    """A nonzero current on a Dirichlet lattice: at N = 4 the current of a smooth
+    potential that vanishes on the shell is solved, and the potential recovered."""
+    lat = Lattice(np.zeros(4), np.ones(4), 4, bc="dirichlet")
+    xs = lat.coords()
+    astar = np.zeros(lat.shape + (16,))
+    astar[..., 4] = np.prod(np.sin(np.pi * xs), axis=-1) * lat.interior_mask()
+    op = maxwell_operator(lat)
+    jc = op(astar)
+    A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), jc), tol=1e-8)
+    assert np.linalg.norm(op(A.comps) - jc) / np.linalg.norm(jc) <= 1e-8
+    assert np.all(A.comps[~lat.interior_mask()] == 0.0)
+    assert np.linalg.norm(A.comps - astar) / np.linalg.norm(astar) <= 1e-10
+
+
 def test_solution_is_stationary_point():
     """The solved potential zeroes the action gradient with the same source."""
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 6, bc="periodic")
