@@ -45,7 +45,6 @@ from .sta import (
     ALL_GRADES,
     DIM,
     GAMMA,
-    GAMMA_UP_ARR,
     GRADES,
     Multivector,
     SP_DIAG,
@@ -112,6 +111,9 @@ def _as_direction(a) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_SCALAR = frozenset({0})
+
+
 def _prod_grades(ga: frozenset, gb: frozenset, kind: str) -> frozenset:
     out: set[int] = set()
     for r in ga:
@@ -171,15 +173,19 @@ class FieldExpr(_Node):
         super().__init__()
         self.grades = frozenset(grades)
 
-    # subclasses implement _eval(xs, key) -> (P, 16) and _build_deriv(a)
+    # subclasses implement _eval(xs, key) -> (P, 16) and _build_deriv(a),
+    # where a is a validated (16,) grade-1 direction; _build_deriv recurses
+    # through _deriv, so a direction is checked once, at the public deriv
 
     def _build_deriv(self, a: np.ndarray) -> "FieldExpr":
         raise NotImplementedError
 
     def deriv(self, a) -> "FieldExpr":
         """Structural derivative in the constant grade-1 direction a."""
-        comps = _as_direction(a)
-        return self.derived(comps.tobytes(), lambda: self._build_deriv(comps))
+        return self._deriv(_as_direction(a))
+
+    def _deriv(self, a: np.ndarray) -> "FieldExpr":
+        return self.derived(a.tobytes(), lambda: self._build_deriv(a))
 
     def sample(self, xs) -> np.ndarray:
         pts, _ = _as_coords(xs)
@@ -247,11 +253,12 @@ def _lift(value) -> FieldExpr:
 
 
 class Const(FieldExpr):
-    __slots__ = ("value",)
+    __slots__ = ("value", "is_zero")
 
     def __init__(self, value: Multivector):
         super().__init__(value.grade_set())
         self.value = value
+        self.is_zero = not np.any(value.comps)
 
     def _eval(self, xs, key):
         return np.broadcast_to(self.value.comps, (xs.shape[0], DIM))
@@ -263,10 +270,6 @@ class Const(FieldExpr):
         # rebuilt on demand: a shared leaf (ZERO, position(), the basis nodes)
         # would otherwise keep a tree for every direction and background it meets
         return build()
-
-    @property
-    def is_zero(self):
-        return not np.any(self.value.comps)
 
 
 ZERO = Const(Multivector.zero())
@@ -322,7 +325,7 @@ class Add(FieldExpr):
         return self.left.ev(xs, key) + self.right.ev(xs, key)
 
     def _build_deriv(self, a):
-        return add(self.left.deriv(a), self.right.deriv(a))
+        return add(self.left._deriv(a), self.right._deriv(a))
 
 
 class Scale(FieldExpr):
@@ -337,7 +340,7 @@ class Scale(FieldExpr):
         return self.factor * self.child.ev(xs, key)
 
     def _build_deriv(self, a):
-        return scale(self.factor, self.child.deriv(a))
+        return scale(self.factor, self.child._deriv(a))
 
 
 class Prod(FieldExpr):
@@ -354,16 +357,26 @@ class Prod(FieldExpr):
     def _eval(self, xs, key):
         lv = self.left.ev(xs, key)
         rv = self.right.ev(xs, key)
-        if self.kind == "sp":
+        kind = self.kind
+        if kind == "sp":
             out = np.zeros((xs.shape[0], DIM))
             out[:, 0] = sta.sp(lv, rv)
             return out
-        return sta.PRODUCT_KERNELS[self.kind](lv, rv)
+        # A scalar-grade factor s scales every component: the multiplication
+        # matrix of s has one nonzero per column, so s X computed as a
+        # broadcast multiply is the dense product bit for bit.  Values vanish
+        # outside a node's grades, so the grade set decides; X << s and the
+        # commutator are not plain scalings.
+        if self.left.grades <= _SCALAR and kind in ("gp", "op", "lc"):
+            return lv[:, :1] * rv
+        if self.right.grades <= _SCALAR and kind in ("gp", "op"):
+            return lv * rv[:, :1]
+        return sta.PRODUCT_KERNELS[kind](lv, rv)
 
     def _build_deriv(self, a):
         return add(
-            prod(self.left.deriv(a), self.right, self.kind),
-            prod(self.left, self.right.deriv(a), self.kind),
+            prod(self.left._deriv(a), self.right, self.kind),
+            prod(self.left, self.right._deriv(a), self.kind),
         )
 
 
@@ -378,7 +391,7 @@ class Rev(FieldExpr):
         return self.child.ev(xs, key) * sta.REV_SIGNS
 
     def _build_deriv(self, a):
-        return Rev(self.child.deriv(a))
+        return Rev(self.child._deriv(a))
 
 
 class Graded(FieldExpr):
@@ -396,7 +409,7 @@ class Graded(FieldExpr):
 
     def _build_deriv(self, a):
         # projection commutes with the derivative; keep the original mask
-        out = Graded(self.child.deriv(a), self.keep)
+        out = Graded(self.child._deriv(a), self.keep)
         return ZERO if not out.grades else out
 
 
@@ -437,7 +450,7 @@ class ScalarMap(FieldExpr):
             outer = self
         else:  # recip: d(1/s) = -(1/s)^2 ds
             outer = scale(-1.0, prod(self, self, "gp"))
-        return prod(outer, self.child.deriv(a), "gp")
+        return prod(outer, self.child._deriv(a), "gp")
 
 
 class PolyMap(FieldExpr):
@@ -465,7 +478,7 @@ class PolyMap(FieldExpr):
         if len(self.coeffs) <= 1:
             return ZERO
         dcoeffs = self.coeffs[1:] * np.arange(1, len(self.coeffs))
-        return prod(PolyMap(self.child, dcoeffs), self.child.deriv(a), "gp")
+        return prod(PolyMap(self.child, dcoeffs), self.child._deriv(a), "gp")
 
 
 class BladeExp(FieldExpr):
@@ -501,7 +514,7 @@ class BladeExp(FieldExpr):
 
     def _build_deriv(self, a):
         # d exp(B s) = B (ds) exp(B s); ds is scalar and B commutes with the series
-        inner = prod(self.child.deriv(a), self, "gp")
+        inner = prod(self.child._deriv(a), self, "gp")
         return prod(Const(Multivector(self.b_comps)), inner, "gp")
 
 
@@ -538,16 +551,18 @@ class DelExpr(FieldExpr):
         self.kind = kind
 
     def _eval(self, xs, key):
-        kernel = sta.PRODUCT_KERNELS[self.kind]
-        acc = np.zeros((xs.shape[0], DIM))
-        for mu in range(4):
-            dmu = self.child.deriv(GAMMA[mu]).ev(xs, key)
-            acc += kernel(GAMMA_UP_ARR[mu], dmu)
-        return acc
+        parts = [self.child._deriv(g.comps) for g in GAMMA]
+        grades = frozenset().union(*(d.grades for d in parts))
+        return sta._frame_sum(
+            self.kind,
+            grades,
+            lambda mu, blades: parts[mu].ev(xs, key)[:, blades],
+            np.zeros((xs.shape[0], DIM)),
+        )
 
     def _build_deriv(self, a):
         # partials commute on smooth trees
-        return del_expr_kind(self.child.deriv(a), self.kind)
+        return del_expr_kind(self.child._deriv(a), self.kind)
 
 
 # -- smart constructors (prune zero branches of derivative trees) ---------
@@ -574,6 +589,12 @@ def scale(factor: float, child: FieldExpr) -> FieldExpr:
 def prod(left: FieldExpr, right: FieldExpr, kind: str) -> FieldExpr:
     if left.is_zero or right.is_zero:
         return ZERO
+    if isinstance(left, Const) and isinstance(right, Const):
+        # folded once, with the kernel every row of the batched product uses
+        lv, rv = left.value.comps, right.value.comps
+        if kind == "sp":
+            return Const(Multivector.scalar(sta.sp(lv, rv)))
+        return Const(Multivector(sta.PRODUCT_KERNELS[kind](lv, rv)))
     return Prod(left, right, kind)
 
 
@@ -618,10 +639,11 @@ class MatExpr(_Node):
 
     def deriv(self, a) -> "MatExpr":
         """The entry-wise structural derivative in the constant grade-1 direction a."""
-        comps = _as_direction(a)
+        return self._deriv(_as_direction(a))
+
+    def _deriv(self, a: np.ndarray) -> "MatExpr":
         return self.derived(
-            comps.tobytes(),
-            lambda: MatExpr([[e.deriv(comps) for e in row] for row in self.entries]),
+            a.tobytes(), lambda: MatExpr([[e._deriv(a) for e in row] for row in self.entries])
         )
 
     @property
@@ -687,15 +709,15 @@ class ExtApply(FieldExpr):
             return ExtApply(self.mat, child, tangents, self.adjoint)
 
         terms: list[FieldExpr] = []
-        dmat = self.mat.deriv(a)
+        dmat = self.mat._deriv(a)
         if not dmat.is_zero:
             terms.append(apply(self.child, self.tangents + (dmat,)))
         for i, t in enumerate(self.tangents):
-            dt = t.deriv(a)
+            dt = t._deriv(a)
             if not dt.is_zero:
                 tg = self.tangents[:i] + (dt,) + self.tangents[i + 1 :]
                 terms.append(apply(self.child, tg))
-        dchild = self.child.deriv(a)
+        dchild = self.child._deriv(a)
         if not dchild.is_zero:
             terms.append(apply(dchild, self.tangents))
         if not terms:

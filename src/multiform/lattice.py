@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 from . import sta
 from .fields import FieldExpr, GradeError, scalar_derivative_at_zero
 from .lagrangian import LagrangianSpec
-from .sta import DIM, GAMMA_UP_ARR, GRADES, Multivector, SP_DIAG, VECTOR_IDX
+from .sta import DIM, GRADES, Multivector, SP_DIAG, VECTOR_IDX
 
 _BCS = ("dirichlet", "periodic")
 
@@ -221,13 +221,12 @@ def _require_flat(L: LagrangianSpec) -> None:
         )
 
 
-def _aggregate(lat: Lattice, kind: str, comps: np.ndarray) -> np.ndarray:
-    """The discrete derivative aggregate sum_mu g^mu * D_mu comps at every site."""
-    kernel = sta.PRODUCT_KERNELS[kind]
-    acc = np.zeros(comps.shape)
-    for mu in range(4):
-        acc += kernel(GAMMA_UP_ARR[mu], _diff(lat, comps, mu))
-    return acc
+def _aggregate(lat: Lattice, kind: str, comps: np.ndarray, grades) -> np.ndarray:
+    """The discrete derivative aggregate sum_mu g^mu * D_mu comps at every site,
+    for comps that vanish outside grades."""
+    return sta._frame_sum(
+        kind, grades, lambda mu, blades: _diff(lat, comps[..., blades], mu), np.zeros(comps.shape)
+    )
 
 
 def _dual_diff(lat: Lattice, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -238,13 +237,14 @@ def _dual_diff(lat: Lattice, arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _dual_aggregate(
-    lat: Lattice, kind: str, arr: np.ndarray, acc: np.ndarray, grades
+    lat: Lattice, kind: str, arr: np.ndarray, arr_grades, acc: np.ndarray, grades
 ) -> np.ndarray:
     """acc + sum_mu g^mu *' Dhat_mu arr (acc updated in place) on the given
-    grades, zero on the dirichlet shell: the adjoint-consistent dual of _aggregate."""
-    kernel = sta.PRODUCT_KERNELS[kind]
-    for mu in range(4):
-        acc += kernel(GAMMA_UP_ARR[mu], _dual_diff(lat, arr, mu))
+    grades, zero on the dirichlet shell: the adjoint-consistent dual of
+    _aggregate, for arr that vanishes outside arr_grades."""
+    sta._frame_sum(
+        kind, arr_grades, lambda mu, blades: _dual_diff(lat, arr[..., blades], mu), acc
+    )
     return _zero_boundary(lat, acc * sta.grade_mask(grades))
 
 
@@ -261,7 +261,11 @@ def _densities(L: LagrangianSpec, fc: np.ndarray, dc: np.ndarray, xs: np.ndarray
 def _slot_gradients(
     L: LagrangianSpec, F: LatticeField, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site slot gradients (grad_X l, grad_d l) as component arrays."""
+    """Per-site slot gradients (grad_X l, grad_d l) as component arrays.
+
+    grad_d l is read on the d-slot grades only, the blades the per-blade
+    path below computes.
+    """
     xs = F.lattice.coords().reshape(-1, 4)
     fc = F.comps.reshape(-1, DIM)
     dc = d.reshape(-1, DIM)
@@ -294,7 +298,7 @@ def _slot_gradients(
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
     """Sum over sites of the density times the cell volume."""
     _require_flat(L)
-    d = _aggregate(F.lattice, L.mode.star, F.comps)
+    d = _aggregate(F.lattice, L.mode.star, F.comps, F.grades)
     xs = F.lattice.coords().reshape(-1, 4)
     dens = _densities(L, F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
     return float(dens.sum() * F.lattice.cell_volume)
@@ -310,13 +314,16 @@ def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     """
     _require_flat(L)
     lat = F.lattice
-    d = _aggregate(lat, L.mode.star, F.comps)
+    d = _aggregate(lat, L.mode.star, F.comps, F.grades)
     gx, gd = _slot_gradients(L, F, d)
-    acc = gx.copy()
-    adjoint_kernel = sta.PRODUCT_KERNELS[L.mode.dual]
-    for mu in range(4):
-        w = adjoint_kernel(GAMMA_UP_ARR[mu], gd)
-        acc += _diff_transpose(lat, w, mu)
+    # D_mu^T (g^mu *' gd), with the stencil moved onto gd: g^mu *' only
+    # permutes and signs components, so the two orders agree bit for bit
+    acc = sta._frame_sum(
+        L.mode.dual,
+        L.d_grades(),
+        lambda mu, blades: _diff_transpose(lat, gd[..., blades], mu),
+        gx.copy(),
+    )
     acc = _zero_boundary(lat, acc * sta.grade_mask(L.field_grades))
     return LatticeField(lat, L.field_grades, acc * lat.cell_volume)
 
@@ -330,10 +337,10 @@ def discrete_ele_residual(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     """
     _require_flat(L)
     lat = F.lattice
-    d = _aggregate(lat, L.mode.star, F.comps)
+    d = _aggregate(lat, L.mode.star, F.comps, F.grades)
     gx, gd = _slot_gradients(L, F, d)
     # adding the dual aggregate of -gd subtracts that of gd bit for bit
-    acc = _dual_aggregate(lat, L.mode.dual, -gd, gx.copy(), L.field_grades)
+    acc = _dual_aggregate(lat, L.mode.dual, -gd, L.d_grades(), gx.copy(), L.field_grades)
     return LatticeField(lat, L.field_grades, acc)
 
 
@@ -375,8 +382,8 @@ def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     """
 
     def apply(comps: np.ndarray) -> np.ndarray:
-        curl = _aggregate(lat, "op", comps)
-        return _dual_aggregate(lat, "lc", curl, np.zeros(comps.shape), {1})
+        curl = _aggregate(lat, "op", comps, {1})
+        return _dual_aggregate(lat, "lc", curl, {2}, np.zeros(comps.shape), {1})
 
     return apply
 

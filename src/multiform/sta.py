@@ -20,7 +20,8 @@ metric contraction of repeated generators.
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -315,6 +316,47 @@ PSEUDOSCALAR = Multivector.blade(0b1111)
 
 EVEN_GRADES = frozenset({0, 2, 4})
 ALL_GRADES = frozenset({0, 1, 2, 3, 4})
+
+
+@lru_cache(maxsize=3 * 2**5)  # every (kind, grade set) pair
+def _frame_blocks(kind: str, grades: frozenset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(input blades, output blades, (4, n_in, n_out) blocks): the rows of the
+    multiplication matrices of g^mu * . on the blades of ``grades``, and the
+    columns those rows reach.  The arrays are shared and read-only."""
+    flat = {"gp": _GP_FLAT, "op": _OP_FLAT, "lc": _LC_FLAT}[kind]
+    rows = np.flatnonzero(grade_mask(grades))
+    mats = (GAMMA_UP_ARR @ flat).reshape(N_GEN, DIM, DIM)[:, rows]
+    cols = np.flatnonzero(mats.any(axis=(0, 1)))
+    out = rows, cols, np.ascontiguousarray(mats[:, :, cols])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _frame_sum(
+    kind: str,
+    grades: Iterable[int],
+    term: Callable[[int, np.ndarray], np.ndarray],
+    acc: np.ndarray,
+) -> np.ndarray:
+    """acc += sum_mu g^mu * X_mu in place, mu in order; returns acc.
+
+    ``term(mu, blades)`` gives the components ``blades`` (those of
+    ``grades``) of X_mu, which must vanish outside ``grades``.  g^mu * . has
+    one nonzero, +-1, per column of its multiplication matrix, so a product
+    restricted to these blades equals the dense kernel bit for bit (up to
+    the sign of a zero), and a linear stencil applied to the restricted
+    components commutes with it exactly.
+    """
+    rows, cols, blocks = _frame_blocks(kind, frozenset(grades))
+    if not rows.size:
+        return acc
+    part = acc[..., cols]
+    for mu in range(N_GEN):
+        x = term(mu, rows)
+        part += (x.reshape(-1, rows.size) @ blocks[mu]).reshape(part.shape)
+    acc[..., cols] = part
+    return acc
 
 
 # -- named operations on Multivector values ------------------------------

@@ -1,9 +1,19 @@
-"""The shape-dispatching product kernel against the dense-table reference.
+"""The product kernel and its grade-aware fast paths against the dense-table reference.
 
 ``reference_prod`` is the kernel as it was before shape dispatch: it
 broadcasts both operands to the full batch shape and forms one
 multiplication matrix per row.  The kernel must give bit-identical results,
 with the same shape, for every operand layout it dispatches on.
+
+The tree layer skips the kernel where grades allow: a product with a
+scalar-grade factor is a broadcast multiply, a product of two constants is
+folded when the tree is built, and the g^mu * aggregates multiply only the
+blades of their operand's grades.  Each fast path must equal the dense
+reference bit for bit, and each rests on the invariant that a node's values
+vanish exactly outside its grade set, which is checked on random trees.
+Non-finite values are the exception: inf times a structural zero is NaN,
+so there the fast paths may place NaN differently, but a check must still
+fail.
 """
 
 import numpy as np
@@ -11,8 +21,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiform import sta
-from multiform.sta import DIM
+from multiform import lattice, sta
+from multiform.fields import (
+    AGGREGATES,
+    Add,
+    BladeExp,
+    Const,
+    DelExpr,
+    ExtApply,
+    FieldExpr,
+    Graded,
+    PolyMap,
+    Prod,
+    Rev,
+    Scale,
+    ScalarMap,
+    check_identity_flat,
+    coordinate,
+    position,
+    prod,
+    worst_of,
+)
+from multiform.lagrangian import ele_residual_flat, make_builtin
+from multiform.sampling import (
+    random_field,
+    random_invertible_h,
+    random_multivector,
+    random_points,
+    random_vector,
+)
+from multiform.sta import ALL_GRADES, DIM, GAMMA, GAMMA_UP_ARR, Multivector
 
 
 def reference_prod(x: np.ndarray, y: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -106,3 +144,242 @@ def test_kernel_bit_identical_to_dense_reference(kind, pair):
     assert got.shape == want.shape, case
     assert np.array_equal(got, want), case
 
+
+
+# ---------------------------------------------------------------------------
+# grade-aware fast paths of the tree layer
+# ---------------------------------------------------------------------------
+
+GRADE_SETS = [frozenset({r}) for r in range(5)] + [
+    frozenset({0, 2}), frozenset({1, 3}), frozenset({0, 2, 4}), frozenset({1, 2}),
+    frozenset({0, 1, 4}), ALL_GRADES,
+]
+TABLES = {"gp": sta._GP_TABLE, "op": sta._OP_TABLE, "lc": sta._LC_TABLE}
+_H = random_invertible_h(np.random.default_rng(90))
+
+
+def _grades(rng) -> frozenset:
+    return GRADE_SETS[rng.integers(len(GRADE_SETS))]
+
+
+def _scalar_tree(rng, depth: int) -> FieldExpr:
+    """A scalar-grade tree whose values stay finite and moderate on the unit box."""
+    pick = rng.integers(5 if depth else 2)
+    if pick == 0:
+        return coordinate(random_vector(rng))
+    if pick == 1:
+        return Const(Multivector.scalar(rng.uniform(-2.0, 2.0)))
+    inner = _scalar_tree(rng, depth - 1)
+    if pick == 2:
+        return ScalarMap(inner, str(rng.choice(["sin", "cos"])))
+    if pick == 3:  # 1 / (1 + s^2) and exp(sin s) are finite for every s
+        if rng.integers(2):
+            return ScalarMap(PolyMap(inner, [1.0, 0.0, 1.0]), "recip")
+        return ScalarMap(ScalarMap(inner, "sin"), "exp")
+    return PolyMap(ScalarMap(inner, "sin"), rng.uniform(-1.0, 1.0, 3))
+
+
+ROOT_KINDS = (
+    "add", "scale", "scalar-factor-product", "product", "reverse", "graded",
+    "reciprocal", "blade-exp", "aggregate", "ext-apply", "derivative",
+)
+
+
+def _tree(rng, depth: int, pick: int | None = None) -> FieldExpr:
+    """A random tree with structural zeros; pick chooses the root's kind."""
+    if depth == 0:
+        pick = rng.integers(4)
+        if pick == 0:
+            return Const(random_multivector(rng, _grades(rng)))
+        if pick == 1:
+            return position()
+        if pick == 2:
+            return _scalar_tree(rng, 1)
+        return random_field(rng, _grades(rng), terms=1)
+    if pick is None:
+        pick = rng.integers(len(ROOT_KINDS))
+    a = _tree(rng, depth - 1)
+    if pick == 0:
+        return Add(a, _tree(rng, depth - 1))
+    if pick == 1:
+        return Scale(rng.uniform(-2.0, 2.0), a)
+    if pick in (2, 3):  # products, often with a scalar-grade or constant factor
+        b = _scalar_tree(rng, depth - 1) if pick == 2 else _tree(rng, depth - 1)
+        if rng.integers(2):
+            a, b = b, a
+        kind = str(rng.choice(["gp", "op", "lc", "sp", "cross"]))
+        return prod(a, b, kind) if rng.integers(2) else Prod(a, b, kind)
+    if pick == 4:
+        return Rev(a)
+    if pick == 5:
+        out = Graded(a, _grades(rng))
+        return out if out.grades else a
+    if pick == 6:
+        return ScalarMap(PolyMap(_scalar_tree(rng, depth - 1), [2.0, 0.0, 1.0]), "recip")
+    if pick == 7:
+        return BladeExp(GAMMA[rng.integers(4)] ^ GAMMA[0], _scalar_tree(rng, depth - 1))
+    if pick == 8:
+        return DelExpr(a, str(rng.choice(sorted(AGGREGATES))))
+    if pick == 9:
+        m = _H.matrix()
+        tangents = tuple(m.deriv(GAMMA[rng.integers(4)]) for _ in range(rng.integers(3)))
+        return ExtApply(m, a, tangents, bool(rng.integers(2)))
+    return a.deriv(random_vector(rng))
+
+
+def _field_nodes(root: FieldExpr) -> list:
+    """Every field node reachable from root, including derived trees."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        out.append(node)
+        for name in ("left", "right", "child"):
+            sub = getattr(node, name, None)
+            if isinstance(sub, FieldExpr):
+                stack.append(sub)
+        stack.extend(v for v in node._dcache.values() if isinstance(v, FieldExpr))
+    return out
+
+
+@pytest.mark.parametrize("root", range(len(ROOT_KINDS)), ids=ROOT_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_values_vanish_outside_the_grade_set(root, seed):
+    rng = np.random.default_rng(seed)
+    tree = _tree(rng, int(rng.integers(1, 4)), root)
+    pts = random_points(rng, 3)
+    tree.sample(pts)
+    tree.deriv(random_vector(rng)).sample(pts)
+    for node in _field_nodes(tree):
+        vals = node.sample(pts)
+        assert np.isfinite(vals).all(), type(node).__name__
+        outside = vals * (1.0 - sta.grade_mask(node.grades))
+        assert not outside.any(), (type(node).__name__, sorted(node.grades))
+
+
+@pytest.mark.parametrize("kind", ["gp", "op", "lc"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_scalar_factor_product_equals_dense_reference(kind, seed):
+    rng = np.random.default_rng(seed)
+    s = _scalar_tree(rng, 2)
+    X = random_field(rng, _grades(rng), terms=1)
+    pts = random_points(rng, 5)
+    pts[0] = 0.0  # sin and the coordinates vanish there: zeros in the scalar factor
+    for left, right in ((s, X), (X, s)):
+        got = Prod(left, right, kind).sample(pts)
+        want = reference_prod(left.sample(pts), right.sample(pts), TABLES[kind])
+        assert np.array_equal(got, want), (kind, sorted(left.grades), sorted(right.grades))
+
+
+@pytest.mark.parametrize("kind", ["gp", "op", "lc", "sp", "cross"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_folded_constant_equals_batched_product(kind, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (Const(Multivector(_arr(rng, (DIM,)) * sta.grade_mask(_grades(rng)))) for _ in "ab")
+    folded = prod(a, b, kind)
+    assert isinstance(folded, Const)
+    pts = random_points(rng, 4)
+    unfolded = Prod(a, b, kind).sample(pts)
+    assert np.array_equal(folded.sample(pts), unfolded)
+    if kind in TABLES:
+        want = reference_prod(a.value.comps, b.value.comps, TABLES[kind])
+    elif kind == "cross":
+        want = reference_cross(a.value.comps, b.value.comps)
+    else:
+        want = np.zeros(DIM)
+        want[0] = (a.value.comps * sta.SP_DIAG * b.value.comps).sum()
+    assert np.array_equal(folded.value.comps, want)
+    assert folded.is_zero == (not want.any())
+
+
+def _dense_frame_sum(kind, terms, acc):
+    for mu in range(4):
+        acc += sta.PRODUCT_KERNELS[kind](GAMMA_UP_ARR[mu], terms[mu])
+    return acc
+
+
+@pytest.mark.parametrize("grades", GRADE_SETS, ids=lambda g: "".join(map(str, sorted(g))))
+@pytest.mark.parametrize("kind", sorted(AGGREGATES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_frame_sum_equals_dense_kernel(kind, grades, seed):
+    rng = np.random.default_rng(seed)
+    mask = sta.grade_mask(grades)
+    shape = (3, 2, DIM) if rng.integers(2) else (5, DIM)
+    terms = [_arr(rng, shape) * mask for _ in range(4)]
+    start = _arr(rng, shape)
+    want = _dense_frame_sum(kind, terms, start.copy())
+    got = sta._frame_sum(kind, grades, lambda mu, blades: terms[mu][..., blades], start.copy())
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("kind", sorted(AGGREGATES))
+def test_lattice_aggregates_equal_dense_kernel(kind, bc):
+    lat = lattice.Lattice(np.zeros(4), np.array([1.0, 2.0, 1.5, 1.0]), 4, bc)
+    rng = np.random.default_rng(91)
+    for grades in GRADE_SETS:
+        comps = _arr(rng, lat.shape + (DIM,)) * sta.grade_mask(grades)
+        want = _dense_frame_sum(
+            kind, [lattice._diff(lat, comps, mu) for mu in range(4)], np.zeros(comps.shape)
+        )
+        assert np.array_equal(lattice._aggregate(lat, kind, comps, grades), want)
+        acc = _arr(rng, comps.shape)
+        # g^mu * moves grade r to r - 1 and r + 1; keeping one side tests the mask
+        out_grades = {r - 1 for r in grades if r > 0} or {1}
+        want = _dense_frame_sum(
+            kind, [lattice._dual_diff(lat, comps, mu) for mu in range(4)], acc.copy()
+        )
+        want = lattice._zero_boundary(lat, want * sta.grade_mask(out_grades))
+        got = lattice._dual_aggregate(lat, kind, comps, grades, acc.copy(), out_grades)
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# non-finite scalar factors on the fast paths
+# ---------------------------------------------------------------------------
+
+
+# scalar-grade factors that overflow at one coordinate x0 and are finite on the unit box
+NONFINITE_FACTORS = {
+    "recip": (lambda x0: ScalarMap(x0, "recip"), 0.0),
+    "poly": (lambda x0: PolyMap(x0, [0.0, 0.0, 1e300]), 1e5),
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("factor", sorted(NONFINITE_FACTORS))
+def test_nonfinite_scalar_factor_fails_the_check(factor, side):
+    build, bad_x0 = NONFINITE_FACTORS[factor]
+    s = build(coordinate(GAMMA[0]))
+    rng = np.random.default_rng(92)
+    V = random_field(rng, {1})
+    Y = random_field(rng, {0, 1, 2, 3, 4})
+    X = prod(s, V, "gp") if side == "left" else prod(V, s, "gp")
+    assert isinstance(X, Prod)
+    pts = random_points(rng, 6)
+    pts[2, 0] = bad_x0
+    with np.errstate(all="ignore"):
+        _check_fails_at(X, Y, pts, bad=2)
+
+
+def _check_fails_at(X, Y, pts, bad):
+    vals = X.sample(pts)
+    assert not np.isfinite(vals[bad]).all()
+    assert np.isfinite(np.delete(vals, bad, axis=0)).all()
+    dense = reference_prod(X.left.sample(pts), X.right.sample(pts), sta._GP_TABLE)
+    assert not np.isfinite(dense[bad]).all()
+    L = make_builtin("maxwell_flat")
+    for where in (pts, pts[bad]):  # a batch, and the bad point alone
+        for kind in sorted(AGGREGATES):
+            r = worst_of(0.0, check_identity_flat(X, Y, kind, where))
+            assert not r <= 1e-9, (kind, r)
+        res = ele_residual_flat(L, X, where)
+        comps = res.comps if isinstance(res, Multivector) else res
+        r = worst_of(0.0, float(np.abs(comps).max()))
+        assert not r <= 1e-9, r
