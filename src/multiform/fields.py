@@ -304,6 +304,27 @@ def position() -> FieldExpr:
     return _POSITION
 
 
+class Tabulated(FieldExpr):
+    """(P, 16) components, vanishing outside ``grades``, given at the point set
+    whose key is ``key``: a leaf that lets trees evaluate on values computed
+    elsewhere.  Any other point set and any derivative raise ``ValueError``."""
+
+    __slots__ = ("comps", "key")
+
+    def __init__(self, comps: np.ndarray, grades: Iterable[int], key: bytes):
+        super().__init__(grades)
+        self.comps = comps
+        self.key = key
+
+    def _eval(self, xs, key):
+        if key != self.key:
+            raise ValueError("tabulated values exist only at the point set they were given on")
+        return self.comps
+
+    def _build_deriv(self, a):
+        raise ValueError("tabulated values have no derivative")
+
+
 def const(value) -> FieldExpr:
     return _lift(value)
 
@@ -491,7 +512,7 @@ class BladeExp(FieldExpr):
             raise GradeError("blade exponential needs a scalar-valued argument")
         square = sta.gp(blade.comps, blade.comps)
         beta = square[0]
-        if np.abs(square - beta * sta.ONE.comps).max() > 1e-12:
+        if not np.abs(square - beta * sta.ONE.comps).max() <= 1e-12:
             raise ValueError("blade exponential needs a blade with scalar square")
         super().__init__(frozenset({0}) | blade.grade_set())
         self.b_comps = blade.comps

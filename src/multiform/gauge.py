@@ -220,7 +220,7 @@ class RotorField:
         vals = self.expr.sample(pts)
         resid = sta.gp(vals, sta.rev(vals)) - sta.ONE.comps
         worst = float(np.abs(resid).max())
-        if worst > tol:
+        if not worst <= tol:  # a NaN deviation fails too
             raise RotorError(f"R R~ deviates from 1 by {worst:.3e} (> {tol:g})")
         return worst
 

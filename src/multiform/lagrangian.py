@@ -1,10 +1,11 @@
 """Lagrangian mappings, variations, and Euler-Lagrange residual operators.
 
-A :class:`LagrangianSpec` names a scalar density l(X, d, x) of a field value,
-its declared derivative aggregate d (flat or covariant divergence / curl /
-gradient, or the spinor gradient), and physical parameters; gauge and spinor
-densities carry the det(h) weight.  The residual operators evaluate the
-literal left side of the stationarity equations
+A :class:`LagrangianSpec` names one scalar density l(X, d, x) of a field
+value and its declared derivative aggregate d (flat or covariant divergence
+/ curl / gradient, or the spinor gradient), evaluated on whole batches of
+component rows; gauge and spinor densities carry the det(h) weight.  The
+residual operators evaluate the literal left side of the stationarity
+equations
 
     grad_X l  -  (dual derivative) grad_d l  =  0,
 
@@ -25,15 +26,18 @@ single point gives a :class:`Multivector` (or a float), a batch gives
 results.
 
 Slot gradients use closed forms when the LagrangianSpec provides them (all
-built-ins do); the generic fallback differentiates the density per blade and
-per point with degree-exact stencils.  The same per-point path backs
-:func:`ele_residual_reference`, the independent cross-check.
+built-ins do).  Without ``grad_x``, :func:`blade_gradient` differentiates
+the density per blade over the whole batch with degree-exact stencils; the
+lattice uses it for either slot.  Without ``grad_d``, flat residuals take
+the dual derivative of the per-point slot gradient along coordinate lines.
+:func:`ele_residual_reference`, the independent cross-check, differentiates
+the density per point with :func:`multivector_derivative`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +70,7 @@ from .gauge import (
     require_even,
     spinor_grad_expr,
 )
-from .sta import EVEN_GRADES, GAMMA, GAMMA_UP, Multivector, PSEUDOSCALAR
+from .sta import DIM, EVEN_GRADES, GAMMA, GAMMA_UP, GRADES, Multivector, PSEUDOSCALAR, SP_DIAG
 
 SIGMA3 = sta.geometric_product(GAMMA[3], GAMMA[0])
 I_SIGMA3 = sta.geometric_product(PSEUDOSCALAR, SIGMA3)
@@ -107,35 +111,27 @@ class DerivMode(enum.Enum):
 
 @dataclass
 class LagrangianSpec:
-    """A named scalar density with its derivative mode and parameters.
+    """A named scalar density with its derivative mode.
 
-    ``density(Xv, dv, x)`` evaluates the unweighted density l at multivector
-    slot values and a coordinate 4-array; ``density_batch`` is the optional
-    vectorized form on (..., 16) component stacks.  ``grad_x`` / ``grad_d``
-    build the slot-gradient fields from the field expression and its
-    aggregate expression.  ``poly_degree`` declares the polynomial degree of
-    the density in the slots jointly, enabling exact stencil derivatives.
+    ``density(Xc, dc, xs)`` evaluates the unweighted density l row by row
+    from (P, 16) field components, (P, 16) aggregate components and (P, 4)
+    coordinates, and returns (P,) values.  ``grad_x`` / ``grad_d`` build the
+    closed slot-gradient fields from the field expression and its aggregate
+    expression; without them the slot gradients come from the density
+    itself.  ``poly_degree`` declares the polynomial degree of the density
+    in the slots jointly, enabling exact stencil derivatives.
     """
 
     name: str
     mode: DerivMode
-    density: Callable[[Multivector, Multivector, np.ndarray], float]
+    density: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     field_grades: frozenset
     poly_degree: int | None = None
-    params: dict = dataclass_field(default_factory=dict)
-    source_j: FieldExpr = ZERO
-    source_a: FieldExpr = ZERO
     grad_x: Callable[[FieldExpr, FieldExpr], FieldExpr] | None = None
     grad_d: Callable[[FieldExpr, FieldExpr], FieldExpr] | None = None
-    density_batch: Callable | None = None
-    slot_grads_batch: Callable | None = None
 
     def __post_init__(self):
         self.field_grades = frozenset(self.field_grades)
-
-    @property
-    def weighted(self) -> bool:
-        return self.mode.weighted
 
     def d_grades(self) -> frozenset:
         """Grade bound of the derivative aggregate for this mode."""
@@ -183,19 +179,49 @@ def _plan(
 
 def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray, key: bytes):
     """The density weight at each point: det(h) for weighted modes, else 1."""
-    if not L.weighted:
+    if not L.mode.weighted:
         return 1.0
     if bg is None:
         raise ValueError("weighted Lagrangians need a gauge background")
     return bg.h.det_expr().ev(pts, key)[:, 0]
 
 
-def _field_gradient(L: LagrangianSpec, Xc: np.ndarray, dc: np.ndarray, xc) -> Multivector:
-    """grad_X l at one point from the slot components, per blade from the density itself."""
-    dv = Multivector(dc)
-    return multivector_derivative(
-        lambda W: L.density(W, dv, xc), Multivector(Xc), L.field_grades, L.poly_degree
-    )
+def blade_gradient(L: LagrangianSpec, slots: tuple, xs: np.ndarray, k: int) -> np.ndarray:
+    """The density's gradient in slot k (0: field, 1: aggregate) at every row.
+
+    ``slots`` holds the (P, 16) field and aggregate components at the (P, 4)
+    points xs.  The gradient is sum_J e^J d/dl l(.. slot + l e_J ..) over
+    the blades J of the slot's grades, one stencil per blade for the whole
+    batch, degree-exact for a declared polynomial.
+    """
+    grades = L.field_grades if k == 0 else L.d_grades()
+    out = np.zeros(np.shape(slots[k]))
+    for mask in range(DIM):
+        if GRADES[mask] not in grades:
+            continue
+        e = np.zeros(DIM)
+        e[mask] = 1.0
+
+        def g(lam: float) -> np.ndarray:
+            moved = list(slots)
+            moved[k] = slots[k] + lam * e
+            return L.density(*moved, xs)
+
+        out[:, mask] = SP_DIAG[mask] * scalar_derivative_at_zero(g, L.poly_degree)
+    return out
+
+
+def _point_gradient(L: LagrangianSpec, slots: tuple, xc: np.ndarray, k: int) -> Multivector:
+    """The density's gradient in slot k at one point from (16,) slot components,
+    per blade with :func:`multivector_derivative`, independent of :func:`blade_gradient`."""
+
+    def at(W: Multivector) -> float:
+        moved = [v.reshape(1, DIM) for v in slots]
+        moved[k] = W.comps.reshape(1, DIM)
+        return float(L.density(*moved, xc.reshape(1, 4))[0])
+
+    grades = L.field_grades if k == 0 else L.d_grades()
+    return multivector_derivative(at, Multivector(slots[k]), grades, L.poly_degree)
 
 
 def variation(
@@ -226,14 +252,10 @@ def variation(
     dX = _aggregate(L, X, L.mode.star, bg, construction).ev(pts, key)
     dA = _aggregate(L, A, L.mode.star, bg, construction).ev(pts, key)
     Xv = X.ev(pts, key)
-    w = np.broadcast_to(_weights(L, bg, pts, key), pts.shape[:1])
-    out = np.empty(pts.shape[0])
-    for i, xc in enumerate(pts):
-        Xi, Ai, dXi, dAi = (Multivector(v[i]) for v in (Xv, Av, dX, dA))
-        out[i] = scalar_derivative_at_zero(
-            lambda lam: w[i] * float(L.density(Xi + lam * Ai, dXi + lam * dAi, xc)),
-            L.poly_degree,
-        )
+    w = _weights(L, bg, pts, key)
+    out = scalar_derivative_at_zero(
+        lambda lam: w * L.density(Xv + lam * Av, dX + lam * dA, pts), L.poly_degree
+    )
     return float(out[0]) if single else out
 
 
@@ -255,8 +277,7 @@ def _residual(
     if plan["gx"] is not None:
         t1 = plan["gx"].ev(pts, key)
     else:
-        rows = zip(X.ev(pts, key), plan["d"].ev(pts, key), pts)
-        t1 = np.array([_field_gradient(L, *row).comps for row in rows])
+        t1 = blade_gradient(L, (X.ev(pts, key), plan["d"].ev(pts, key)), pts, 0)
     if plan["dual_gd"] is not None:
         t2 = plan["dual_gd"].ev(pts, key)
     else:
@@ -283,14 +304,9 @@ def _numeric_slot_gradient(
     construction: str | None,
 ) -> Multivector:
     """grad_d l at the point y, per blade from the density itself."""
-    plan = _plan(L, X, bg, construction)
     pts = _one_point(y)
-    yc = pts[0]
-    Xv = X.at(pts)
-    dv = plan["d"].at(pts).restrict(L.d_grades())
-    return multivector_derivative(
-        lambda W: L.density(Xv, W, yc), dv, L.d_grades(), L.poly_degree
-    )
+    dc = _plan(L, X, bg, construction)["d"].at(pts).restrict(L.d_grades()).comps
+    return _point_gradient(L, (X.at(pts).comps, dc), pts[0], 1)
 
 
 def _dual_of_numeric_slot_gradient(
@@ -390,7 +406,7 @@ def ele_residual_reference(
     pts = _one_point(x)
     plan = _plan(L, X, bg, construction)
     xc = pts[0]
-    t1 = _field_gradient(L, X.at(pts).comps, plan["d"].at(pts).comps, xc)
+    t1 = _point_gradient(L, (X.at(pts).comps, plan["d"].at(pts).comps), xc, 0)
     if L.mode.family == "flat":
         t2 = _dual_of_numeric_slot_gradient(L, X, pts, bg, construction)
     else:
@@ -474,10 +490,7 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
     if name.startswith("maxwell"):
         mu0 = p["mu0"]
 
-        def density(Av, Fv, xc):
-            return -0.5 / mu0 * Fv.sp(Fv) - Av.sp(Multivector(j_expr.sample(xc.reshape(1, 4))[0]))
-
-        def density_batch(Ac, Fc, xs):
+        def density(Ac, Fc, xs):
             return -0.5 / mu0 * sta.sp(Fc, Fc) - sta.sp(Ac, j_expr.sample(xs))
 
         def grad_x(Xe, de):
@@ -486,11 +499,6 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
         def grad_d(Xe, de):
             return scale(-1.0 / mu0, de)
 
-        def slot_grads_batch(Ac, Fc, xs):
-            gx = -sta.restrict(j_expr.sample(xs), {1})
-            gd = -Fc / mu0
-            return gx, gd
-
         mode = DerivMode.FLAT_CURL if name == "maxwell_flat" else DerivMode.GAUGE_CURL
         return LagrangianSpec(
             name=name,
@@ -498,28 +506,15 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
             density=density,
             field_grades=frozenset({1}),
             poly_degree=2,
-            params=p,
-            source_j=j_expr,
-            source_a=a_expr,
             grad_x=grad_x,
             grad_d=grad_d,
-            density_batch=density_batch,
-            slot_grads_batch=slot_grads_batch,
         )
 
     hbar, e, m, c = p["hbar"], p["e"], p["m"], p["c"]
     c3 = I_GAMMA3
     g0 = GAMMA[0]
 
-    def density(psiv, dv, xc):
-        av = Multivector(a_expr.sample(xc.reshape(1, 4))[0])
-        return (
-            hbar * (dv * c3).sp(psiv)
-            - e * ((av * psiv) * g0).sp(psiv)
-            - m * c * psiv.sp(psiv)
-        )
-
-    def density_batch(psic, dc, xs):
+    def density(psic, dc, xs):
         avc = a_expr.sample(xs)
         return (
             hbar * sta.sp(sta.gp(dc, c3.comps), psic)
@@ -543,13 +538,8 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
         density=density,
         field_grades=EVEN_GRADES,
         poly_degree=2,
-        params=p,
-        source_j=j_expr,
-        source_a=a_expr,
         grad_x=grad_x,
         grad_d=grad_d,
-        density_batch=density_batch,
-        slot_grads_batch=None,
     )
 
 

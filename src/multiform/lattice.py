@@ -36,9 +36,9 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import sta
-from .fields import FieldExpr, GradeError, scalar_derivative_at_zero
-from .lagrangian import LagrangianSpec
-from .sta import DIM, GRADES, Multivector, SP_DIAG, VECTOR_IDX
+from .fields import FieldExpr, GradeError, Tabulated, _prod_grades
+from .lagrangian import LagrangianSpec, blade_gradient
+from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
 _BCS = ("dirichlet", "periodic")
 
@@ -138,8 +138,9 @@ class LatticeField:
             self.lattice.shape + (DIM,)
         )
         mask = sta.grade_mask(self.grades)
-        outside = np.abs(self.comps * (1.0 - mask)).max()
-        if outside > 1e-12:
+        # selected, not masked: NaN * 0 is NaN, and a NaN is never small
+        outside = np.abs(self.comps[..., mask == 0.0]).max(initial=0.0)
+        if not outside <= 1e-12:
             raise GradeError(
                 f"field has components of size {outside:.3e} outside grades "
                 f"{sorted(self.grades)}"
@@ -202,16 +203,10 @@ def _zero_boundary(lat: Lattice, arr: np.ndarray) -> np.ndarray:
 
 
 def discretize(X: FieldExpr, lat: Lattice, grades) -> LatticeField:
-    """Sample a field expression at the site centers."""
-    grades = frozenset(grades)
+    """Sample a field expression at the site centers; values outside ``grades``
+    raise ``GradeError`` from the :class:`LatticeField` guard."""
     vals = X.sample(lat.coords().reshape(-1, 4))
-    if not X.grades <= grades:
-        outside = np.abs(vals * (1.0 - sta.grade_mask(grades))).max()
-        if outside > 1e-12:
-            raise GradeError(
-                f"field carries grades outside {sorted(grades)} (max {outside:.3e})"
-            )
-    return LatticeField(lat, grades, vals.reshape(lat.shape + (DIM,)))
+    return LatticeField(lat, frozenset(grades), vals.reshape(lat.shape + (DIM,)))
 
 
 def _require_flat(L: LagrangianSpec) -> None:
@@ -248,51 +243,28 @@ def _dual_aggregate(
     return _zero_boundary(lat, acc * sta.grade_mask(grades))
 
 
-def _densities(L: LagrangianSpec, fc: np.ndarray, dc: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The density at every site from (sites, 16) slot components."""
-    if L.density_batch is not None:
-        return np.asarray(L.density_batch(fc, dc, xs), dtype=float)
-    return np.array(
-        [L.density(Multivector(f), Multivector(d), x) for f, d, x in zip(fc, dc, xs)],
-        dtype=float,
-    )
-
-
 def _slot_gradients(
     L: LagrangianSpec, F: LatticeField, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site slot gradients (grad_X l, grad_d l) as component arrays.
 
-    grad_d l is read on the d-slot grades only, the blades the per-blade
-    path below computes.
+    The spec's closed slot-gradient trees are built on two leaves that hold
+    the site values of F and of its aggregate d under the lattice's
+    coordinate key; a slot without a closed form takes the per-blade
+    stencils of :func:`blade_gradient`.
     """
     xs = F.lattice.coords().reshape(-1, 4)
-    fc = F.comps.reshape(-1, DIM)
-    dc = d.reshape(-1, DIM)
-    if L.slot_grads_batch is not None:
-        gx, gd = L.slot_grads_batch(fc, dc, xs)
-        return (
-            np.asarray(gx, float).reshape(F.comps.shape),
-            np.asarray(gd, float).reshape(F.comps.shape),
-        )
-    # per-blade slot derivatives of the density, degree-exact for a declared polynomial
-    d_grades = L.d_grades()
-    gx = np.zeros_like(fc)
-    gd = np.zeros_like(dc)
-    for mask in range(DIM):
-        e = np.zeros(DIM)
-        e[mask] = 1.0
-        if GRADES[mask] in L.field_grades:
-            der = scalar_derivative_at_zero(
-                lambda lam: _densities(L, fc + lam * e, dc, xs), L.poly_degree
-            )
-            gx[:, mask] = SP_DIAG[mask] * der
-        if GRADES[mask] in d_grades:
-            der = scalar_derivative_at_zero(
-                lambda lam: _densities(L, fc, dc + lam * e, xs), L.poly_degree
-            )
-            gd[:, mask] = SP_DIAG[mask] * der
-    return gx.reshape(F.comps.shape), gd.reshape(F.comps.shape)
+    key = xs.tobytes()
+    slots = (F.comps.reshape(-1, DIM), d.reshape(-1, DIM))
+    leaves = (
+        Tabulated(slots[0], F.grades, key),
+        Tabulated(slots[1], _prod_grades(frozenset({1}), F.grades, L.mode.star), key),
+    )
+    grads = []
+    for k, build in enumerate((L.grad_x, L.grad_d)):
+        g = blade_gradient(L, slots, xs, k) if build is None else build(*leaves).ev(xs, key)
+        grads.append(g.reshape(F.comps.shape))
+    return grads[0], grads[1]
 
 
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
@@ -300,7 +272,7 @@ def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
     _require_flat(L)
     d = _aggregate(F.lattice, L.mode.star, F.comps, F.grades)
     xs = F.lattice.coords().reshape(-1, 4)
-    dens = _densities(L, F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
+    dens = L.density(F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
     return float(dens.sum() * F.lattice.cell_volume)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -115,8 +116,11 @@ class ScenarioConfig:
         if self.lattice_n < 4:
             raise ValueError("lattice size must be at least 4")
         for name, tol in self.tolerances.items():
-            if not float(tol) > 0:
-                raise ValueError(f"tolerance for {name!r} must be positive")
+            real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            if not (real and math.isfinite(tol) and tol > 0):
+                raise ValueError(
+                    f"tolerance for {name!r} must be a finite positive number, got {tol!r}"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -495,7 +499,8 @@ def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
 
             def act(lam):
                 Xl = add(Ar, scale(lam, Av))
-                return L.density(Xl.at(x), del_expr(Xl, "curl").at(x), x)
+                p = x.reshape(1, 4)
+                return L.density(Xl.sample(p), del_expr(Xl, "curl").sample(p), p)[0]
 
             fd = (act(h) - act(-h)) / (2 * h)
             worst_var = worst_of(worst_var, abs(got[i] - fd))
@@ -526,7 +531,7 @@ def _scenario_dirac_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     run.check("decomposition", worst, 1e-7)
 
     one = Const(Multivector.scalar(1.0))
-    dens = L.density(one.at(pts[0]), Multivector.zero(), pts[0])
+    dens = L.density(one.sample(pts[:1]), np.zeros((1, 16)), pts[:1])[0]
     run.check("unit-spinor-density", abs(dens + params["m"] * params["c"]), 1e-12)
 
 

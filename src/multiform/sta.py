@@ -219,9 +219,10 @@ class Multivector:
         return Multivector(restrict(self.comps, grades))
 
     def grade_set(self, tol: float = 0.0) -> frozenset[int]:
+        # a non-finite component counts as present: NaN > tol is False
         return frozenset(
             int(r) for r in range(N_GEN + 1)
-            if np.abs(self.comps[GRADE_MASKS[r]]).max(initial=0.0) > tol
+            if not np.abs(self.comps[GRADE_MASKS[r]]).max(initial=0.0) <= tol
         )
 
     def vector_coords(self) -> np.ndarray:

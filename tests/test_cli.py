@@ -73,10 +73,12 @@ def test_malformed_config_exits_3(capsys, tmp_path):
 
 def test_invalid_config_values_exit_2(capsys, tmp_path):
     cfg = os.path.join(tmp_path, "cfg.json")
-    with open(cfg, "w") as fh:
-        json.dump({"tolerances": {"associativity": -1.0}}, fh)
-    code, _, err = run_cli(capsys, "verify", "algebra", "--config", cfg)
-    assert code == 2
+    for tol in (-1.0, float("inf"), float("nan"), True, "1e-3", None):
+        with open(cfg, "w") as fh:
+            json.dump({"tolerances": {"associativity": tol}}, fh)
+        code, _, err = run_cli(capsys, "verify", "algebra", "--config", cfg)
+        assert code == 2, tol
+        assert "error: bad config:" in err
     code, _, err = run_cli(capsys, "verify", "algebra", "--points", "0")
     assert code == 2
 

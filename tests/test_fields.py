@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from multiform import fields as f
+from multiform import sta
 from multiform.fields import (
     BladeExp,
     Const,
@@ -12,6 +13,7 @@ from multiform.fields import (
     PolyMap,
     ScalarFn,
     ScalarMap,
+    Tabulated,
     apply_del,
     boundary_current_flat,
     check_identity_flat,
@@ -255,3 +257,39 @@ def test_gauss_check_convergence_rate():
     assert d8 / d16 == pytest.approx(4.0, abs=0.8)
     with pytest.raises(ValueError):
         gauss_check(v, box, 1)
+
+
+def test_tabulated_leaf_lives_on_its_point_set_only():
+    pts = random_points(np.random.default_rng(40), 3)
+    comps = np.zeros((3, 16))
+    comps[:, 1] = [1.0, 2.0, 3.0]
+    leaf = Tabulated(comps, {1}, pts.tobytes())
+    assert leaf.grades == {1}
+    tree = prod(leaf, Const(GAMMA[2]), "op")
+    assert np.array_equal(tree.sample(pts), sta.op(comps, GAMMA[2].comps))
+    with pytest.raises(ValueError):
+        leaf.sample(pts[:2])
+    with pytest.raises(ValueError):
+        tree.sample(pts + 1.0)
+    with pytest.raises(ValueError):
+        leaf.deriv(GAMMA[0])
+    with pytest.raises(ValueError):
+        del_expr(leaf, "curl").sample(pts)
+
+
+def test_nan_component_counts_in_the_grade_set():
+    """NaN > tol is False: a NaN blade must not drop its grade."""
+    comps = np.zeros(16)
+    comps[0] = np.nan
+    assert Multivector(comps).grade_set() == {0}
+    assert Multivector(comps).grade_set(1e-12) == {0}
+    assert Const(Multivector(comps)).grades == {0}
+    comps[0], comps[3] = np.inf, 1.0
+    assert Multivector(comps).grade_set() == {0, 2}
+
+
+def test_blade_exp_rejects_a_nan_blade():
+    comps = np.zeros(16)
+    comps[0b0011] = np.nan
+    with pytest.raises(ValueError):
+        BladeExp(Multivector(comps), coordinate(GAMMA[0]))

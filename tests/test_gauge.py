@@ -252,6 +252,15 @@ def test_non_unit_rotor_rejected():
         RotorField(position())
 
 
+def test_rotor_validation_fails_on_nan():
+    """R = x0 / x0 is 1 except at x0 = 0, where it is NaN: NaN > tol is False."""
+    x0 = coordinate(GAMMA[0])
+    R = RotorField(prod(x0, ScalarMap(x0, "recip"), "gp"))
+    assert R.validate(np.array([[0.5, 0.1, 0.2, 0.3]])) == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(RotorError):
+        R.validate(np.array([[0.0, 0.1, 0.2, 0.3], [0.5, 0.1, 0.2, 0.3]]))
+
+
 def test_covariant_directional_reductions():
     idbg = identity_background()
     rng = np.random.default_rng(3)

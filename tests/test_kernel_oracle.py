@@ -40,6 +40,7 @@ from multiform.fields import (
     coordinate,
     position,
     prod,
+    scalar_derivative_at_zero,
     worst_of,
 )
 from multiform.lagrangian import ele_residual_flat, make_builtin
@@ -258,6 +259,25 @@ def test_values_vanish_outside_the_grade_set(root, seed):
         assert np.isfinite(vals).all(), type(node).__name__
         outside = vals * (1.0 - sta.grade_mask(node.grades))
         assert not outside.any(), (type(node).__name__, sorted(node.grades))
+
+
+@pytest.mark.parametrize("root", range(len(ROOT_KINDS)), ids=ROOT_KINDS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_structural_derivative_matches_finite_difference(root, seed):
+    """deriv(a) against a Richardson central difference of the tree's own values.
+
+    The reciprocals in ``_tree`` are 1 / (1 + s^2) and 1 / (2 + s^2), so no
+    draw comes near a pole.
+    """
+    rng = np.random.default_rng(seed)
+    tree = _tree(rng, int(rng.integers(1, 4)), root)
+    pts = random_points(rng, 3)
+    a = random_vector(rng)
+    got = tree.deriv(a).sample(pts)
+    fd = scalar_derivative_at_zero(lambda lam: tree.sample(pts + lam * a.vector_coords()))
+    scale = np.maximum(1.0, np.abs(fd).max(axis=1, keepdims=True))
+    assert (np.abs(got - fd) / scale).max() <= 1e-6
 
 
 @pytest.mark.parametrize("kind", ["gp", "op", "lc"])

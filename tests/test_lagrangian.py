@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multiform import fields as f
+from multiform import sta
 from multiform.fields import (
     BladeExp,
     Const,
@@ -71,8 +72,8 @@ def test_builtin_parameter_validation():
 
 def test_maxwell_density_values():
     L = make_builtin("maxwell_flat")
-    x = np.zeros(4)
-    assert L.density(Multivector.zero(), Multivector.zero(), x) == 0.0
+    zero = np.zeros((1, 16))
+    assert L.density(zero, zero, np.zeros((1, 4)))[0] == 0.0
     # the null plane wave has identically zero density: (k^g2).(k^g2) = 0
     A = plane_wave()
     rng = np.random.default_rng(0)
@@ -82,16 +83,16 @@ def test_maxwell_density_values():
         k.sp(k) * GAMMA[2].sp(GAMMA[2]) - k.sp(GAMMA[2]) ** 2, abs=1e-14
     )
     for _ in range(5):
-        pt = rng.uniform(-1, 1, 4)
-        dens = L.density(A.at(pt), del_expr(A, "curl").at(pt), pt)
+        pt = rng.uniform(-1, 1, (1, 4))
+        dens = L.density(A.sample(pt), del_expr(A, "curl").sample(pt), pt)[0]
         assert abs(dens) <= 1e-14
 
 
 def test_dirac_density_of_unit_spinor():
     params = {"m": 1.3, "hbar": 0.7, "c": 1.1, "e": 0.8}
     L = make_builtin("dirac_flat", params=params)
-    x = np.array([0.2, -0.4, 0.1, 0.9])
-    dens = L.density(ONE, Multivector.zero(), x)
+    x = np.array([[0.2, -0.4, 0.1, 0.9]])
+    dens = L.density(ONE.comps.reshape(1, 16), np.zeros((1, 16)), x)[0]
     assert dens == pytest.approx(-params["m"] * params["c"], abs=1e-14)
 
 
@@ -112,7 +113,7 @@ def test_variation_of_quadratic_density():
     L = LagrangianSpec(
         name="square",
         mode=DerivMode.FLAT_CURL,
-        density=lambda Xv, dv, xc: Xv.sp(Xv),
+        density=lambda Xc, dc, xs: sta.sp(Xc, Xc),
         field_grades=frozenset({1}),
         poly_degree=2,
     )
@@ -138,7 +139,8 @@ def test_variation_matches_lambda_fd():
 
         def action_density(lam):
             Xl = f.add(X, scale(lam, A))
-            return L.density(Xl.at(x), del_expr(Xl, "curl").at(x), x)
+            p = x.reshape(1, 4)
+            return L.density(Xl.sample(p), del_expr(Xl, "curl").sample(p), p)[0]
 
         fd = (action_density(h) - action_density(-h)) / (2 * h)
         assert abs(got - fd) <= 1e-8
@@ -386,7 +388,7 @@ def _div_mode_spec(mode):
     return LagrangianSpec(
         name="div-quadratic",
         mode=mode,
-        density=lambda Xv, dv, xc: dv.sp(dv) + Xv.sp(Xv),
+        density=lambda Xc, dc, xs: sta.sp(dc, dc) + sta.sp(Xc, Xc),
         field_grades=frozenset({1}),
         poly_degree=2,
         grad_x=lambda Xe, de: scale(2.0, Xe),
@@ -473,7 +475,7 @@ def test_nonpolynomial_density_paths():
     L = LagrangianSpec(
         name="sine",
         mode=DerivMode.FLAT_CURL,
-        density=lambda Xv, dv, xc: np.sin(Xv.sp(Xv)),
+        density=lambda Xc, dc, xs: np.sin(sta.sp(Xc, Xc)),
         field_grades=frozenset({1}),
         poly_degree=None,
     )

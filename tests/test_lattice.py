@@ -1,12 +1,14 @@
 """Lattice discretization, duality, Gauss identity, and stationary solve."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from multiform import sta
+from multiform import lattice, sta
 from multiform.fields import (
+    ZERO,
     Const,
     GradeError,
     ScalarMap,
@@ -15,6 +17,7 @@ from multiform.fields import (
     prod,
     scalar_derivative_at_zero,
 )
+from multiform.sampling import random_field
 from multiform.lagrangian import DerivMode, LagrangianSpec, make_builtin
 from multiform.lattice import (
     Lattice,
@@ -131,7 +134,6 @@ def test_discrete_action_values():
     [
         pytest.param("periodic", "maxwell_flat", id="periodic"),
         pytest.param("dirichlet", "maxwell_flat", id="dirichlet"),
-        # no slot_grads_batch: the slot gradients come from the density itself
         pytest.param("periodic", "dirac_flat", id="dirac_flat-periodic"),
         pytest.param("dirichlet", "dirac_flat", id="dirac_flat-dirichlet"),
     ],
@@ -171,15 +173,16 @@ def test_action_gradient_matches_fd(bc):
 _K = Multivector.vector([0.3, -0.2, 0.5, 0.1])
 
 
-def _cubic_density(Av, Fv, x):
-    return -0.5 * Fv.sp(Fv) * (1.0 + Av.sp(_K)) + Av.sp(Av) * Av.sp(GAMMA[1])
+def _cubic_density(Ac, Fc, xs):
+    sp = sta.sp
+    return -0.5 * sp(Fc, Fc) * (1.0 + sp(Ac, _K.comps)) + sp(Ac, Ac) * sp(Ac, GAMMA[1].comps)
 
 
 @pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 5)])
 def test_generic_slot_gradients_are_degree_exact(bc, n):
-    """A declared cubic density with no batch forms: the per-site slot
-    gradients take the degree-exact stencil, so the gradient pairing equals
-    the exact derivative of the cubic l -> action(F + l delta)."""
+    """A declared cubic density with no closed slot gradients: the per-blade
+    slot gradients take the degree-exact stencil, so the gradient pairing
+    equals the exact derivative of the cubic l -> action(F + l delta)."""
     L = LagrangianSpec("cubic_flat", DerivMode.FLAT_CURL, _cubic_density, {1}, poly_degree=3)
     rng = np.random.default_rng(6)
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
@@ -483,3 +486,64 @@ def test_lattice_field_grade_guard():
     bad = np.ones(lat.shape + (16,))
     with pytest.raises(GradeError):
         LatticeField(lat, frozenset({1}), bad)
+
+
+def test_grade_guards_reject_nan_outside_the_grades():
+    """NaN > 1e-12 is False, and a mask keeps a NaN (NaN * 0 is NaN)."""
+    lat = Lattice(np.zeros(4), np.ones(4), 4)
+    for value in (5.0, np.inf, np.nan):
+        bad = np.zeros(lat.shape + (16,))
+        bad[1, 2, 3, 0, 0] = value
+        with pytest.raises(GradeError):
+            LatticeField(lat, frozenset({1}), bad)
+        # inside the declared grades the value is kept as given
+        inside = np.zeros(lat.shape + (16,))
+        inside[1, 2, 3, 0, 1] = value
+        kept = LatticeField(lat, frozenset({1}), inside).comps
+        assert np.array_equal(kept, inside, equal_nan=True)
+    nan_scalar = Const(Multivector.scalar(np.nan)) + position()
+    with pytest.raises(GradeError):
+        discretize(nan_scalar, lat, {1})
+
+
+@pytest.mark.parametrize("with_j", [False, True], ids=["no-source", "source"])
+@pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 6), ("periodic", 6)])
+def test_maxwell_slot_gradients_are_the_closed_form(bc, n, with_j):
+    """The spec's trees, evaluated on the site leaves, give -<J>_1 and -d bit for bit."""
+    rng = np.random.default_rng(7)
+    J = random_field(rng, {0, 1, 2}) if with_j else ZERO
+    L = make_builtin("maxwell_flat", sources={"J": J})
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
+    F = random_grade1_field(lat, rng)
+    d = lattice._aggregate(lat, "op", F.comps, F.grades)
+    gx, gd = lattice._slot_gradients(L, F, d)
+    xs = lat.coords().reshape(-1, 4)
+    assert np.array_equal(gx, -sta.restrict(J.sample(xs), {1}).reshape(F.comps.shape))
+    assert np.array_equal(gd, -d)
+
+
+@pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 5)])
+def test_dirac_closed_slot_gradients_match_the_blade_stencils(bc, n):
+    params = {"m": 1.3, "hbar": 0.7, "c": 1.1, "e": 0.8}
+    rng = np.random.default_rng(8)
+    L = make_builtin("dirac_flat", params=params, sources={"A_ext": random_field(rng, {1})})
+    generic = dataclasses.replace(L, grad_x=None, grad_d=None)
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
+    comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask(L.field_grades)
+    F = LatticeField(lat, L.field_grades, comps)
+    d = lattice._aggregate(lat, "gp", F.comps, F.grades)
+    for closed, blades in zip(lattice._slot_gradients(L, F, d), lattice._slot_gradients(generic, F, d)):
+        assert np.abs(closed - blades).max() <= 1e-13 * max(1.0, np.abs(blades).max())
+    for op in (action_gradient, discrete_ele_residual):
+        want = op(generic, F).comps
+        assert np.abs(op(L, F).comps - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+    # the leaves carry the grades their arrays really have
+    seen = []
+
+    def grad_x(Xe, de):
+        seen.append((Xe.grades, de.grades))
+        return L.grad_x(Xe, de)
+
+    lattice._slot_gradients(dataclasses.replace(L, grad_x=grad_x), F, d)
+    assert seen == [({0, 2, 4}, {1, 3})]
