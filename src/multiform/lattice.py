@@ -16,14 +16,12 @@ exactly at interior sites, which is the discrete form of the variation
 decomposition with the boundary term annihilated.
 
 The stationary Maxwell operator is that residual for the source-free flat
-Maxwell density.  Its system is indefinite and symmetric (the Minkowski
-scalar product is indefinite); it is solved with MINRES, with the modes
-annihilated by every central-difference stencil (constants and the
-per-axis alternating patterns) removed on every application by
-subtracting the mean over each parity class of sites, so no basis of them
-is stored.  Pure-gauge null directions never enter the Krylov space when
-the right side is consistent, and the returned potential is checked
-against the true discrete operator.
+Maxwell density.  Its system is symmetric indefinite once signed by the
+metric, and singular: pure-gauge potentials lie in its kernel.  On a
+periodic lattice it is circulant, so a 4D FFT solves it directly, one 4x4
+block per wavevector, and returns the minimum-norm potential; on a
+Dirichlet lattice MINRES solves the masked system.  Either way the returned
+potential is certified against the true discrete operator.
 """
 
 from __future__ import annotations
@@ -360,37 +358,62 @@ def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _remove_stencil_kernel(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    """u (flat grade-1 site components) minus its part in the common stencil kernel.
-
-    The kernel is spanned per component by the constants and, on an even
-    periodic lattice, the per-axis alternating patterns; its orthogonal
-    projection is the mean over each parity class of sites.
-    """
-    n = lat.sites
-    p = 2 if lat.bc == "periodic" and n % 2 == 0 else 1
-    v = u.reshape((n // p, p) * 4 + (4,))
-    return (v - v.mean(axis=(0, 2, 4, 6), keepdims=True)).reshape(-1)
-
-
-def _solver_potential(lat: Lattice, u: np.ndarray) -> np.ndarray:
-    """The 1-form components a solver vector stands for: stencil kernel removed,
-    boundary sites zeroed on a Dirichlet lattice."""
-    comps = np.zeros(lat.shape + (DIM,))
-    comps[..., VECTOR_IDX] = _remove_stencil_kernel(lat, u).reshape(lat.shape + (4,))
-    return _zero_boundary(lat, comps)
-
-
 def _projected_operator(lat: Lattice, op) -> Callable[[np.ndarray], np.ndarray]:
-    """The matvec MINRES solves with: op between the kernel and boundary
-    projections, signed by the metric so that the system is symmetric."""
+    """The matvec MINRES solves with: op with the boundary sites masked on
+    input as on output, signed by the metric so that the system is symmetric."""
     eps = SP_DIAG[VECTOR_IDX]  # metric signs of the four vector components
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        out = op(_solver_potential(lat, u))[..., VECTOR_IDX] * eps
-        return _remove_stencil_kernel(lat, out.reshape(-1))
+        comps = np.zeros(lat.shape + (DIM,))
+        comps[..., VECTOR_IDX] = u.reshape(lat.shape + (4,))
+        return (op(_zero_boundary(lat, comps))[..., VECTOR_IDX] * eps).reshape(-1)
 
     return matvec
+
+
+def _wavenumbers(lat: Lattice) -> np.ndarray:
+    """s_mu = sin(2 pi m_mu / N) / h_mu on the rfftn grid, shape
+    (N, N, N, N // 2 + 1, 4), with rounding-level values (sin(pi) = 1.2e-16)
+    set to exactly 0."""
+    n = lat.sites
+    ms = [np.fft.fftfreq(n, 1.0 / n)] * 3 + [np.fft.rfftfreq(n, 1.0 / n)]
+    s = [np.sin(2 * np.pi * m / n) / h for m, h in zip(ms, lat.spacing)]
+    smax = max(np.abs(v).max() for v in s)
+    s = [np.where(np.abs(v) < 1e-12 * smax, 0.0, v) for v in s]
+    return np.stack(np.meshgrid(*s, indexing="ij"), axis=-1)
+
+
+def _fft_solve(lat: Lattice, rhs: np.ndarray) -> np.ndarray:
+    """The minimum-norm potential of the periodic system M a = rhs, one 4x4
+    block M(k) = -(s.s) I + eta s s^T per wavevector (s.s = sum eta_mu s_mu^2).
+
+    Regular blocks solve in the gauge sum eta_mu s_mu a_mu = 0, MINRES's own;
+    a null block (s.s = 0 to rounding, s != 0) is taken as exactly the
+    rank-one eta s s^T, since a pseudo-inverse of the rounded block would
+    turn FFT noise into the operator's lightlike kernel modes; s = 0 gives 0.
+    A current outside the range, whose block residuals exceed 1e-9 of it in
+    norm (a constant current reads 1), raises ``ValueError``.
+    """
+    eta = SP_DIAG[VECTOR_IDX]
+    axes = (0, 1, 2, 3)
+    j = np.fft.rfftn(rhs, axes=axes)
+    s = _wavenumbers(lat)
+    ss = (eta * s * s).sum(axis=-1, keepdims=True)
+    s2 = (s * s).sum(axis=-1, keepdims=True)
+    regular = np.abs(ss) > 1e-12 * s2
+    ss = np.where(regular, ss, 0.0)  # a null block is exactly rank one
+    s2_safe = np.where(s2 > 0.0, s2, 1.0)
+    pj = (eta * s * j).sum(axis=-1, keepdims=True) / s2_safe  # (eta s . j) / |s|^2
+    # the null-block solution s pj / |s|^2 is 0 where s = 0
+    a = np.where(regular, -(j - eta * s * pj) / np.where(regular, ss, 1.0), s * pj / s2_safe)
+    resid = -ss * a + eta * s * (s * a).sum(axis=-1, keepdims=True) - j
+    incompatible = np.linalg.norm(resid) / np.linalg.norm(j)
+    if not incompatible <= 1e-9:
+        raise ValueError(
+            f"periodic solve needs a compatible current (relative residual "
+            f"{incompatible:.3e} outside the operator's range)"
+        )
+    return np.fft.irfftn(a, s=lat.shape, axes=axes)
 
 
 def solve_maxwell(
@@ -402,45 +425,44 @@ def solve_maxwell(
 ) -> LatticeField:
     """Solve the discrete stationarity system div(curl A) = mu0 J.
 
-    MINRES on the symmetric indefinite component system, with the stencil
-    kernel modes projected out of every operator application and, on a
-    Dirichlet lattice, the boundary sites masked on input as on output;
-    convergence is certified against the unprojected discrete operator at
-    the requested relative residual.
+    Periodic: a direct solve by 4D FFT, one 4x4 symbol block per
+    wavevector, returning the minimum-norm potential (see
+    :func:`_fft_solve`).  Dirichlet: MINRES (``maxiter`` iterations at most)
+    on the signed component system with the boundary sites masked on input
+    as on output.  Either way the potential is certified against
+    :func:`maxwell_operator` at the relative residual ``tol``; a current
+    that is not finite raises ``ValueError`` before any solve.
     """
     if not J.grades <= {1}:
         raise GradeError("the current must be a 1-form field")
     if J.lattice is not lat and J.lattice != lat:
         raise ValueError("current lives on a different lattice")
 
-    op = maxwell_operator(lat)
-    jc = _zero_boundary(lat, J.comps.copy())
-    rhs_field = mu0 * jc[..., VECTOR_IDX]
-
-    if lat.bc == "periodic":
-        sums = J.comps.reshape(-1, DIM).sum(axis=0)
-        scale = max(1.0, np.abs(J.comps).max()) * lat.n_sites
-        if np.abs(sums).max() > 1e-9 * scale:
-            raise ValueError(
-                "periodic solve needs a compatible current (site sum must vanish)"
-            )
-
-    b = _remove_stencil_kernel(lat, (rhs_field * SP_DIAG[VECTOR_IDX]).reshape(-1))
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    jc = mu0 * _zero_boundary(lat, J.comps)
+    if not np.isfinite(jc).all():
+        raise ValueError("the current (times mu0) has non-finite components")
+    rhs = jc[..., VECTOR_IDX]
+    if not rhs.any():
         return LatticeField.zeros(lat, {1})
 
-    nvec = 4 * lat.n_sites
-    linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat, op))
-    maxiter = maxiter or 40 * lat.sites**2
-    u, info = spla.minres(linop, b, rtol=min(tol, 1e-9), maxiter=maxiter)
-    if info != 0:
-        raise SolverError(f"MINRES did not converge (info={info})")
+    op = maxwell_operator(lat)
+    comps = np.zeros(lat.shape + (DIM,))
+    if lat.bc == "periodic":
+        comps[..., VECTOR_IDX] = _fft_solve(lat, rhs)
+    else:
+        nvec = 4 * lat.n_sites
+        linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat, op))
+        b = (rhs * SP_DIAG[VECTOR_IDX]).reshape(-1)
+        maxiter = maxiter or 40 * lat.sites**2
+        u, info = spla.minres(linop, b, rtol=min(tol, 1e-12), maxiter=maxiter)
+        if info != 0:
+            raise SolverError(f"MINRES did not converge (info={info})")
+        comps[..., VECTOR_IDX] = u.reshape(lat.shape + (4,))
+        comps = _zero_boundary(lat, comps)
 
-    comps = _solver_potential(lat, u)
-    resid = op(comps) - mu0 * jc
-    rel = np.linalg.norm(resid[..., VECTOR_IDX]) / np.linalg.norm(rhs_field)
-    if rel > tol:
+    resid = op(comps) - jc
+    rel = np.linalg.norm(resid[..., VECTOR_IDX]) / np.linalg.norm(rhs)
+    if not rel <= tol:
         raise SolverError(f"solution residual {rel:.3e} exceeds tolerance {tol:g}")
     return LatticeField(lat, frozenset({1}), comps)
 

@@ -159,6 +159,16 @@ def test_maxwell_gauge_runs_at_one_point(capsys):
     assert "residual-two-paths" in {c["name"] for c in payload["checks"]}
 
 
+def test_lattice_maxwell_solves_odd_and_even_lattices(capsys):
+    """At odd N only the constant wave has s = 0; at even N the alternating ones do too."""
+    for n in ("9", "16"):
+        code, out, _ = run_cli(capsys, "verify", "lattice-maxwell", "--lattice", n, "--json")
+        payload = json.loads(out)
+        assert code == 0, n
+        assert payload["config"]["lattice_n"] == int(n)
+        assert payload["pass"] is True and all(c["pass"] for c in payload["checks"]), n
+
+
 def _strip_walltimes(payload: str) -> str:
     return re.sub(r'"seconds": [0-9eE+.-]+', '"seconds": 0', payload)
 

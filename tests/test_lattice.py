@@ -22,9 +22,8 @@ from multiform.lagrangian import DerivMode, LagrangianSpec, make_builtin
 from multiform.lattice import (
     Lattice,
     LatticeField,
-    _diff,
     _projected_operator,
-    _remove_stencil_kernel,
+    _wavenumbers,
     action_gradient,
     axis_derivative_matrix,
     discrete_action,
@@ -246,51 +245,6 @@ def test_discrete_gauss_identity():
         )
 
 
-# the dense basis the solver once stored, kept as the oracle for the parity-class means
-def _stencil_null_basis(lat: Lattice) -> np.ndarray:
-    """Orthonormal basis of modes killed by every axis stencil (periodic).
-
-    Constants and, for even N, the per-axis alternating sign patterns; these
-    are exactly the common kernel of the wraparound central differences.
-    """
-    n = lat.sites
-    signs = [np.ones(n)]
-    if lat.bc == "periodic" and n % 2 == 0:
-        alt = (-1.0) ** np.arange(n)
-        patterns = []
-        for bits in range(16):
-            axes = [alt if bits & (1 << k) else np.ones(n) for k in range(4)]
-            pat = axes[0][:, None, None, None] * axes[1][None, :, None, None]
-            pat = pat * axes[2][None, None, :, None] * axes[3][None, None, None, :]
-            patterns.append(pat)
-    else:
-        patterns = [np.ones(lat.shape)]
-    basis = []
-    for pat in patterns:
-        for slot in range(4):
-            vec = np.zeros(lat.shape + (4,))
-            vec[..., slot] = pat
-            flat = vec.reshape(-1)
-            basis.append(flat / np.linalg.norm(flat))
-    return np.stack(basis)
-
-
-@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_kernel_removal_matches_dense_null_basis(n, bc):
-    """The parity-class means remove exactly the span of the dense null basis."""
-    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
-    u = np.random.default_rng(n).uniform(-1, 1, 4 * lat.n_sites)
-    basis = _stencil_null_basis(lat)
-    got = _remove_stencil_kernel(lat, u)
-    assert np.abs(got - (u - basis.T @ (basis @ u))).max() <= 1e-14
-    assert np.abs(_remove_stencil_kernel(lat, got) - got).max() <= 1e-14
-    removed = (u - got).reshape(lat.shape + (4,))
-    assert np.abs(removed).max() > 0.0
-    for axis in range(4):
-        assert np.abs(_diff(lat, removed, axis)).max() <= 1e-14
-
-
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("n", [5, 6])
 def test_maxwell_operator_is_the_flat_maxwell_residual(n, bc):
@@ -386,9 +340,11 @@ def test_dense_cross_check_small_lattice():
     b = (jc[..., sta.VECTOR_IDX] * eps).reshape(-1)
     u, *_ = np.linalg.lstsq(dense, b, rcond=None)
     A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), jc), tol=1e-9)
-    u_minres = (A.comps[..., sta.VECTOR_IDX]).reshape(-1)
+    u_fft = (A.comps[..., sta.VECTOR_IDX]).reshape(-1)
     # both solve the same singular system; compare through the operator image
-    assert np.abs(dense @ u - dense @ u_minres).max() <= 1e-8
+    assert np.abs(dense @ u - dense @ u_fft).max() <= 1e-8
+    # and both return its minimum-norm solution
+    assert np.abs(u - u_fft).max() <= 1e-10 * np.abs(u).max()
 
 
 def test_solver_guards():
@@ -414,6 +370,124 @@ def test_solver_guards():
                 rng.uniform(-1, 1, latp.shape + (16,)) * sta.grade_mask({2}),
             ),
         )
+
+
+def _random_potential_current(lat, seed):
+    """A normal draw per vector component (zero on a Dirichlet shell) and its current."""
+    astar = np.zeros(lat.shape + (16,))
+    draw = np.random.default_rng(seed).standard_normal(lat.shape + (4,))
+    astar[..., sta.VECTOR_IDX] = draw * lat.interior_mask()[..., None]
+    return astar, maxwell_operator(lat)(astar)
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_fft_symbol_matches_the_operator_on_plane_waves(n):
+    """Each wavevector's block -(s.s) I + eta s s^T, with s from the solver's
+    wavenumbers, is what maxwell_operator does to that plane wave."""
+    lat = Lattice(np.zeros(4), np.array([1.0, 2.0, 3.0, 2 * np.pi]), n, "periodic")
+    op = maxwell_operator(lat)
+    eta = sta.SP_DIAG[sta.VECTOR_IDX]
+    svec = _wavenumbers(lat)
+    assert svec.shape == (n, n, n, n // 2 + 1, 4)
+    rng = np.random.default_rng(n)
+    waves = [(0, 0, 0, 0), (n // 2, 0, 0, n // 2)]
+    waves += [tuple(rng.integers(0, n, 3)) + (int(rng.integers(0, n // 2 + 1)),) for _ in range(4)]
+    xs = lat.coords()
+    scale = np.max(1.0 / lat.spacing) ** 2  # the size of the operator's entries
+    for m in waves:
+        s = svec[m]
+        ss = (eta * s * s).sum()
+        block = -ss * np.eye(4) + np.outer(eta * s, s)
+        phase = np.exp(2j * np.pi * (xs - lat.origin) @ (np.array(m) / lat.extent))
+        for nu in range(4):
+            parts = []
+            for wave in (phase.real, phase.imag):
+                comps = np.zeros(lat.shape + (16,))
+                comps[..., sta.VECTOR_IDX[nu]] = wave
+                parts.append(op(comps)[..., sta.VECTOR_IDX])
+            got = parts[0] + 1j * parts[1]
+            want = block[:, nu] * phase[..., None]
+            assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_fft_potential_is_the_minres_minimum_norm_solution():
+    """MINRES from zero on the signed system stays in the operator's range, so it
+    returns the minimum-norm potential; the FFT solve returns the same one."""
+    import scipy.sparse.linalg as spla
+
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 8, "periodic")
+    astar, jc = _random_potential_current(lat, 8)
+    op = maxwell_operator(lat)
+    eta = sta.SP_DIAG[sta.VECTOR_IDX]
+
+    def matvec(u):
+        comps = np.zeros(lat.shape + (16,))
+        comps[..., sta.VECTOR_IDX] = u.reshape(lat.shape + (4,))
+        return (op(comps)[..., sta.VECTOR_IDX] * eta).reshape(-1)
+
+    nvec = 4 * lat.n_sites
+    b = (jc[..., sta.VECTOR_IDX] * eta).reshape(-1)
+    u, info = spla.minres(spla.LinearOperator((nvec, nvec), matvec=matvec), b, rtol=1e-12)
+    assert info == 0
+    A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), jc), tol=1e-8)
+    got = A.comps[..., sta.VECTOR_IDX].reshape(-1)
+    assert np.linalg.norm(got - u) <= 1e-9 * np.linalg.norm(u)
+    # a pure-gauge part was dropped: the random potential is not minimum-norm
+    assert np.linalg.norm(got) < np.linalg.norm(astar)
+
+
+def test_random_potential_current_certifies_at_n16():
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 16, "periodic")
+    _, jc = _random_potential_current(lat, 16)
+    A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), jc), tol=1e-8)
+    op = maxwell_operator(lat)
+    assert np.linalg.norm(op(A.comps) - jc) <= 1e-12 * np.linalg.norm(jc)
+
+
+def test_one_mode_potential_at_n16_is_exact():
+    """N = 16 has null blocks (s.s = 0, s != 0); treating them as exactly rank one
+    keeps FFT rounding out of the operator's lightlike kernel modes."""
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 16, "periodic")
+    astar = np.zeros(lat.shape + (16,))
+    astar[..., 4] = np.cos(lat.coords()[..., 1])
+    jc = maxwell_operator(lat)(astar)
+    A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), jc), tol=1e-8)
+    assert np.linalg.norm(A.comps - astar) <= 1e-12 * np.linalg.norm(astar)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_current_is_refused_before_solving(bc, bad, monkeypatch):
+    lat = Lattice(np.zeros(4), np.ones(4), 4, bc)
+    comps = np.zeros(lat.shape + (16,))
+    comps[1, 2, 1, 2, 2] = bad
+    J = LatticeField(lat, frozenset({1}), comps)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran on a non-finite current")
+
+    monkeypatch.setattr(lattice.np.fft, "rfftn", refuse)
+    monkeypatch.setattr(lattice.spla, "minres", refuse)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_maxwell(lat, J)
+
+
+@pytest.mark.parametrize(
+    "n, kind", [(6, "smooth"), (5, "random")]
+)
+def test_dirichlet_solve_certifies(n, kind):
+    """MINRES at rtol 1e-12 certifies these at tol 1e-8; at 1e-9 the certificate refused them."""
+    lat = Lattice(np.zeros(4), np.ones(4), n, bc="dirichlet")
+    if kind == "smooth":
+        astar = np.zeros(lat.shape + (16,))
+        astar[..., 4] = np.prod(np.sin(np.pi * lat.coords()), axis=-1) * lat.interior_mask()
+        jc = maxwell_operator(lat)(astar)
+    else:
+        astar, jc = _random_potential_current(lat, n)
+    A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), jc), tol=1e-8)
+    op = maxwell_operator(lat)
+    assert np.linalg.norm(op(A.comps) - jc) <= 1e-8 * np.linalg.norm(jc)
+    assert np.all(A.comps[~lat.interior_mask()] == 0.0)
 
 
 def test_export_and_load_roundtrip(tmp_path):
