@@ -37,6 +37,7 @@ the density per point with :func:`multivector_derivative`.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -481,7 +482,9 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
         raise ValueError(f"unknown builtin {name!r}; choose from {_BUILTIN_NAMES}")
     p = dict(_DEFAULT_PARAMS)
     p.update(params or {})
-    if p["mu0"] <= 0 or p["hbar"] <= 0 or p["c"] <= 0 or p["m"] < 0:
+    if not all(math.isfinite(p[k]) for k in ("mu0", "hbar", "c", "m", "e")):
+        raise ValueError("mu0, hbar, c, m and e must be finite")
+    if not (p["mu0"] > 0 and p["hbar"] > 0 and p["c"] > 0 and p["m"] >= 0):
         raise ValueError("need mu0, hbar, c > 0 and m >= 0")
     sources = sources or {}
     j_expr = _lift(sources.get("J", ZERO))

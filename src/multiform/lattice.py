@@ -122,9 +122,12 @@ class Lattice:
         return mask
 
 
-@dataclass
+@dataclass(eq=False)
 class LatticeField:
-    """Per-site multivector values restricted to a declared grade set."""
+    """Per-site multivector values restricted to a declared grade set.
+
+    Fields compare by value (lattice, grades, components) and are unhashable.
+    """
 
     lattice: Lattice
     grades: frozenset
@@ -144,6 +147,17 @@ class LatticeField:
                 f"{sorted(self.grades)}"
             )
         self.comps = self.comps * mask
+
+    def __eq__(self, other):
+        if not isinstance(other, LatticeField):
+            return NotImplemented
+        return (
+            self.lattice == other.lattice
+            and self.grades == other.grades
+            and np.array_equal(self.comps, other.comps)
+        )
+
+    __hash__ = None
 
     @classmethod
     def zeros(cls, lattice: Lattice, grades) -> "LatticeField":

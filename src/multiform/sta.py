@@ -219,11 +219,8 @@ class Multivector:
         return Multivector(restrict(self.comps, grades))
 
     def grade_set(self, tol: float = 0.0) -> frozenset[int]:
-        # a non-finite component counts as present: NaN > tol is False
-        return frozenset(
-            int(r) for r in range(N_GEN + 1)
-            if not np.abs(self.comps[GRADE_MASKS[r]]).max(initial=0.0) <= tol
-        )
+        # a non-finite component counts as present: NaN <= tol is False
+        return frozenset(GRADES[~(np.abs(self.comps) <= tol)].tolist())
 
     def vector_coords(self) -> np.ndarray:
         return self.comps[VECTOR_IDX].copy()

@@ -1,6 +1,9 @@
 """Field-expression calculus tests; finite differences appear only as the
 independent oracle for the structural derivatives."""
 
+import weakref
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ from multiform.fields import (
     prod,
     scale,
 )
+from multiform.gauge import _RecipDet
 from multiform.sampling import random_field, random_points, random_vector
 from multiform.sta import GAMMA, GAMMA_UP, Multivector, ONE, PSEUDOSCALAR
 
@@ -293,3 +297,95 @@ def test_blade_exp_rejects_a_nan_blade():
     comps[0b0011] = np.nan
     with pytest.raises(ValueError):
         BladeExp(Multivector(comps), coordinate(GAMMA[0]))
+
+
+# ---------------------------------------------------------------------------
+# chain-rule factors shared by the partials of a node
+# ---------------------------------------------------------------------------
+
+# every component non-zero, so all four partials of x . K are non-zero constants
+K = Multivector.vector([0.7, -1.3, 0.4, 2.1])
+
+
+def _reciprocal_factor(X):
+    return scale(-1.0, prod(X, X, "gp"))
+
+
+# name -> (node over the scalar s, the factor the old per-direction formula built)
+SHARED_FACTOR_CASES = {
+    "sin": (lambda s: ScalarMap(s, "sin"), lambda X: ScalarMap(X.child, "cos")),
+    "cos": (lambda s: ScalarMap(s, "cos"), lambda X: scale(-1.0, ScalarMap(X.child, "sin"))),
+    "exp": (lambda s: ScalarMap(s, "exp"), lambda X: X),
+    "recip": (lambda s: ScalarMap(PolyMap(s, [2.0, 0.0, 1.0]), "recip"), _reciprocal_factor),
+    "recip-det": (lambda s: _RecipDet(PolyMap(s, [2.0, 0.0, 1.0])), _reciprocal_factor),
+    "poly": (
+        lambda s: PolyMap(s, [0.5, -1.0, 0.25, 2.0]),
+        lambda X: PolyMap(X.child, [-1.0, 0.5, 6.0]),
+    ),
+    "blade-exp": (lambda s: BladeExp(GAMMA[1] ^ GAMMA[2], s), None),
+}
+
+
+def _unshared_deriv(name, X, a):
+    """The first derivative as the per-direction formula built it, factor and all."""
+    if name == "blade-exp":
+        inner = prod(X.child.deriv(a), X, "gp")
+        return prod(Const(Multivector(X.b_comps)), inner, "gp")
+    return prod(SHARED_FACTOR_CASES[name][1](X), X.child.deriv(a), "gp")
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FACTOR_CASES))
+def test_partials_share_one_chain_rule_factor(name):
+    X = SHARED_FACTOR_CASES[name][0](coordinate(K))
+    partials = [X.deriv(g) for g in GAMMA]
+    assert all(isinstance(d, f.Prod) for d in partials)
+    assert all(d.left is partials[0].left for d in partials), name
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FACTOR_CASES))
+def test_shared_factors_equal_the_per_direction_formula_bit_for_bit(name):
+    build = SHARED_FACTOR_CASES[name][0]
+    X = build(coordinate(K))
+    pts = random_points(np.random.default_rng(49), 5)
+    for a in GAMMA:
+        old = _unshared_deriv(name, build(coordinate(K)), a)
+        assert np.array_equal(X.deriv(a).sample(pts), old.sample(pts)), (name, a)
+        for b in GAMMA:
+            want = old.deriv(b).sample(pts)
+            assert np.array_equal(X.deriv(a).deriv(b).sample(pts), want), (name, a, b)
+
+
+def test_double_gradient_evaluates_each_factor_once_per_point_set(monkeypatch):
+    evals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    ev = f._Node.ev
+
+    def counting_ev(node, xs, key):
+        if node._value[0] != key:
+            evals[node] = evals.get(node, 0) + 1
+        return ev(node, xs, key)
+
+    monkeypatch.setattr(f._Node, "ev", counting_ev)
+    grad = del_expr(ScalarMap(coordinate(K), "sin"), "gradient")
+    hess = del_expr(grad, "gradient")
+    rng = np.random.default_rng(50)
+    for n in (1, 2):
+        pts = random_points(rng, 4)
+        grad.sample(pts)
+        hess.sample(pts)
+        maps = Counter()
+        for node, count in evals.items():
+            if isinstance(node, ScalarMap):
+                maps[node.kind] += count
+        # cos s in the four first partials, -sin s in the sixteen second ones
+        assert maps == {"cos": n, "sin": n}
+
+
+def test_constant_leaf_is_a_read_only_stride_zero_view():
+    c = Const(GAMMA[1] + 2.0 * PSEUDOSCALAR)
+    vals = c.sample(random_points(np.random.default_rng(51), 3))
+    assert vals.shape == (3, 16) and vals.strides[0] == 0
+    assert not vals.flags.writeable
+    assert np.array_equal(vals, np.tile(c.value.comps, (3, 1)))
+    with pytest.raises(ValueError):
+        vals[0, 0] = 1.0
+    assert c.sample(np.zeros((0, 4))).shape == (0, 16)

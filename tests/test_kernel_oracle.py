@@ -146,6 +146,36 @@ def test_kernel_bit_identical_to_dense_reference(kind, pair):
     assert np.array_equal(got, want), case
 
 
+def reference_grade_set(comps: np.ndarray, tol: float) -> frozenset:
+    """The grade set as it was defined per grade: grade r is present unless
+    its largest component is at most tol in size (so NaN counts as present)."""
+    return frozenset(
+        r for r in range(5)
+        if not np.abs(comps[sta.GRADE_MASKS[r]]).max(initial=0.0) <= tol
+    )
+
+
+COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.sampled_from([1e-15, -1e-14, 5e-14, 1e-12, -1e-12, 2e-12]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-14, 1e-12, np.nan])
+@settings(max_examples=150, deadline=None)
+@given(
+    comps=st.lists(COMPONENTS, min_size=DIM, max_size=DIM),
+    zeroed=st.sets(st.integers(min_value=0, max_value=4)),
+)
+def test_grade_set_equals_per_grade_reference(tol, comps, zeroed):
+    comps = np.array(comps)
+    comps[sta.grade_mask(zeroed) == 1.0] = 0.0  # some whole grades exactly zero
+    got = Multivector(comps).grade_set(tol)
+    assert got == reference_grade_set(comps, tol)
+    assert all(type(r) is int for r in got)
+
 
 # ---------------------------------------------------------------------------
 # grade-aware fast paths of the tree layer

@@ -70,6 +70,15 @@ def test_builtin_parameter_validation():
         make_builtin("yang_mills")
 
 
+@pytest.mark.parametrize("name", ["maxwell_flat", "dirac_flat"])
+@pytest.mark.parametrize("param", ["mu0", "hbar", "c", "m", "e"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_builtin_refuses_non_finite_parameters(name, param, value):
+    # NaN fails every comparison, so a test of p <= 0 alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        make_builtin(name, params={param: value})
+
+
 def test_maxwell_density_values():
     L = make_builtin("maxwell_flat")
     zero = np.zeros((1, 16))

@@ -79,6 +79,20 @@ def test_lattice_equality_is_by_value():
         solve_maxwell(Lattice(np.zeros(4), np.ones(4), 4, "periodic"), J)
 
 
+def test_lattice_field_equality_is_by_value():
+    lat = Lattice(np.zeros(4), np.ones(4), 4, "periodic")
+    assert LatticeField.zeros(lat, {1}) == LatticeField.zeros(lat, {1})
+    F = random_grade1_field(lat, np.random.default_rng(48))
+    twin = Lattice([0.0] * 4, [1.0] * 4, 4, "periodic")
+    assert F == LatticeField(twin, frozenset({1}), F.comps.copy())
+    assert F != LatticeField.zeros(lat, {1})
+    assert F != LatticeField(lat, frozenset({1, 2}), F.comps)
+    assert F != LatticeField(Lattice(np.zeros(4), np.ones(4), 4, "dirichlet"), {1}, F.comps)
+    assert F != "field" and F != None  # noqa: E711
+    with pytest.raises(TypeError):
+        hash(F)
+
+
 def test_discretize_constant_and_linear():
     lat = Lattice(np.zeros(4), np.ones(4), 4, bc="dirichlet")
     c = Multivector.vector([0.5, -0.2, 0.1, 0.9])
