@@ -45,11 +45,7 @@ from .fields import (  # noqa: F401
     check_identity_flat,
     const,
     coordinate,
-    curl,
-    directional_derivative,
-    divergence,
     gauss_check,
-    gradient,
     multivector_derivative,
     position,
     position_form,
@@ -61,11 +57,8 @@ from .gauge import (  # noqa: F401
     RotorField,
     check_identity_gauge,
     check_identity_spinor,
-    covariant_directional,
-    gauge_del,
     identity_background,
     rotor_gauge,
-    spinor_directional,
 )
 from .lagrangian import (  # noqa: F401
     EleReport,

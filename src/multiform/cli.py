@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .scenarios import ScenarioConfig, list_scenarios, run_scenario
+from .scenarios import ConfigError, ScenarioConfig, list_scenarios, run_scenario
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -120,6 +120,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     try:
         report = run_scenario(cfg)
+    except ConfigError as exc:
+        print(f"error: bad config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return EXIT_IO

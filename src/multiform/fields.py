@@ -10,7 +10,10 @@ appear in this package only as independent test oracles.
 
 Evaluation is batched: ``expr.sample(xs)`` takes an (P, 4) array of
 coordinates and returns (P, 16) component arrays.  ``expr.at(x)`` is the
-single-point wrapper returning a :class:`Multivector`; it refuses a batch.
+single-point form returning a :class:`Multivector`; it refuses a batch.
+Derivatives have no pointwise entry points of their own: ``X.deriv(a)``
+and ``del_expr(X, mode)`` are trees, evaluated like any other field, as
+in ``X.deriv(a).at(x)`` or ``del_expr(X, "curl").sample(xs)``.
 
 Every node (field or matrix) owns one value slot, ``(point-set key,
 value)`` from its last evaluation, and returns the stored value while the
@@ -768,33 +771,6 @@ class ExtApply(FieldExpr):
         for t in terms[1:]:
             acc = Add(acc, t)
         return acc
-
-
-# ---------------------------------------------------------------------------
-# derivative operators (pointwise evaluation)
-# ---------------------------------------------------------------------------
-
-
-def directional_derivative(X: FieldExpr, a, x) -> Multivector:
-    """Exact structural a-directional derivative of X at x."""
-    return X.deriv(a).at(x)
-
-
-def apply_del(X: FieldExpr, mode: str, x) -> Multivector:
-    """gradient / divergence / curl of X at x (g^mu summed derivative)."""
-    return del_expr(X, mode).at(x)
-
-
-def gradient(X: FieldExpr, x) -> Multivector:
-    return apply_del(X, "gradient", x)
-
-
-def divergence(X: FieldExpr, x) -> Multivector:
-    return apply_del(X, "divergence", x)
-
-
-def curl(X: FieldExpr, x) -> Multivector:
-    return apply_del(X, "curl", x)
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,7 @@ class ExtensorField:
         return self._mat.derived(("star", base), lambda: self.apply_expr(base, "star"))
 
     def at(self, x, variant: str = "direct") -> Extensor11:
+        """variant(h) at one point by matrix inversion, an oracle for the dual formulas."""
         pts = _one_point(x)
         t = Extensor11(self._mat.ev(pts, pts.tobytes())[0])
         if variant == "direct":
@@ -161,12 +162,6 @@ class ExtensorField:
         if variant == "star":
             return adjoint(invert(t))
         raise ValueError(f"variant must be one of {_VARIANTS}, got {variant!r}")
-
-    def matrix_at(self, x, variant: str = "direct") -> np.ndarray:
-        return self.at(x, variant).m
-
-    def det_at(self, x) -> float:
-        return float(self.det_expr().at(x).comps[0])
 
 
 class OmegaField:
@@ -198,9 +193,6 @@ class OmegaField:
         for mu in range(4):
             acc = add(acc, scale(float(coeffs[mu]), self._columns[mu]))
         return acc
-
-    def at(self, x, a: Multivector) -> Multivector:
-        return self.expr(a).at(x)
 
     @property
     def is_zero(self) -> bool:
@@ -294,15 +286,11 @@ def rotor_gauge(R, points=None) -> GaugeBackground:
 # ---------------------------------------------------------------------------
 
 
-def covariant_directional_expr(X: FieldExpr, a: Multivector, bg: GaugeBackground) -> FieldExpr:
+def covariant_directional_expr(X: FieldExpr, a, bg: GaugeBackground) -> FieldExpr:
+    """D_a X = a.dX + Omega(a) x X as a field, for a constant grade-1 direction a."""
+    a = Multivector(_as_direction(a))
     omega = bg.omega if bg.omega is not None else OmegaField.zero()
     return add(X.deriv(a), prod(omega.expr(a), X, "cross"))
-
-
-def covariant_directional(X: FieldExpr, a, x, bg: GaugeBackground) -> Multivector:
-    """D_a X = a.dX + Omega(a) x X at the point x."""
-    a = Multivector(_as_direction(a))
-    return covariant_directional_expr(X, a, bg).at(x)
 
 
 _PROBE_EVEN = np.array(
@@ -333,16 +321,11 @@ def require_even(psi: FieldExpr, x=None) -> None:
     raise GradeError("spinor operations take even-grade fields")
 
 
-def spinor_directional_expr(psi: FieldExpr, a: Multivector, bg: GaugeBackground) -> FieldExpr:
+def spinor_directional_expr(psi: FieldExpr, a, bg: GaugeBackground) -> FieldExpr:
+    """D^s_a psi = a.d psi + (1/2) Omega(a) psi as a field, for a constant grade-1 direction a."""
+    a = Multivector(_as_direction(a))
     omega = bg.omega if bg.omega is not None else OmegaField.zero()
     return add(psi.deriv(a), scale(0.5, prod(omega.expr(a), psi, "gp")))
-
-
-def spinor_directional(psi: FieldExpr, a, x, bg: GaugeBackground) -> Multivector:
-    """D^s_a psi = a.d psi + (1/2) Omega(a) psi at the point x."""
-    require_even(psi, x)
-    a = Multivector(_as_direction(a))
-    return spinor_directional_expr(psi, a, bg).at(x)
 
 
 def _star_contraction(X: FieldExpr, kind: str, bg: GaugeBackground, directional) -> FieldExpr:
@@ -384,29 +367,19 @@ def _gauge_del(X: FieldExpr, kind: str, bg: GaugeBackground, construction: str) 
     )
 
 
-def gauge_del(
-    X: FieldExpr, mode: str, x, bg: GaugeBackground, construction: str | None = None
-) -> Multivector:
-    return gauge_del_expr(X, mode, bg, construction).at(x)
-
-
 def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
     """D^s psi = sum_mu h*(g^mu) D^s_{g_mu} psi as a differentiable field, owned by psi.
 
-    Defined for any multiform argument; the evenness contract is enforced by
-    the public spinor entry points, while the Euler-Lagrange machinery also
-    applies the operator to odd slot gradients.
+    Defined for any multiform argument, since the Euler-Lagrange machinery
+    also applies it to odd slot gradients; evenness is enforced where fields
+    enter the spinor machinery, by ``ele_residual_spinor``,
+    ``check_identity_spinor`` and ``check_spinor_gradient_split``.
     """
     if bg.omega is None:
         raise ValueError("spinor derivatives need a connection field")
     return psi.derived(
         ("spinor", bg), lambda: _star_contraction(psi, "gp", bg, spinor_directional_expr)
     )
-
-
-def spinor_grad(psi: FieldExpr, x, bg: GaugeBackground) -> Multivector:
-    require_even(psi, x)
-    return spinor_grad_expr(psi, bg).at(x)
 
 
 # ---------------------------------------------------------------------------

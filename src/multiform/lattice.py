@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import sta
-from .fields import FieldExpr, GradeError, Tabulated, _prod_grades
+from .fields import FieldExpr, GradeError, Tabulated
 from .lagrangian import LagrangianSpec, blade_gradient
 from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
@@ -221,11 +221,14 @@ def discretize(X: FieldExpr, lat: Lattice, grades) -> LatticeField:
     return LatticeField(lat, frozenset(grades), vals.reshape(lat.shape + (DIM,)))
 
 
-def _require_flat(L: LagrangianSpec) -> None:
+def _require_operands(L: LagrangianSpec, F: LatticeField) -> None:
+    """A flat-mode Lagrangian and a field within its grades."""
     if L.mode.family != "flat":
         raise ValueError(
             f"lattice operations take flat-mode Lagrangians, not {L.mode.value}"
         )
+    if not F.grades <= L.field_grades:
+        raise GradeError(f"field grades {sorted(F.grades)} outside {sorted(L.field_grades)}")
 
 
 def _aggregate(lat: Lattice, kind: str, comps: np.ndarray, grades) -> np.ndarray:
@@ -270,7 +273,7 @@ def _slot_gradients(
     slots = (F.comps.reshape(-1, DIM), d.reshape(-1, DIM))
     leaves = (
         Tabulated(slots[0], F.grades, key),
-        Tabulated(slots[1], _prod_grades(frozenset({1}), F.grades, L.mode.star), key),
+        Tabulated(slots[1], L.d_grades(), key),
     )
     grads = []
     for k, build in enumerate((L.grad_x, L.grad_d)):
@@ -281,7 +284,7 @@ def _slot_gradients(
 
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
     """Sum over sites of the density times the cell volume."""
-    _require_flat(L)
+    _require_operands(L, F)
     d = _aggregate(F.lattice, L.mode.star, F.comps, F.grades)
     xs = F.lattice.coords().reshape(-1, 4)
     dens = L.density(F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
@@ -296,7 +299,7 @@ def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     product: for any interior perturbation ``delta``,
     ``gradient.pair(delta)`` equals d/dl of the action along F + l delta.
     """
-    _require_flat(L)
+    _require_operands(L, F)
     lat = F.lattice
     d = _aggregate(lat, L.mode.star, F.comps, F.grades)
     gx, gd = _slot_gradients(L, F, d)
@@ -319,7 +322,7 @@ def discrete_ele_residual(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     for periodic lattices), which makes the gradient-residual duality exact
     rather than a truncation-order statement.
     """
-    _require_flat(L)
+    _require_operands(L, F)
     lat = F.lattice
     d = _aggregate(lat, L.mode.star, F.comps, F.grades)
     gx, gd = _slot_gradients(L, F, d)

@@ -35,7 +35,6 @@ from .fields import (
     check_identity_flat,
     coordinate,
     del_expr,
-    directional_derivative,
     gauss_check,
     multivector_derivative,
     position,
@@ -91,6 +90,10 @@ from .sampling import (
 from .sta import GAMMA, Multivector, PSEUDOSCALAR
 
 
+class ConfigError(ValueError):
+    """A tolerance override that names no check of the scenario; no report is written."""
+
+
 @dataclass
 class ScenarioConfig:
     """Configuration for one scenario run."""
@@ -115,6 +118,8 @@ class ScenarioConfig:
             raise ValueError("point count must be at least 1")
         if self.lattice_n < 4:
             raise ValueError("lattice size must be at least 4")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string or null, got {self.out!r}")
         for name, tol in self.tolerances.items():
             real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
             if not (real and math.isfinite(tol) and tol > 0):
@@ -443,7 +448,7 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
         for i in range(3):
             x = pts[i]
             a = random_vector(rng)
-            got = directional_derivative(expr, a, x).comps
+            got = expr.deriv(a).at(x).comps
             fd = scalar_derivative_at_zero(
                 lambda lam: expr.sample((x + lam * a.vector_coords()).reshape(1, 4))[0]
             )
@@ -729,6 +734,11 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     # derivative caches point back at their nodes, so a scenario's trees are
     # reference cycles: free them, with their cached values, before returning
     gc.collect()
+    unknown = sorted(set(cfg.tolerances) - {c.name for c in runner.records})
+    if unknown:
+        raise ConfigError(
+            f"tolerances name no check of {cfg.scenario!r}: {', '.join(unknown)}"
+        )
     report = Report(config=cfg, checks=runner.records)
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -395,11 +395,3 @@ def commutator_product(x: Multivector, y: Multivector) -> Multivector:
 def grade_set(x: Multivector, tol: float = 0.0) -> frozenset[int]:
     return x.grade_set(tol)
 
-
-def basis_blades() -> list[Multivector]:
-    return [Multivector.blade(m) for m in range(DIM)]
-
-
-def reciprocal_blade(mask: int) -> Multivector:
-    """e^J = e_J / (e_J . e_J); the diagonal is +-1 in this metric."""
-    return Multivector.blade(mask, SP_DIAG[mask])

@@ -24,7 +24,6 @@ from multiform.fields import (
     check_identity_flat,
     coordinate,
     del_expr,
-    gradient,
     multivector_derivative,
     prod,
     scale,
@@ -36,7 +35,7 @@ from multiform.gauge import (
     check_pushforward_vs_omega,
     check_spinor_gradient_split,
     rotor_gauge,
-    spinor_grad,
+    spinor_grad_expr,
 )
 from multiform.lagrangian import (
     I_SIGMA3,
@@ -256,7 +255,7 @@ def test_criterion_6_ele_reproduction():
     )
     substitution = max(
         (
-            (gradient(psi, pts[i]) * I_SIGMA3) * params["hbar"]
+            (del_expr(psi, "gradient").at(pts[i]) * I_SIGMA3) * params["hbar"]
             - (psi.at(pts[i]) * GAMMA[0]) * mc
         ).norm()
         for i in range(pts.shape[0])
@@ -288,7 +287,7 @@ def test_criterion_6_ele_reproduction():
     )
     first_order = max(
         (
-            (spinor_grad(psi_g, pts[i], bg) * I_SIGMA3) * params["hbar"]
+            (spinor_grad_expr(psi_g, bg).at(pts[i]) * I_SIGMA3) * params["hbar"]
             - (psi_g.at(pts[i]) * GAMMA[0]) * mc
         ).norm()
         for i in range(8)

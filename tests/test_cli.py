@@ -4,6 +4,8 @@ import json
 import os
 import re
 
+import pytest
+
 from multiform.cli import main
 from multiform.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
@@ -110,6 +112,36 @@ def test_unknown_config_keys_exit_2(capsys, tmp_path):
         assert code == 2, raw
         assert "error: bad config:" in err and key in err and "Traceback" not in err
         assert out == ""
+
+
+def test_non_string_out_exits_2(capsys, tmp_path):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    for value in (1.5, ["r.json"], 123456):
+        with open(cfg, "w") as fh:
+            json.dump({"out": value}, fh)
+        code, out, err = run_cli(capsys, "verify", "algebra", "--config", cfg)
+        assert code == 2, value
+        assert "error: bad config: out" in err and "Traceback" not in err
+        assert out == ""
+
+
+def test_tolerance_naming_no_check_exits_2(capsys, tmp_path):
+    cfg = os.path.join(tmp_path, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"tolerances": {"anticommutaton": 1.0}}, fh)
+    code, out, err = run_cli(capsys, "verify", "algebra", "--config", cfg, "--json")
+    assert code == 2
+    assert "error: bad config:" in err and "anticommutaton" in err
+    assert out == ""
+
+
+def test_scenario_fault_is_not_a_config_error(capsys, monkeypatch):
+    def broken(cfg, run):
+        raise ValueError("fault inside the scenario")
+
+    monkeypatch.setitem(SCENARIOS, "algebra", ("broken", broken))
+    with pytest.raises(ValueError, match="fault inside the scenario"):
+        main(["verify", "algebra"])
 
 
 def test_every_documented_config_key_is_accepted(capsys, tmp_path):

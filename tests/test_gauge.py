@@ -14,8 +14,7 @@ from multiform.fields import (
     GradeError,
     ScalarMap,
     coordinate,
-    directional_derivative,
-    apply_del,
+    del_expr,
     position,
     prod,
     add,
@@ -31,12 +30,12 @@ from multiform.gauge import (
     check_identity_spinor,
     check_pushforward_vs_omega,
     check_spinor_gradient_split,
-    covariant_directional,
-    gauge_del,
+    covariant_directional_expr,
+    gauge_del_expr,
     identity_background,
     rotor_gauge,
-    spinor_directional,
-    spinor_grad,
+    spinor_directional_expr,
+    spinor_grad_expr,
 )
 from multiform.extensor import SingularExtensorError, adjoint_mats, outermorphism_matrix
 from multiform.sampling import (
@@ -49,7 +48,7 @@ from multiform.sampling import (
     random_rotor_background,
     random_vector,
 )
-from multiform.sta import GAMMA, Multivector, ONE
+from multiform.sta import GAMMA, Multivector, ONE, PSEUDOSCALAR
 
 
 def simple_rotor():
@@ -60,8 +59,8 @@ def simple_rotor():
 def test_trivial_rotor_gives_flat_background():
     bg = rotor_gauge(Const(ONE))
     x = np.array([0.3, 0.1, -0.2, 0.5])
-    assert np.allclose(bg.h.matrix_at(x), np.eye(4), atol=1e-14)
-    assert bg.omega.at(x, GAMMA[0]).norm() <= 1e-14
+    assert np.allclose(bg.h.at(x).m, np.eye(4), atol=1e-14)
+    assert bg.omega.expr(GAMMA[0]).at(x).norm() <= 1e-14
     assert bg.compatible
 
 
@@ -71,13 +70,13 @@ def test_rotor_background_properties():
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
         # unit determinant and orthogonality h_adj = h^-1
-        assert bg.h.det_at(x) == pytest.approx(1.0, abs=1e-10)
-        m = bg.h.matrix_at(x)
-        madj = bg.h.matrix_at(x, "adjoint")
+        assert bg.h.det_expr().at(x).comps[0] == pytest.approx(1.0, abs=1e-10)
+        m = bg.h.at(x).m
+        madj = bg.h.at(x, "adjoint").m
         assert np.allclose(madj @ m, np.eye(4), atol=1e-10)
         # the connection is bivector valued
         a = random_vector(rng)
-        om = bg.omega.at(x, a)
+        om = bg.omega.expr(a).at(x)
         assert om.grade_set(1e-12) <= {2}
 
 
@@ -129,10 +128,10 @@ def test_det_expr_is_zero_where_h_is_singular():
     entries[0][0] = coordinate(GAMMA[0])
     h = ExtensorField(entries)
     x = np.array([0.0, 0.3, -0.2, 0.1])
-    assert h.det_at(x) == 0.0
-    assert directional_derivative(h.det_expr(), GAMMA[0], x).comps[0] == 1.0
+    assert h.det_expr().at(x).comps[0] == 0.0
+    assert h.det_expr().deriv(GAMMA[0]).at(x).comps[0] == 1.0
     with pytest.raises(SingularExtensorError):
-        h.matrix_at(x, "inverse")
+        h.at(x, "inverse")
 
 
 def _outermorphism_oracle(h, X, variant):
@@ -201,7 +200,7 @@ def test_singular_h_raises_without_warning():
     X = random_field(np.random.default_rng(23), {1, 2})
     x = np.array([0.0, 0.3, -0.2, 0.1])
     calls = [
-        lambda mode=mode: gauge_del(X, mode, x, bg, "pushforward")
+        lambda mode=mode: gauge_del_expr(X, mode, bg, "pushforward").at(x)
         for mode in ("divergence", "curl", "gradient")
     ]
     calls += [lambda v=v: bg.h.apply_expr(X, v).at(x) for v in ("inverse", "star")]
@@ -221,7 +220,7 @@ def test_rotor_compatibility_oracle():
         transported = bg.h.apply_expr(Const(C), "direct")
         x = rng.uniform(-1, 1, 4)
         a = random_vector(rng)
-        got = covariant_directional(transported, a, x, bg)
+        got = covariant_directional_expr(transported, a, bg).at(x)
         # a.dC = 0 for constant C, so the covariant derivative must vanish
         assert got.norm() <= 1e-10
 
@@ -235,7 +234,7 @@ def test_rotor_transport_of_nonconstant_field():
     for _ in range(4):
         x = rng.uniform(-1, 1, 4)
         a = random_vector(rng)
-        got = covariant_directional(transported, a, x, bg)
+        got = covariant_directional_expr(transported, a, bg).at(x)
         want = bg.h.apply_expr(C.deriv(a), "direct").at(x)
         assert (got - want).norm() <= 1e-9
 
@@ -267,12 +266,17 @@ def test_covariant_directional_reductions():
     X = random_field(rng, {1, 2})
     x = rng.uniform(-1, 1, 4)
     a = random_vector(rng)
-    got = covariant_directional(X, a, x, idbg)
-    assert (got - directional_derivative(X, a, x)).norm() <= 1e-14
+    got = covariant_directional_expr(X, a, idbg).at(x)
+    assert (got - X.deriv(a).at(x)).norm() <= 1e-14
     # constant scalar field: scalars are central, so Omega x X = 0
     bg = rotor_gauge(simple_rotor())
     const_scalar = Const(Multivector.scalar(2.5))
-    assert covariant_directional(const_scalar, a, x, bg).norm() <= 1e-14
+    assert covariant_directional_expr(const_scalar, a, bg).at(x).norm() <= 1e-14
+    # directions are normalised as by FieldExpr.deriv
+    four = covariant_directional_expr(X, a.vector_coords(), bg).at(x)
+    assert np.array_equal(four.comps, covariant_directional_expr(X, a, bg).at(x).comps)
+    with pytest.raises(GradeError):
+        covariant_directional_expr(X, PSEUDOSCALAR, bg)
 
 
 def test_spinor_directional():
@@ -281,17 +285,20 @@ def test_spinor_directional():
     psi = random_even_field(rng)
     x = rng.uniform(-1, 1, 4)
     a = random_vector(rng)
-    got = spinor_directional(psi, a, x, idbg)
-    assert (got - directional_derivative(psi, a, x)).norm() <= 1e-14
+    got = spinor_directional_expr(psi, a, idbg).at(x)
+    assert (got - psi.deriv(a).at(x)).norm() <= 1e-14
     # constant spinor with a nonzero connection: only the (1/2) Omega psi term
     om = random_omega(rng)
     bg = GaugeBackground(ExtensorField.identity(), om, compatible=False)
     psi0 = Multivector(rng.uniform(-1, 1, 16)).restrict({0, 2, 4})
-    got = spinor_directional(Const(psi0), a, x, bg)
-    want = 0.5 * (om.at(x, a) * psi0)
+    got = spinor_directional_expr(Const(psi0), a, bg).at(x)
+    want = 0.5 * (om.expr(a).at(x) * psi0)
     assert (got - want).norm() <= 1e-13
+    # directions are normalised as by FieldExpr.deriv
+    four = spinor_directional_expr(Const(psi0), a.vector_coords(), bg).at(x)
+    assert np.array_equal(four.comps, got.comps)
     with pytest.raises(GradeError):
-        spinor_directional(position(), a, x, bg)
+        spinor_directional_expr(psi, PSEUDOSCALAR, bg)
 
 
 def test_gauge_del_flat_limit():
@@ -300,9 +307,9 @@ def test_gauge_del_flat_limit():
     X = random_field(rng, {0, 1, 2})
     x = rng.uniform(-1, 1, 4)
     for mode in ("gradient", "divergence", "curl"):
-        flat = apply_del(X, mode, x)
+        flat = del_expr(X, mode).at(x)
         for construction in ("omega", "pushforward"):
-            got = gauge_del(X, mode, x, idbg, construction)
+            got = gauge_del_expr(X, mode, idbg, construction).at(x)
             assert (got - flat).norm() <= 1e-12
 
 
@@ -321,7 +328,7 @@ def test_pushforward_curl_of_scaled_position():
     h2 = ExtensorField.from_matrix(2.0 * np.eye(4))
     bg = GaugeBackground(h2, None, compatible=False)
     x = np.array([0.7, -0.1, 0.4, 0.2])
-    got = gauge_del(position(), "curl", x, bg, "pushforward")
+    got = gauge_del_expr(position(), "curl", bg, "pushforward").at(x)
     assert got.norm() <= 1e-13
 
 
@@ -329,7 +336,7 @@ def test_gauge_del_singular_h_rejected():
     entries = [[Const(Multivector.scalar(0.0)) for _ in range(4)] for _ in range(4)]
     bad = GaugeBackground(ExtensorField(entries), None, compatible=False)
     with pytest.raises(SingularExtensorError):
-        gauge_del(position(), "curl", np.zeros(4), bad, "pushforward")
+        gauge_del_expr(position(), "curl", bad, "pushforward").at(np.zeros(4))
 
 
 def test_gauge_identity_flat_limit():
@@ -407,6 +414,8 @@ def test_spinor_gradient_split_identity():
         for _ in range(2):
             psi = random_even_field(rng)
             assert check_spinor_gradient_split(psi, bg, pts) <= 1e-9
+    with pytest.raises(GradeError):
+        check_spinor_gradient_split(position(), bg, pts)
 
 
 def test_spinor_grad_flat_reduction():
@@ -414,6 +423,6 @@ def test_spinor_grad_flat_reduction():
     rng = np.random.default_rng(12)
     psi = random_even_field(rng)
     x = rng.uniform(-1, 1, 4)
-    got = spinor_grad(psi, x, idbg)
-    want = apply_del(psi, "gradient", x)
+    got = spinor_grad_expr(psi, idbg).at(x)
+    want = del_expr(psi, "gradient").at(x)
     assert (got - want).norm() <= 1e-13

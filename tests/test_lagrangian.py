@@ -14,12 +14,11 @@ from multiform.fields import (
     ScalarMap,
     coordinate,
     del_expr,
-    gradient,
     position,
     prod,
     scale,
 )
-from multiform.gauge import GaugeBackground, identity_background, rotor_gauge, spinor_grad
+from multiform.gauge import GaugeBackground, identity_background, rotor_gauge, spinor_grad_expr
 from multiform.lagrangian import (
     DerivMode,
     EleReport,
@@ -189,7 +188,7 @@ def test_maxwell_quadratic_potential_residual():
         x = rng.uniform(-1, 1, 4)
         res = ele_residual_flat(L, A, x)
         F_expr = del_expr(A, "curl")
-        indep = f.apply_del(F_expr, "divergence", x) * (1.0 / mu0)
+        indep = del_expr(F_expr, "divergence").at(x) * (1.0 / mu0)
         assert (res - indep).norm() <= 1e-12
         assert res.norm() > 0.1  # genuinely nonzero
 
@@ -203,7 +202,7 @@ def test_dirac_candidate_by_substitution_then_residual():
     pts = random_points(rng, 10)
     # first: the candidate satisfies the first-order equation pointwise
     for i in range(10):
-        eq = (gradient(psi, pts[i]) * I_SIGMA3) * params["hbar"] - (
+        eq = (del_expr(psi, "gradient").at(pts[i]) * I_SIGMA3) * params["hbar"] - (
             psi.at(pts[i]) * GAMMA[0]
         ) * mc
         assert eq.norm() <= 1e-12
@@ -336,7 +335,7 @@ def test_gauge_dirac_transported_solution():
     # it satisfies the first-order covariant equation as well
     mc = params["m"] * params["c"]
     for i in range(3):
-        eq = (spinor_grad(psi_g, pts[i], bg) * I_SIGMA3) * params["hbar"] - (
+        eq = (spinor_grad_expr(psi_g, bg).at(pts[i]) * I_SIGMA3) * params["hbar"] - (
             psi_g.at(pts[i]) * GAMMA[0]
         ) * mc
         assert eq.norm() <= 1e-9
@@ -415,7 +414,7 @@ def test_divergence_mode_flat_residual():
         res = ele_residual_flat(L, X, x)
         want = (
             2.0 * X.at(x)
-            - f.apply_del(scale(2.0, del_expr(X, "divergence")), "curl", x)
+            - del_expr(scale(2.0, del_expr(X, "divergence")), "curl").at(x)
         ).restrict({1})
         assert (res - want).norm() <= 1e-12
         # fully numeric two-path agreement (no closed forms)
@@ -457,7 +456,7 @@ def test_maxwell_with_current_source():
         r2 = ele_residual_reference(L, A, x)
         assert (r1 - r2).norm() <= 1e-7 * max(1.0, r1.norm())
         # residual = -J + div(curl A)/mu0
-        indep = f.apply_del(del_expr(A, "curl"), "divergence", x) * (1 / 1.7) - j_expr.at(x)
+        indep = del_expr(del_expr(A, "curl"), "divergence").at(x) * (1 / 1.7) - j_expr.at(x)
         assert (r1 - indep.restrict({1})).norm() <= 1e-11
         assert decomposition_check(L, A, random_field(rng, {1}), x) <= 1e-8
 

@@ -576,6 +576,17 @@ def test_lattice_field_grade_guard():
         LatticeField(lat, frozenset({1}), bad)
 
 
+def test_lattice_operations_refuse_grades_outside_the_lagrangian():
+    """A {1, 2} field under maxwell_flat would enter the action but not its gradient."""
+    L = make_builtin("maxwell_flat")
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 4, bc="periodic")
+    comps = np.random.default_rng(9).uniform(-1, 1, lat.shape + (16,))
+    F = LatticeField(lat, frozenset({1, 2}), comps * sta.grade_mask({1, 2}))
+    for op in (discrete_action, action_gradient, discrete_ele_residual):
+        with pytest.raises(GradeError, match=r"\[1, 2\] outside \[1\]"):
+            op(L, F)
+
+
 def test_grade_guards_reject_nan_outside_the_grades():
     """NaN > 1e-12 is False, and a mask keeps a NaN (NaN * 0 is NaN)."""
     lat = Lattice(np.zeros(4), np.ones(4), 4)

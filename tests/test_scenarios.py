@@ -78,6 +78,14 @@ def test_tolerance_override_can_fail_a_check():
     assert not rec.passed and rec.tolerance == 1e-300
 
 
+def test_tolerance_naming_no_check_is_refused_before_any_report(tmp_path):
+    out = os.path.join(tmp_path, "report.json")
+    cfg = ScenarioConfig(scenario="algebra", tolerances={"anticommutaton": 1.0}, out=out)
+    with pytest.raises(scenarios.ConfigError, match="anticommutaton"):
+        run_scenario(cfg)
+    assert not os.path.exists(out)
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(KeyError):
         run_scenario(ScenarioConfig(scenario="nope"))
