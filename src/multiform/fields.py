@@ -9,8 +9,12 @@ that is again a tree, so derivatives nest to any order; finite differences
 appear in this package only as independent test oracles.
 
 Evaluation is batched: ``expr.sample(xs)`` takes an (P, 4) array of
-coordinates and returns (P, 16) component arrays.  ``expr.at(x)`` is the
-single-point form returning a :class:`Multivector`; it refuses a batch.
+coordinates and returns (P, 16) component arrays.  A point set larger than
+``SAMPLE_BLOCK`` rows is evaluated one block of rows at a time into one
+output; no row's value depends on the rows evaluated with it, so the
+output equals one whole-set evaluation bit for bit, and no node holds more
+than a block of values.  ``expr.at(x)`` is the single-point form returning
+a :class:`Multivector`; it refuses a batch.
 Derivatives have no pointwise entry points of their own: ``X.deriv(a)``
 and ``del_expr(X, mode)`` are trees, evaluated like any other field, as
 in ``X.deriv(a).at(x)`` or ``del_expr(X, "curl").sample(xs)``.
@@ -150,6 +154,11 @@ def _prod_grades(ga: frozenset, gb: frozenset, kind: str) -> frozenset:
     return frozenset(out)
 
 
+# rows of a point set that FieldExpr.sample evaluates at once: every node's
+# value slot holds at most this many rows, whatever the point count
+SAMPLE_BLOCK = 4096
+
+
 class _Node:
     """Base of field and matrix nodes: one value slot and the trees derived from the node."""
 
@@ -206,8 +215,15 @@ class FieldExpr(_Node):
         return self.derived(a.tobytes(), lambda: self._build_deriv(a))
 
     def sample(self, xs) -> np.ndarray:
+        """(P, 16) values at the (P, 4) points xs, SAMPLE_BLOCK rows at a time."""
         pts, _ = _as_coords(xs)
-        return self.ev(pts, pts.tobytes())
+        if pts.shape[0] <= SAMPLE_BLOCK:
+            return self.ev(pts, pts.tobytes())
+        out = np.empty((pts.shape[0], DIM))
+        for lo in range(0, pts.shape[0], SAMPLE_BLOCK):
+            block = pts[lo : lo + SAMPLE_BLOCK]
+            out[lo : lo + SAMPLE_BLOCK] = self.ev(block, block.tobytes())
+        return out
 
     def at(self, x) -> Multivector:
         pts = _one_point(x)
@@ -327,7 +343,11 @@ def position() -> FieldExpr:
 class Tabulated(FieldExpr):
     """(P, 16) components, vanishing outside ``grades``, given at the point set
     whose key is ``key``: a leaf that lets trees evaluate on values computed
-    elsewhere.  Any other point set and any derivative raise ``ValueError``."""
+    elsewhere.  Any other point set and any derivative raise ``ValueError``.
+
+    The key is the whole point set's, so a tree with this leaf is evaluated
+    with ``ev(xs, key)``; ``sample`` over more than ``SAMPLE_BLOCK`` points
+    keys each block on its own and raises."""
 
     __slots__ = ("comps", "key")
 

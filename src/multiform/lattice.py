@@ -15,6 +15,15 @@ boundary condition the two therefore satisfy
 exactly at interior sites, which is the discrete form of the variation
 decomposition with the boundary term annihilated.
 
+The operators work on compact component-leading arrays, (n_blades, N, N,
+N, N) over the blades of one grade set.  A stencil along an axis is one
+matmul on a reshaped view, and each +-1 entry of g^mu * . is one signed add
+of a stencilled blade, in mu order; the results equal those of 16-wide
+site-major arrays under np.tensordot stencils bit for bit (up to the sign
+of a zero; the oracle is in tests/test_kernel_oracle.py).  Site-major
+16-wide arrays appear only where fields leave or enter: LatticeField.comps,
+and the density and slot-gradient trees, which evaluate 16 components.
+
 The stationary Maxwell operator is that residual for the source-free flat
 Maxwell density.  Its system is symmetric indefinite once signed by the
 metric, and singular: pure-gauge potentials lie in its kernel.  On a
@@ -34,7 +43,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import sta
-from .fields import FieldExpr, GradeError, Tabulated
+from .fields import FieldExpr, GradeError, Tabulated, _prod_grades, worst_of
 from .lagrangian import LagrangianSpec, blade_gradient
 from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
@@ -139,8 +148,11 @@ class LatticeField:
             self.lattice.shape + (DIM,)
         )
         mask = sta.grade_mask(self.grades)
-        # selected, not masked: NaN * 0 is NaN, and a NaN is never small
-        outside = np.abs(self.comps[..., mask == 0.0]).max(initial=0.0)
+        # selected, not masked: NaN * 0 is NaN, and a NaN is never small;
+        # one blade at a time, so the check copies no more than one blade
+        outside = worst_of(
+            0.0, *(np.abs(self.comps[..., m]).max() for m in np.flatnonzero(mask == 0.0))
+        )
         if not outside <= 1e-12:
             raise GradeError(
                 f"field has components of size {outside:.3e} outside grades "
@@ -188,24 +200,96 @@ def axis_derivative_matrix(n: int, h: float, bc: str) -> np.ndarray:
     return d
 
 
-def _apply_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, arr, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _blade_masks(grades) -> list[int]:
+    """The stored components of a field with the given grades, in storage order."""
+    return [m for m in range(DIM) if GRADES[m] in grades]
 
 
-def _diff(lat: Lattice, arr: np.ndarray, axis: int) -> np.ndarray:
-    d = axis_derivative_matrix(lat.sites, lat.spacing[axis], lat.bc)
-    return _apply_axis(arr, d, axis)
+def _stencils(lat: Lattice, transpose: bool = False) -> list[np.ndarray]:
+    """The axis stencils D_mu, or their transposes."""
+    mats = [axis_derivative_matrix(lat.sites, h, lat.bc) for h in lat.spacing]
+    return [d.T for d in mats] if transpose else mats
 
 
-def _diff_transpose(lat: Lattice, arr: np.ndarray, axis: int) -> np.ndarray:
-    d = axis_derivative_matrix(lat.sites, lat.spacing[axis], lat.bc)
-    return _apply_axis(arr, d.T, axis)
+def _apply_stencil(arr: np.ndarray, d: np.ndarray, mu: int) -> np.ndarray:
+    """d applied along site axis mu of a compact (n_blades, N, N, N, N) array.
+
+    A matmul on a reshaped view, with no transposed copy: ``d @`` the
+    (rest, N, rest) view for the leading axes, ``@ d.T`` for the last.  Each
+    entry is the dot product np.tensordot forms, summed in the same order.
+    """
+    n = d.shape[0]
+    if mu == 3:
+        return (arr.reshape(-1, n) @ d.T).reshape(arr.shape)
+    return (d @ arr.reshape(-1, n, n ** (3 - mu))).reshape(arr.shape)
+
+
+def _compact(comps: np.ndarray, grades) -> np.ndarray:
+    """The blades of ``grades`` of a site-major (N, N, N, N, 16) array, as a
+    compact component-leading (n_blades, N, N, N, N) array."""
+    return np.ascontiguousarray(np.moveaxis(comps, -1, 0)[_blade_masks(grades)])
+
+
+def _widen(arr: np.ndarray, grades) -> np.ndarray:
+    """The site-major (N, N, N, N, 16) array holding the compact ``arr`` on the
+    blades of ``grades`` and 0 on every other blade."""
+    out = np.zeros(arr.shape[1:] + (DIM,))
+    out[..., _blade_masks(grades)] = np.moveaxis(arr, 0, -1)
+    return out
+
+
+@functools.lru_cache(maxsize=3 * 2**10)  # every (kind, grade set, grade set) triple
+def _frame_pairs(kind: str, grades: frozenset, out_grades: frozenset) -> tuple:
+    """Per mu, the (input position, output position, +1 or -1) of every entry
+    of g^mu * . from the blades of ``grades`` to those of ``out_grades``,
+    positions on the component axis of compact arrays."""
+    rows, cols, blocks = sta._frame_blocks(kind, grades)
+    pos = {int(b): k for k, b in enumerate(_blade_masks(out_grades))}
+    return tuple(
+        tuple(
+            (int(i), pos[int(cols[j])], float(blocks[mu, i, j]))
+            for i, j in zip(*np.nonzero(blocks[mu]))
+            if int(cols[j]) in pos
+        )
+        for mu in range(4)
+    )
+
+
+def _frame_sum(
+    kind: str,
+    arr: np.ndarray,
+    grades,
+    acc: np.ndarray,
+    out_grades,
+    mats: list[np.ndarray],
+    sign: float = 1.0,
+) -> np.ndarray:
+    """acc += sign * sum_mu g^mu * (mats[mu] along axis mu of arr), in place.
+
+    ``arr`` and ``acc`` are compact, on the blades of ``grades`` and of
+    ``out_grades``; terms that land on other blades are dropped.  g^mu * .
+    has one +-1 per column, so each of its entries is one signed add of a
+    stencilled blade, done in mu order: every output blade sees the
+    additions of the 16-wide frame sum in the same order, so the result has
+    its bits, up to the sign of a zero.
+    """
+    arr = np.ascontiguousarray(arr)
+    for mu, pairs in enumerate(_frame_pairs(kind, frozenset(grades), frozenset(out_grades))):
+        if not pairs:
+            continue
+        x = _apply_stencil(arr, mats[mu], mu)
+        for i, o, s in pairs:
+            if s * sign > 0:
+                acc[o] += x[i]
+            else:
+                acc[o] -= x[i]
+    return acc
 
 
 def _zero_boundary(lat: Lattice, arr: np.ndarray) -> np.ndarray:
+    """A compact array with the dirichlet shell set to 0."""
     if lat.bc == "dirichlet":
-        arr = arr * lat.interior_mask()[..., None]
+        arr = arr * lat.interior_mask()
     return arr
 
 
@@ -233,29 +317,13 @@ def _require_operands(L: LagrangianSpec, F: LatticeField) -> None:
 
 def _aggregate(lat: Lattice, kind: str, comps: np.ndarray, grades) -> np.ndarray:
     """The discrete derivative aggregate sum_mu g^mu * D_mu comps at every site,
-    for comps that vanish outside grades."""
-    return sta._frame_sum(
-        kind, grades, lambda mu, blades: _diff(lat, comps[..., blades], mu), np.zeros(comps.shape)
-    )
-
-
-def _dual_diff(lat: Lattice, arr: np.ndarray, axis: int) -> np.ndarray:
-    """The adjoint-consistent dual stencil Dhat = -D^T along one axis."""
-    if lat.bc == "periodic":
-        return _diff(lat, arr, axis)  # -D^T = D for the circulant stencil
-    return -_diff_transpose(lat, arr, axis)
-
-
-def _dual_aggregate(
-    lat: Lattice, kind: str, arr: np.ndarray, arr_grades, acc: np.ndarray, grades
-) -> np.ndarray:
-    """acc + sum_mu g^mu *' Dhat_mu arr (acc updated in place) on the given
-    grades, zero on the dirichlet shell: the adjoint-consistent dual of
-    _aggregate, for arr that vanishes outside arr_grades."""
-    sta._frame_sum(
-        kind, arr_grades, lambda mu, blades: _dual_diff(lat, arr[..., blades], mu), acc
-    )
-    return _zero_boundary(lat, acc * sta.grade_mask(grades))
+    for site-major comps that vanish outside grades; site-major, as the
+    density and the slot-gradient leaves take it."""
+    grades = frozenset(grades)
+    out_grades = _prod_grades(frozenset({1}), grades, kind)
+    d = np.zeros((len(_blade_masks(out_grades)),) + lat.shape)
+    _frame_sum(kind, _compact(comps, grades), grades, d, out_grades, _stencils(lat))
+    return _widen(d, out_grades)
 
 
 def _slot_gradients(
@@ -291,6 +359,22 @@ def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
     return float(dens.sum() * F.lattice.cell_volume)
 
 
+def _residual(L: LagrangianSpec, F: LatticeField) -> np.ndarray:
+    """grad_X l + sum_mu g^mu *' D_mu^T grad_d l on the field's blades, 0 on the
+    dirichlet shell, compact: the slot gradients scattered back through the
+    transposed stencils."""
+    _require_operands(L, F)
+    lat = F.lattice
+    gx, gd = _slot_gradients(L, F, _aggregate(lat, L.mode.star, F.comps, F.grades))
+    acc = _compact(gx, L.field_grades)
+    d_grades = L.d_grades()
+    _frame_sum(
+        L.mode.dual, _compact(gd, d_grades), d_grades, acc, L.field_grades,
+        _stencils(lat, transpose=True),
+    )
+    return _zero_boundary(lat, acc)
+
+
 def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     """Exact gradient of the discrete action over interior site components.
 
@@ -299,36 +383,20 @@ def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     product: for any interior perturbation ``delta``,
     ``gradient.pair(delta)`` equals d/dl of the action along F + l delta.
     """
-    _require_operands(L, F)
-    lat = F.lattice
-    d = _aggregate(lat, L.mode.star, F.comps, F.grades)
-    gx, gd = _slot_gradients(L, F, d)
-    # D_mu^T (g^mu *' gd), with the stencil moved onto gd: g^mu *' only
-    # permutes and signs components, so the two orders agree bit for bit
-    acc = sta._frame_sum(
-        L.mode.dual,
-        L.d_grades(),
-        lambda mu, blades: _diff_transpose(lat, gd[..., blades], mu),
-        gx.copy(),
-    )
-    acc = _zero_boundary(lat, acc * sta.grade_mask(L.field_grades))
-    return LatticeField(lat, L.field_grades, acc * lat.cell_volume)
+    acc = _residual(L, F) * F.lattice.cell_volume
+    return LatticeField(F.lattice, L.field_grades, _widen(acc, L.field_grades))
 
 
 def discrete_ele_residual(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     """grad_X l - sum_mu g^mu *' Dhat_mu grad_d l with the adjoint-consistent dual.
 
-    Dhat is -D^T of the forward stencil (plain wraparound central difference
-    for periodic lattices), which makes the gradient-residual duality exact
-    rather than a truncation-order statement.
+    Dhat is -D^T of the forward stencil (on a periodic lattice the plain
+    wraparound central difference D itself, bit for bit), which makes the
+    gradient-residual duality exact rather than a truncation-order
+    statement: the residual is the action gradient's sum before the cell
+    volume.
     """
-    _require_operands(L, F)
-    lat = F.lattice
-    d = _aggregate(lat, L.mode.star, F.comps, F.grades)
-    gx, gd = _slot_gradients(L, F, d)
-    # adding the dual aggregate of -gd subtracts that of gd bit for bit
-    acc = _dual_aggregate(lat, L.mode.dual, -gd, L.d_grades(), gx.copy(), L.field_grades)
-    return LatticeField(lat, L.field_grades, acc)
+    return LatticeField(F.lattice, L.field_grades, _widen(_residual(L, F), L.field_grades))
 
 
 def discrete_gauss(v: LatticeField) -> tuple[float, float]:
@@ -343,12 +411,11 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
         raise GradeError("the divergence theorem check takes 1-form fields")
     lat = v.lattice
     vol = 0.0
-    for mu in range(4):
-        dv = _diff(lat, v.comps[..., 1 << mu], mu)
-        vol += dv.sum()
+    for mu, d in enumerate(_stencils(lat)):
+        # summed in tensordot's (axis mu first) layout, the order the check reports
+        vol += np.tensordot(d, v.comps[..., 1 << mu], axes=([1], [mu])).sum()
     flux = 0.0
-    for mu in range(4):
-        d = axis_derivative_matrix(lat.sites, lat.spacing[mu], lat.bc)
+    for mu, d in enumerate(_stencils(lat)):
         weights = d.sum(axis=0)
         shape = [1, 1, 1, 1]
         shape[mu] = lat.sites
@@ -361,6 +428,15 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _maxwell(lat: Lattice, a: np.ndarray) -> np.ndarray:
+    """div(curl a) on compact grade-1 arrays (4, N, N, N, N): the dual
+    aggregate -sum_mu g^mu . D_mu^T of curl a, 0 on the dirichlet shell."""
+    curl = _frame_sum("op", a, {1}, np.zeros((6,) + lat.shape), {2}, _stencils(lat))
+    out = np.zeros((4,) + lat.shape)
+    _frame_sum("lc", curl, {2}, out, {1}, _stencils(lat, transpose=True), sign=-1.0)
+    return _zero_boundary(lat, out)
+
+
 def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     """The discrete div(curl(.)) map on grade-1 component arrays.
 
@@ -369,21 +445,20 @@ def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     """
 
     def apply(comps: np.ndarray) -> np.ndarray:
-        curl = _aggregate(lat, "op", comps, {1})
-        return _dual_aggregate(lat, "lc", curl, {2}, np.zeros(comps.shape), {1})
+        return _widen(_maxwell(lat, _compact(comps, {1})), {1})
 
     return apply
 
 
-def _projected_operator(lat: Lattice, op) -> Callable[[np.ndarray], np.ndarray]:
-    """The matvec MINRES solves with: op with the boundary sites masked on
-    input as on output, signed by the metric so that the system is symmetric."""
+def _projected_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
+    """The matvec MINRES solves with: the Maxwell operator with the boundary
+    sites masked on input as on output, signed by the metric so that the
+    system is symmetric.  Vectors are site-major, four components per site."""
     eps = SP_DIAG[VECTOR_IDX]  # metric signs of the four vector components
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        comps = np.zeros(lat.shape + (DIM,))
-        comps[..., VECTOR_IDX] = u.reshape(lat.shape + (4,))
-        return (op(_zero_boundary(lat, comps))[..., VECTOR_IDX] * eps).reshape(-1)
+        a = _zero_boundary(lat, np.moveaxis(u.reshape(lat.shape + (4,)), -1, 0))
+        return (np.moveaxis(_maxwell(lat, a), 0, -1) * eps).reshape(-1)
 
     return matvec
 
@@ -455,33 +530,30 @@ def solve_maxwell(
     if J.lattice is not lat and J.lattice != lat:
         raise ValueError("current lives on a different lattice")
 
-    jc = mu0 * _zero_boundary(lat, J.comps)
-    if not np.isfinite(jc).all():
+    rhs = mu0 * _zero_boundary(lat, _compact(J.comps, {1}))
+    if not np.isfinite(rhs).all():
         raise ValueError("the current (times mu0) has non-finite components")
-    rhs = jc[..., VECTOR_IDX]
     if not rhs.any():
         return LatticeField.zeros(lat, {1})
 
-    op = maxwell_operator(lat)
-    comps = np.zeros(lat.shape + (DIM,))
+    # the FFT and MINRES take site-major vectors, four components per site
     if lat.bc == "periodic":
-        comps[..., VECTOR_IDX] = _fft_solve(lat, rhs)
+        a = _fft_solve(lat, np.moveaxis(rhs, 0, -1))
     else:
         nvec = 4 * lat.n_sites
-        linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat, op))
-        b = (rhs * SP_DIAG[VECTOR_IDX]).reshape(-1)
+        linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat))
+        b = (np.moveaxis(rhs, 0, -1) * SP_DIAG[VECTOR_IDX]).reshape(-1)
         maxiter = maxiter or 40 * lat.sites**2
         u, info = spla.minres(linop, b, rtol=min(tol, 1e-12), maxiter=maxiter)
         if info != 0:
             raise SolverError(f"MINRES did not converge (info={info})")
-        comps[..., VECTOR_IDX] = u.reshape(lat.shape + (4,))
-        comps = _zero_boundary(lat, comps)
+        a = u.reshape(lat.shape + (4,))
+    a = _zero_boundary(lat, np.moveaxis(a, -1, 0))
 
-    resid = op(comps) - jc
-    rel = np.linalg.norm(resid[..., VECTOR_IDX]) / np.linalg.norm(rhs)
+    rel = np.linalg.norm(_maxwell(lat, a) - rhs) / np.linalg.norm(rhs)
     if not rel <= tol:
         raise SolverError(f"solution residual {rel:.3e} exceeds tolerance {tol:g}")
-    return LatticeField(lat, frozenset({1}), comps)
+    return LatticeField(lat, frozenset({1}), _widen(a, {1}))
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +562,6 @@ def solve_maxwell(
 
 _HEADER_MAGIC = "multiform-lattice-field v1"
 _SIDECAR_KEYS = ("sites", "origin", "extent", "spacing", "bc", "grades", "blades")
-
-
-def _blade_masks(grades) -> list[int]:
-    """The stored components of a field with the given grades, in storage order."""
-    return [m for m in range(DIM) if GRADES[m] in grades]
 
 
 def export_field(F: LatticeField, basepath: str) -> tuple[str, str]:

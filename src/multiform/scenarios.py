@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -118,8 +119,12 @@ class ScenarioConfig:
             raise ValueError("point count must be at least 1")
         if self.lattice_n < 4:
             raise ValueError("lattice size must be at least 4")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ValueError(f"out must be a path string or null, got {self.out!r}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ValueError(f"out must be a non-empty path string or null, got {self.out!r}")
+        if not isinstance(self.tolerances, Mapping):
+            raise ValueError(
+                f"tolerances must map check names to numbers, got {self.tolerances!r}"
+            )
         for name, tol in self.tolerances.items():
             real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
             if not (real and math.isfinite(tol) and tol > 0):
@@ -740,7 +745,7 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
             f"tolerances name no check of {cfg.scenario!r}: {', '.join(unknown)}"
         )
     report = Report(config=cfg, checks=runner.records)
-    if cfg.out:
+    if cfg.out is not None:
         with open(cfg.out, "w") as fh:
             fh.write(report.to_json())
     return report

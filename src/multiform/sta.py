@@ -235,10 +235,6 @@ class Multivector:
         """Euclidean norm of the component vector (residual measure)."""
         return float(np.linalg.norm(self.comps))
 
-    def is_even(self, tol: float = 0.0) -> bool:
-        odd = GRADE_MASKS[1] | GRADE_MASKS[3]
-        return bool(np.abs(self.comps[odd]).max(initial=0.0) <= tol)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

@@ -125,6 +125,18 @@ def test_non_string_out_exits_2(capsys, tmp_path):
         assert out == ""
 
 
+def test_empty_out_exits_2(capsys, tmp_path):
+    """An empty path would write no report; it is refused, from a file or a flag."""
+    cfg = os.path.join(tmp_path, "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump({"out": ""}, fh)
+    for args in (("--config", cfg), ("--out", "")):
+        code, out, err = run_cli(capsys, "verify", "algebra", *args)
+        assert code == 2, args
+        assert "error: bad config: out" in err and "Traceback" not in err
+        assert out == ""
+
+
 def test_tolerance_naming_no_check_exits_2(capsys, tmp_path):
     cfg = os.path.join(tmp_path, "cfg.json")
     with open(cfg, "w") as fh:

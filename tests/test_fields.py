@@ -1,6 +1,7 @@
 """Field-expression calculus tests; finite differences appear only as the
 independent oracle for the structural derivatives."""
 
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -256,6 +257,32 @@ def test_gauss_check_convergence_rate():
     assert d8 / d16 == pytest.approx(4.0, abs=0.8)
     with pytest.raises(ValueError):
         gauss_check(v, box, 1)
+
+
+def test_gauss_check_working_set_is_bounded():
+    """65,536 sampled points in blocks: the peak is a few (P, 16) arrays, not
+    one per tree node."""
+    v = prod(Const(GAMMA[1]), ScalarMap(coordinate(GAMMA[1] + GAMMA[0]), "sin"), "gp")
+    box = (np.zeros(4), np.ones(4))
+    gauss_check(v, box, 4)
+    tracemalloc.start()
+    try:
+        gauss_check(v, box, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16**4 * 16 * 8
+
+
+def test_tabulated_tree_samples_within_one_block_only():
+    """The leaf is keyed to its whole point set; ev with that key is its entry point."""
+    pts = random_points(np.random.default_rng(41), f.SAMPLE_BLOCK + 1)
+    comps = np.zeros((pts.shape[0], 16))
+    comps[:, 1] = pts[:, 0]
+    tree = prod(Tabulated(comps, {1}, pts.tobytes()), Const(GAMMA[2]), "op")
+    assert np.array_equal(tree.ev(pts, pts.tobytes()), sta.op(comps, GAMMA[2].comps))
+    with pytest.raises(ValueError, match="tabulated values exist only"):
+        tree.sample(pts)
 
 
 def test_tabulated_leaf_lives_on_its_point_set_only():

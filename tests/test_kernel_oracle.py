@@ -16,12 +16,15 @@ so there the fast paths may place NaN differently, but a check must still
 fail.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiform import lattice, sta
+from multiform import fields, lattice, sta
 from multiform.fields import (
     AGGREGATES,
     Add,
@@ -292,6 +295,32 @@ def test_values_vanish_outside_the_grade_set(root, seed):
 
 
 @pytest.mark.parametrize("root", range(len(ROOT_KINDS)), ids=ROOT_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_blocked_sample_equals_one_whole_set_evaluation(root, seed):
+    """sample over 2.5 blocks of rows gives the bits of one ev over the whole set.
+
+    The block is cut to 64 rows here: a whole-set evaluation of an extensor
+    tree holds hundreds of (P, 16) values, about 50 kB a row.  The module's
+    own block is checked below on the trees of the Gauss check.
+    """
+    rng = np.random.default_rng(seed)
+    tree = _tree(rng, int(rng.integers(1, 4)), root)
+    with mock.patch.object(fields, "SAMPLE_BLOCK", 64):
+        pts = random_points(rng, 160)
+        whole = tree.ev(pts, pts.tobytes())
+        assert np.array_equal(tree.sample(pts), whole)
+
+
+def test_blocked_sample_at_the_module_block():
+    rng = np.random.default_rng(17)
+    pts = random_points(rng, 5 * fields.SAMPLE_BLOCK // 2)
+    for tree in (random_field(rng, ALL_GRADES), DelExpr(random_field(rng, {1}), "lc")):
+        whole = tree.ev(pts, pts.tobytes())
+        assert np.array_equal(tree.sample(pts), whole)
+
+
+@pytest.mark.parametrize("root", range(len(ROOT_KINDS)), ids=ROOT_KINDS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_structural_derivative_matches_finite_difference(root, seed):
@@ -368,6 +397,81 @@ def test_frame_sum_equals_dense_kernel(kind, grades, seed):
     assert np.array_equal(got, want)
 
 
+# -- the lattice operators on 16-wide site arrays: np.tensordot stencils and
+# sta._frame_sum, the oracle of lattice's compact frame sums
+
+
+def _oracle_diff(lat, arr, axis, transpose=False):
+    d = lattice.axis_derivative_matrix(lat.sites, lat.spacing[axis], lat.bc)
+    out = np.tensordot(d.T if transpose else d, arr, axes=([1], [axis]))
+    return np.moveaxis(out, 0, axis)
+
+
+def _oracle_adjoint_diff(lat, arr, axis):
+    return _oracle_diff(lat, arr, axis, transpose=True)
+
+
+def _oracle_dual_diff(lat, arr, axis):
+    """Dhat = -D^T, which is D for the circulant periodic stencil."""
+    if lat.bc == "periodic":
+        return _oracle_diff(lat, arr, axis)
+    return -_oracle_adjoint_diff(lat, arr, axis)
+
+
+def _oracle_zero_boundary(lat, arr):
+    if lat.bc == "dirichlet":
+        arr = arr * lat.interior_mask()[..., None]
+    return arr
+
+
+def oracle_aggregate(lat, kind, comps, grades):
+    """sum_mu g^mu * D_mu comps."""
+    return sta._frame_sum(
+        kind, grades, lambda mu, blades: _oracle_diff(lat, comps[..., blades], mu),
+        np.zeros(comps.shape),
+    )
+
+
+def oracle_scatter(lat, kind, arr, arr_grades, acc, grades, stencil):
+    """acc + sum_mu g^mu * stencil_mu arr on grades, 0 on the dirichlet shell."""
+    sta._frame_sum(kind, arr_grades, lambda mu, blades: stencil(lat, arr[..., blades], mu), acc)
+    return _oracle_zero_boundary(lat, acc * sta.grade_mask(grades))
+
+
+def oracle_maxwell(lat, comps):
+    curl = oracle_aggregate(lat, "op", comps, {1})
+    return oracle_scatter(lat, "lc", curl, {2}, np.zeros(comps.shape), {1}, _oracle_dual_diff)
+
+
+def oracle_dirichlet_potential(lat, jc, tol):
+    """MINRES on the signed, masked 16-wide system, as solve_maxwell ran it."""
+    vec, eps = sta.VECTOR_IDX, sta.SP_DIAG[sta.VECTOR_IDX]
+
+    def matvec(u):
+        comps = np.zeros(lat.shape + (DIM,))
+        comps[..., vec] = u.reshape(lat.shape + (4,))
+        return (oracle_maxwell(lat, _oracle_zero_boundary(lat, comps))[..., vec] * eps).reshape(-1)
+
+    nvec = 4 * lat.n_sites
+    b = (_oracle_zero_boundary(lat, jc)[..., vec] * eps).reshape(-1)
+    linop = spla.LinearOperator((nvec, nvec), matvec=matvec)
+    u, info = spla.minres(linop, b, rtol=min(tol, 1e-12), maxiter=40 * lat.sites**2)
+    assert info == 0
+    comps = np.zeros(lat.shape + (DIM,))
+    comps[..., vec] = u.reshape(lat.shape + (4,))
+    return _oracle_zero_boundary(lat, comps)
+
+
+def _scatter(lat, kind, arr, grades, acc, out_grades, transpose, sign):
+    """lattice's compact frame sum on 16-wide operands, returned 16 wide."""
+    out = lattice._compact(acc, out_grades)
+    lattice._frame_sum(
+        kind, lattice._compact(arr, grades), grades, out, out_grades,
+        lattice._stencils(lat, transpose), sign,
+    )
+    return lattice._widen(lattice._zero_boundary(lat, out), out_grades)
+
+
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("kind", sorted(AGGREGATES))
 def test_lattice_aggregates_equal_dense_kernel(kind, bc):
@@ -376,18 +480,57 @@ def test_lattice_aggregates_equal_dense_kernel(kind, bc):
     for grades in GRADE_SETS:
         comps = _arr(rng, lat.shape + (DIM,)) * sta.grade_mask(grades)
         want = _dense_frame_sum(
-            kind, [lattice._diff(lat, comps, mu) for mu in range(4)], np.zeros(comps.shape)
+            kind, [_oracle_diff(lat, comps, mu) for mu in range(4)], np.zeros(comps.shape)
         )
         assert np.array_equal(lattice._aggregate(lat, kind, comps, grades), want)
         acc = _arr(rng, comps.shape)
         # g^mu * moves grade r to r - 1 and r + 1; keeping one side tests the mask
         out_grades = {r - 1 for r in grades if r > 0} or {1}
         want = _dense_frame_sum(
-            kind, [lattice._dual_diff(lat, comps, mu) for mu in range(4)], acc.copy()
+            kind, [_oracle_dual_diff(lat, comps, mu) for mu in range(4)], acc.copy()
         )
-        want = lattice._zero_boundary(lat, want * sta.grade_mask(out_grades))
-        got = lattice._dual_aggregate(lat, kind, comps, grades, acc.copy(), out_grades)
+        want = _oracle_zero_boundary(lat, want * sta.grade_mask(out_grades))
+        got = _scatter(lat, kind, comps, grades, acc, out_grades, True, -1.0)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_compact_lattice_frame_sums_equal_the_16_wide_path(n, bc):
+    """Forward, dual and transpose aggregates for every kind on grades {1}, {2}
+    and all, and the Maxwell operator, bit for bit."""
+    lat = lattice.Lattice(np.zeros(4), np.array([1.0, 2.0, 1.5, 2 * np.pi]), n, bc)
+    rng = np.random.default_rng(n)
+    for kind in sorted(AGGREGATES):
+        for grades in (frozenset({1}), frozenset({2}), ALL_GRADES):
+            comps = _arr(rng, lat.shape + (DIM,)) * sta.grade_mask(grades)
+            got = lattice._aggregate(lat, kind, comps, grades)
+            assert np.array_equal(got, oracle_aggregate(lat, kind, comps, grades))
+            acc = _arr(rng, comps.shape)
+            out_grades = {r - 1 for r in grades if r > 0} | {4}
+            dual = oracle_scatter(
+                lat, kind, comps, grades, acc.copy(), out_grades, _oracle_dual_diff
+            )
+            got = _scatter(lat, kind, comps, grades, acc, out_grades, True, -1.0)
+            assert np.array_equal(got, dual)
+            adjoint = oracle_scatter(
+                lat, kind, comps, grades, acc.copy(), out_grades, _oracle_adjoint_diff
+            )
+            got = _scatter(lat, kind, comps, grades, acc, out_grades, True, 1.0)
+            assert np.array_equal(got, adjoint)
+    a = _arr(rng, lat.shape + (DIM,)) * sta.grade_mask({1})
+    assert np.array_equal(lattice.maxwell_operator(lat)(a), oracle_maxwell(lat, a))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_dirichlet_potential_equals_the_16_wide_minres(n):
+    lat = lattice.Lattice(np.zeros(4), np.ones(4), n, "dirichlet")
+    xs = lat.coords()
+    astar = np.zeros(lat.shape + (DIM,))
+    astar[..., 4] = np.prod(np.sin(np.pi * xs), axis=-1) * lat.interior_mask()
+    jc = oracle_maxwell(lat, astar)
+    A = lattice.solve_maxwell(lat, lattice.LatticeField(lat, {1}, jc), tol=1e-8)
+    assert np.array_equal(A.comps, oracle_dirichlet_potential(lat, jc, 1e-8))
 
 
 # ---------------------------------------------------------------------------

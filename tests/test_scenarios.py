@@ -86,6 +86,12 @@ def test_tolerance_naming_no_check_is_refused_before_any_report(tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("tolerances", [[("associativity", 1.0)], "associativity", 1.0])
+def test_tolerances_that_are_not_a_mapping_are_refused(tolerances):
+    with pytest.raises(ValueError, match="tolerances must map check names"):
+        run_scenario(ScenarioConfig(scenario="algebra", tolerances=tolerances))
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(KeyError):
         run_scenario(ScenarioConfig(scenario="nope"))
