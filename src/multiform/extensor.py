@@ -66,6 +66,13 @@ class Extensor11:
     def compose(self, other: "Extensor11") -> "Extensor11":
         return Extensor11(self.m @ other.m)
 
+    def __eq__(self, other):
+        if isinstance(other, Extensor11):
+            return bool(np.array_equal(self.m, other.m))
+        return NotImplemented
+
+    __hash__ = None
+
     def __repr__(self):
         return f"Extensor11({self.m.tolist()})"
 
@@ -90,6 +97,13 @@ class ExtendedExtensor:
     def __call__(self, x: Multivector) -> Multivector:
         return Multivector(self.matrix @ x.comps)
 
+    def __eq__(self, other):
+        if isinstance(other, ExtendedExtensor):
+            return bool(np.array_equal(self.matrix, other.matrix))
+        return NotImplemented
+
+    __hash__ = None
+
 
 def apply(t: Extensor11, a: Multivector) -> Multivector:
     return t(a)
@@ -104,8 +118,16 @@ def extend(t: Extensor11, x: Multivector) -> Multivector:
     return ExtendedExtensor.of(t)(x)
 
 
+def _require_finite(t: Extensor11, what: str) -> None:
+    """Refuse a matrix with a NaN or infinite entry: NaN passes every
+    tolerance comparison, and an infinity turns into a silent 0 or NaN."""
+    if not np.isfinite(t.m).all():
+        raise ValueError(f"{what} needs a finite extensor matrix, got {t.m.tolist()}")
+
+
 def determinant(t: Extensor11) -> float:
     """det via the pseudoscalar image, cross-checked against the matrix determinant."""
+    _require_finite(t, "determinant")
     pseudo = outermorphism_matrix(t.m)[15, 15]
     direct = float(np.linalg.det(t.m))
     scale = max(1.0, abs(direct))
@@ -117,6 +139,7 @@ def determinant(t: Extensor11) -> float:
 
 
 def invert(t: Extensor11) -> Extensor11:
+    _require_finite(t, "invert")
     d = float(np.linalg.det(t.m))
     if abs(d) <= DET_GATE:
         raise SingularExtensorError(f"extensor is singular (|det| = {abs(d):.3e})")
@@ -125,6 +148,7 @@ def invert(t: Extensor11) -> Extensor11:
 
 def gauge_star(h: Extensor11) -> Extensor11:
     """h* = (h^-1)_adj, cross-checked against (h_adj)^-1."""
+    _require_finite(h, "gauge_star")
     first = adjoint(invert(h))
     second = invert(adjoint(h))
     if not np.allclose(first.m, second.m, rtol=0.0, atol=1e-10):

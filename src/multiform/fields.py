@@ -26,11 +26,14 @@ computed once per top-level call: an equal array built anew hits the slot,
 a point set changed in place misses it.  A subtree shared between trees,
 such as the extensor field of a gauge background, is therefore evaluated
 once per point set however many trees and calls use it.  Stored values are
-read-only arrays.  A slot lives as long as its node, and trees derived
-from a node (derivatives, aggregates, residual plans) are owned by that
-node, so a field nothing holds is freed with its trees and their values.
-Derived trees often point back at their source, so that happens at the
-next garbage collection rather than at once.
+read-only arrays.  A slot lives as long as its node.  A node owns its
+derivatives and chain-rule factors; aggregates and residual plans are built
+per call and owned by their caller.  Every tree is acyclic: nothing a node
+owns points back at it, so reference counting frees a field nothing holds,
+with its trees and their values, at once.  The derivatives of e^s, 1/s and
+exp(B s) contain the node's own value; they read it from a twin, a node of
+the same kind over the same child, which computes the same bits.  An
+outermorphism is shared through a weak-valued map on its matrix.
 
 The chain rule d_a f(s) = f'(s) d_a s has a factor that does not depend on
 the direction a.  ScalarMap, PolyMap and BladeExp build it once per node
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -502,14 +506,21 @@ class ScalarMap(FieldExpr):
         out[:, 0] = _SCALAR_FNS[self.kind](s)
         return out
 
+    def _twin(self) -> "ScalarMap":
+        """A new node of the same kind over the same child."""
+        return ScalarMap(self.child, self.kind)
+
     def _build_outer(self) -> FieldExpr:
         if self.kind == "sin":
             return ScalarMap(self.child, "cos")
         if self.kind == "cos":
             return scale(-1.0, ScalarMap(self.child, "sin"))
+        # the factors of e^s and 1/s contain the node's value: a twin supplies
+        # it, so the factor cached here does not point back at the node
+        twin = self._twin()
         if self.kind == "exp":
-            return self
-        return scale(-1.0, prod(self, self, "gp"))  # recip: d(1/s) = -(1/s)^2 ds
+            return twin
+        return scale(-1.0, prod(twin, twin, "gp"))  # recip: d(1/s) = -(1/s)^2 ds
 
     def _build_deriv(self, a):
         # f'(s) does not depend on a: one factor node serves every direction
@@ -577,8 +588,10 @@ class BladeExp(FieldExpr):
         return out
 
     def _build_deriv(self, a):
-        # d exp(B s) = B (ds) exp(B s); ds is scalar and B commutes with the series
-        inner = prod(self.child._deriv(a), self, "gp")
+        # d exp(B s) = B (ds) exp(B s); ds is scalar and B commutes with the series.
+        # exp(B s) is read from a twin, so the derivative does not point back here
+        twin = self.derived("twin", lambda: BladeExp(Multivector(self.b_comps), self.child))
+        inner = prod(self.child._deriv(a), twin, "gp")
         blade = self.derived("outer", lambda: Const(Multivector(self.b_comps)))
         return prod(blade, inner, "gp")
 
@@ -682,10 +695,12 @@ def del_expr(child: FieldExpr, mode: str) -> FieldExpr:
 class MatExpr(_Node):
     """A (P, 4, 4) matrix of scalar fields of position, with exact derivatives."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_outers")
 
     def __init__(self, entries):
         super().__init__()
+        # the Outermorphism of each tangent set, alive while an application reads it
+        self._outers: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         rows = [list(row) for row in entries]
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("entries must be 4x4")
@@ -711,6 +726,13 @@ class MatExpr(_Node):
             a.tobytes(), lambda: MatExpr([[e._deriv(a) for e in row] for row in self.entries])
         )
 
+    def outermorphism(self, tangents: tuple) -> "Outermorphism":
+        """The one live outermorphism node of this matrix along ``tangents``."""
+        outer = self._outers.get(tangents)
+        if outer is None:
+            outer = self._outers[tangents] = Outermorphism(self, tangents)
+        return outer
+
     @property
     def is_zero(self) -> bool:
         return all(e.is_zero for row in self.entries for e in row)
@@ -718,7 +740,7 @@ class MatExpr(_Node):
 
 class Outermorphism(_Node):
     """The (P, 16, 16) outermorphism matrix of mat, or its multilinear
-    derivative along the tangent matrices; one node per (mat, tangents)."""
+    derivative along the tangent matrices; one live node per (mat, tangents)."""
 
     __slots__ = ("mat", "tangents")
 
@@ -761,7 +783,7 @@ class ExtApply(FieldExpr):
         self.tangents = tangents
         self.child = child
         self.adjoint = adjoint
-        self.outer = mat.derived(("outer",) + tangents, lambda: Outermorphism(mat, tangents))
+        self.outer = mat.outermorphism(tangents)
 
     def _eval(self, xs, key):
         big = self.outer.ev(xs, key)

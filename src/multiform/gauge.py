@@ -66,13 +66,17 @@ class RotorError(ValueError):
 class _RecipDet(ScalarMap):
     """1/det h, refusing a point set on which |det h| <= DET_GATE.
 
-    Its derivative is the reciprocal's, -(1/det h)^2 d det h.
+    Its derivative is the reciprocal's, -(1/det h)^2 d det h, with 1/det h
+    read from a twin that keeps the gate.
     """
 
     __slots__ = ()
 
     def __init__(self, det: FieldExpr):
         super().__init__(det, "recip")
+
+    def _twin(self) -> "_RecipDet":
+        return _RecipDet(self.child)
 
     def _eval(self, xs, key):
         worst = np.abs(self.child.ev(xs, key)[:, 0]).min()
@@ -102,6 +106,15 @@ class ExtensorField:
 
     def __init__(self, entries):
         self._mat = MatExpr([[_lift(e) for e in row] for row in entries])
+        # det, 1/det and the star basis: trees over the matrix node, kept
+        # here rather than on it, since each of them points at it
+        self._trees: dict = {}
+
+    def _tree(self, key, build):
+        hit = self._trees.get(key)
+        if hit is None:
+            hit = self._trees[key] = build()
+        return hit
 
     @classmethod
     def from_matrix(cls, m) -> "ExtensorField":
@@ -137,17 +150,17 @@ class ExtensorField:
         Its derivatives are the tangent slots of the outermorphism, and it
         stays defined (zero) where h is singular.
         """
-        return self._mat.derived(
+        return self._tree(
             "det", lambda: scale(-1.0, prod(ExtApply(self._mat, _I), _I, "sp"))
         )
 
     def _recip_det(self) -> FieldExpr:
-        return self._mat.derived("recip_det", lambda: _RecipDet(self.det_expr()))
+        return self._tree("recip_det", lambda: _RecipDet(self.det_expr()))
 
     def star_basis(self, mu: int, upper: bool) -> FieldExpr:
         """h*(g^mu) (upper) or h*(g_mu) as a field."""
         base = (GAMMA_UP_NODES if upper else GAMMA_NODES)[mu]
-        return self._mat.derived(("star", base), lambda: self.apply_expr(base, "star"))
+        return self._tree(("star", base), lambda: self.apply_expr(base, "star"))
 
     def at(self, x, variant: str = "direct") -> Extensor11:
         """variant(h) at one point by matrix inversion, an oracle for the dual formulas."""
@@ -340,15 +353,13 @@ def _star_contraction(X: FieldExpr, kind: str, bg: GaugeBackground, directional)
 def gauge_del_expr(
     X: FieldExpr, mode: str, bg: GaugeBackground, construction: str | None = None
 ) -> FieldExpr:
-    """Covariant divergence/curl/gradient of X as a differentiable field, owned by X."""
+    """Covariant divergence/curl/gradient of X as a differentiable field.
+
+    Each call builds a new tree over X; a caller that evaluates it more than
+    once keeps it.
+    """
     kind = aggregate_kind(mode)
     construction = bg.pick_construction(construction)
-    return X.derived(
-        ("gauge", kind, construction, bg), lambda: _gauge_del(X, kind, bg, construction)
-    )
-
-
-def _gauge_del(X: FieldExpr, kind: str, bg: GaugeBackground, construction: str) -> FieldExpr:
     if construction == "omega":
         return _star_contraction(X, kind, bg, covariant_directional_expr)
     if kind == "lc":
@@ -368,7 +379,7 @@ def _gauge_del(X: FieldExpr, kind: str, bg: GaugeBackground, construction: str) 
 
 
 def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
-    """D^s psi = sum_mu h*(g^mu) D^s_{g_mu} psi as a differentiable field, owned by psi.
+    """D^s psi = sum_mu h*(g^mu) D^s_{g_mu} psi as a differentiable field, a new tree per call.
 
     Defined for any multiform argument, since the Euler-Lagrange machinery
     also applies it to odd slot gradients; evenness is enforced where fields
@@ -377,9 +388,7 @@ def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
     """
     if bg.omega is None:
         raise ValueError("spinor derivatives need a connection field")
-    return psi.derived(
-        ("spinor", bg), lambda: _star_contraction(psi, "gp", bg, spinor_directional_expr)
-    )
+    return _star_contraction(psi, "gp", bg, spinor_directional_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,13 @@ the divergence of the matching boundary current, which is the mechanism the
 stationarity proofs rest on.
 
 Points are batched: the residual operators, ``variation`` and
-``decomposition_check`` take one point or a (P, 4) array.  Each field is
-planned once per (derivative mode, slot-gradient builders, background,
-construction), and the field owns its plans: a plan holds the aggregate d
-and the closed slot gradients, including the dual aggregate of grad_d, as
-expression trees, and a point set is one evaluation of those trees.  A
-single point gives a :class:`Multivector` (or a float), a batch gives
-(P, 16) components (or (P,) values), equal row for row to the single point
-results.
+``decomposition_check`` take one point or a (P, 4) array.  Each call
+plans the field once: a plan holds the aggregate d and the closed slot
+gradients, including the dual aggregate of grad_d, as expression trees, a
+point set is one evaluation of those trees, and the plan is freed when the
+call returns.  A single point gives a :class:`Multivector` (or a float), a
+batch gives (P, 16) components (or (P,) values), equal row for row to the
+single point results.
 
 Slot gradients use closed forms when the LagrangianSpec provides them (all
 built-ins do).  Without ``grad_x``, :func:`blade_gradient` differentiates
@@ -163,19 +162,15 @@ def _plan(
     bg: GaugeBackground | None,
     construction: str | None,
 ) -> dict:
-    """The residual trees of X under L, built once and owned by X."""
-
-    def build() -> dict:
-        d_expr = _aggregate(L, X, L.mode.star, bg, construction)
-        gd = L.grad_d(X, d_expr) if L.grad_d is not None else None
-        return {
-            "d": d_expr,
-            "gx": L.grad_x(X, d_expr) if L.grad_x is not None else None,
-            "gd": gd,
-            "dual_gd": None if gd is None else _aggregate(L, gd, L.mode.dual, bg, construction),
-        }
-
-    return X.derived(("plan", L.mode, L.grad_x, L.grad_d, bg, construction), build)
+    """The residual trees of X under L; a public call builds one and passes it down."""
+    d_expr = _aggregate(L, X, L.mode.star, bg, construction)
+    gd = L.grad_d(X, d_expr) if L.grad_d is not None else None
+    return {
+        "d": d_expr,
+        "gx": L.grad_x(X, d_expr) if L.grad_x is not None else None,
+        "gd": gd,
+        "dual_gd": None if gd is None else _aggregate(L, gd, L.mode.dual, bg, construction),
+    }
 
 
 def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray, key: bytes):
@@ -265,15 +260,8 @@ def variation(
 # ---------------------------------------------------------------------------
 
 
-def _residual(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    x,
-    bg: GaugeBackground | None,
-    construction: str | None,
-):
+def _residual(L: LagrangianSpec, X: FieldExpr, x, plan: dict):
     pts, single = _as_coords(x)
-    plan = _plan(L, X, bg, construction)
     key = pts.tobytes()
     if plan["gx"] is not None:
         t1 = plan["gx"].ev(pts, key)
@@ -283,7 +271,7 @@ def _residual(
         t2 = plan["dual_gd"].ev(pts, key)
     else:
         t2 = np.array(
-            [_dual_of_numeric_slot_gradient(L, X, xc, bg, construction).comps for xc in pts]
+            [_dual_of_numeric_slot_gradient(L, X, xc, plan).comps for xc in pts]
         )
     res = sta.restrict(t1 - t2, L.field_grades)
     return Multivector(res[0]) if single else res
@@ -297,25 +285,15 @@ def residual_norms(res) -> list[float]:
     return [float(np.linalg.norm(row)) for row in res]
 
 
-def _numeric_slot_gradient(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    y,
-    bg: GaugeBackground | None,
-    construction: str | None,
-) -> Multivector:
+def _numeric_slot_gradient(L: LagrangianSpec, X: FieldExpr, y, plan: dict) -> Multivector:
     """grad_d l at the point y, per blade from the density itself."""
     pts = _one_point(y)
-    dc = _plan(L, X, bg, construction)["d"].at(pts).restrict(L.d_grades()).comps
+    dc = plan["d"].at(pts).restrict(L.d_grades()).comps
     return _point_gradient(L, (X.at(pts).comps, dc), pts[0], 1)
 
 
 def _dual_of_numeric_slot_gradient(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    x,
-    bg: GaugeBackground | None,
-    construction: str | None,
+    L: LagrangianSpec, X: FieldExpr, x, plan: dict
 ) -> Multivector:
     """Dual derivative of the pointwise slot-gradient field, by coordinate stencils.
 
@@ -336,7 +314,7 @@ def _dual_of_numeric_slot_gradient(
         def p(s: float) -> np.ndarray:
             shifted = xc.copy()
             shifted[mu] += s
-            return _numeric_slot_gradient(L, X, shifted, bg, construction).comps
+            return _numeric_slot_gradient(L, X, shifted, plan).comps
 
         out += kernel(GAMMA_UP[mu].comps, scalar_derivative_at_zero(p))
     return Multivector(out)
@@ -346,7 +324,7 @@ def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x):
     """grad_X l - (dual flat derivative) grad_d l at x, grade-restricted."""
     if L.mode.family != "flat":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not flat")
-    return _residual(L, X, x, None, None)
+    return _residual(L, X, x, _plan(L, X, None, None))
 
 
 def ele_residual_gauge(
@@ -359,7 +337,7 @@ def ele_residual_gauge(
     """grad_X l - (dual covariant derivative) grad_d l at x."""
     if L.mode.family != "gauge":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not gauge")
-    return _residual(L, X, x, bg, construction)
+    return _residual(L, X, x, _plan(L, X, bg, construction))
 
 
 def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackground):
@@ -367,7 +345,7 @@ def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackgroun
     if L.mode is not DerivMode.SPINOR:
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not spinor")
     require_even(psi, x)
-    return _residual(L, psi, x, bg, None)
+    return _residual(L, psi, x, _plan(L, psi, bg, None))
 
 
 def ele_residual(
@@ -409,9 +387,9 @@ def ele_residual_reference(
     xc = pts[0]
     t1 = _point_gradient(L, (X.at(pts).comps, plan["d"].at(pts).comps), xc, 0)
     if L.mode.family == "flat":
-        t2 = _dual_of_numeric_slot_gradient(L, X, pts, bg, construction)
+        t2 = _dual_of_numeric_slot_gradient(L, X, pts, plan)
     else:
-        p_val = _numeric_slot_gradient(L, X, pts, bg, construction)
+        p_val = _numeric_slot_gradient(L, X, pts, plan)
         if plan["gd"] is None:
             raise ValueError("gauge/spinor reference path needs closed slot gradients")
         # cross-check the closed gradient against the per-blade one first
@@ -447,7 +425,9 @@ def decomposition_check(
     if plan["gd"] is None:
         raise ValueError("decomposition check needs a closed-form grad_d")
     delta = variation(L, X, A, pts, bg, construction)
-    res = ele_residual(L, X, pts, bg, construction)
+    if L.mode is DerivMode.SPINOR:
+        require_even(X, pts)
+    res = _residual(L, X, pts, plan)
     key = pts.tobytes()
     w = _weights(L, bg, pts, key)
     if L.mode.family == "flat":

@@ -8,7 +8,6 @@ up to the wall-time fields.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import numbers
@@ -736,9 +735,6 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
     runner = _Runner(cfg)
     runner.start()
     body(cfg, runner)
-    # derivative caches point back at their nodes, so a scenario's trees are
-    # reference cycles: free them, with their cached values, before returning
-    gc.collect()
     unknown = sorted(set(cfg.tolerances) - {c.name for c in runner.records})
     if unknown:
         raise ConfigError(

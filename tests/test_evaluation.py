@@ -26,14 +26,18 @@ from multiform.gauge import (
     GaugeBackground,
     boundary_current_gauge,
     check_identity_gauge,
+    check_identity_spinor,
+    check_pushforward_vs_omega,
     gauge_del_expr,
     rotor_gauge,
     spinor_grad_expr,
 )
 from multiform.lagrangian import (
     decomposition_check,
+    ele_residual_flat,
     ele_residual_gauge,
     ele_residual_reference,
+    ele_residual_spinor,
     make_builtin,
 )
 from multiform.sampling import (
@@ -44,6 +48,7 @@ from multiform.sampling import (
     random_points,
     random_rotor,
 )
+from multiform.scenarios import SCENARIOS, ScenarioConfig, _Runner
 from multiform.sta import GAMMA, Multivector
 
 
@@ -179,3 +184,81 @@ def test_checks_do_not_keep_fields_alive():
     # the background and the Lagrangian are still in use
     assert bg.h.det_expr().at(pts[0]).comps[0] == pytest.approx(1.0, abs=1e-10)
     assert L.mode.family == "gauge"
+
+
+@pytest.fixture
+def gc_disabled():
+    """No automatic collection; a test collects what pytest left before it starts."""
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_checks_free_fields_without_a_collection(gc_disabled):
+    """Trees point only down, toward what they were built from, so a field is
+    freed by reference counting the moment its last holder lets go."""
+    gc.collect()
+    rng = np.random.default_rng(47)
+    bg = rotor_gauge(random_rotor(rng))
+    pts = random_points(rng, 4)
+    X = random_field(rng, {1})
+    A = random_field(rng, {1})
+    Y = random_field(rng, {0, 1, 2, 3, 4})
+    psi, phi = random_even_field(rng), random_even_field(rng)
+    s = coordinate(GAMMA[1])
+    E = ScalarMap(scale(0.3, s), "exp")
+    R = ScalarMap(PolyMap(s, [2.0, 0.0, 1.0]), "recip")
+    B = BladeExp(GAMMA[1] ^ GAMMA[2], scale(0.5, s))
+    h = ExtensorField([[s if i == j == 1 else float(i == j) for j in range(4)] for i in range(4)])
+    inverse = h.apply_expr(X, "inverse")
+    L = make_builtin("maxwell_gauge")
+    ele_residual_gauge(L, X, pts, bg)
+    decomposition_check(L, X, A, pts, bg)
+    check_identity_gauge(X, Y, "lc", bg, pts)
+    check_pushforward_vs_omega(Y, bg, pts)
+    check_identity_spinor(psi, phi, bg, pts)
+    ele_residual_spinor(make_builtin("dirac_gauge"), psi, pts, bg)
+    ele_residual_flat(make_builtin("maxwell_flat"), X, pts)
+    ele_residual_reference(make_builtin("dirac_flat"), psi, pts[0])
+    for tree in (E, R, B, inverse):
+        del_expr(del_expr(tree, "gradient"), "gradient").sample(pts + 2.0)
+    del tree
+    refs = [weakref.ref(obj) for obj in (X, A, Y, psi, phi, E, R, B, h, inverse, s)]
+    del X, A, Y, psi, phi, E, R, B, h, inverse, s
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert bg.h.det_expr().at(pts[0]).comps[0] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenarios_leave_no_reference_cycles(name, gc_disabled):
+    """Everything a scenario builds is freed when its body returns, without
+    a garbage collection."""
+    gc.collect()
+    cfg = ScenarioConfig(scenario=name, points=10)
+    runner = _Runner(cfg)
+    runner.start()
+    SCENARIOS[name][1](cfg, runner)
+    assert runner.records
+    assert gc.collect() == 0
+
+
+def test_reciprocal_det_factor_keeps_the_gate():
+    """The factor -(1/det h)^2 of a derivative of 1/det h is read from a twin
+    node, which refuses a singular point set as 1/det h itself does."""
+    x0 = coordinate(GAMMA[0])
+    h = ExtensorField([[x0 if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)])
+    recip = h._recip_det()
+    tree = h.apply_expr(position(), "inverse").deriv(GAMMA[0])
+    good = random_points(np.random.default_rng(48), 5) + np.array([2.0, 0.0, 0.0, 0.0])
+    bad = good.copy()
+    bad[3, 0] = 0.0
+    with pytest.raises(SingularExtensorError):
+        tree.sample(bad)
+    assert recip._value == (None, None)  # the twin raised before 1/det h was read
+    factor = recip.deriv(GAMMA[0]).left
+    with pytest.raises(SingularExtensorError):
+        factor.sample(bad)
+    r = 1.0 / good[:, 0]
+    assert np.array_equal(factor.sample(good)[:, 0], -(r * r))

@@ -153,3 +153,34 @@ def test_singular_rejection():
         invert(singular)
     with pytest.raises(SingularExtensorError):
         gauge_star(singular)
+
+
+NON_FINITE = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("fn", [invert, determinant, gauge_star], ids=lambda fn: fn.__name__)
+def test_non_finite_matrix_is_refused(fn, value):
+    """A NaN passes the determinant cross-check and the singularity gate, and
+    an infinity inverts to a 0 on the diagonal: both are refused by name."""
+    for m in (np.full((4, 4), value), np.diag([value, 1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            fn(Extensor11(m))
+
+
+def test_extensors_compare_by_value_and_are_unhashable():
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(4, 4))
+    assert Extensor11(np.eye(4)) == Extensor11(np.eye(4))
+    assert Extensor11(m) == Extensor11(m.copy())
+    bumped = m.copy()
+    bumped[1, 2] = np.nextafter(bumped[1, 2], np.inf)
+    assert Extensor11(m) != Extensor11(bumped)
+    assert ExtendedExtensor.of(Extensor11(m)) == ExtendedExtensor(outermorphism_matrix(m))
+    assert ExtendedExtensor.of(Extensor11(m)) != ExtendedExtensor.of(Extensor11(2 * m))
+    assert Extensor11(np.eye(4)) != ONE
+    nan = Extensor11(np.full((4, 4), np.nan))
+    assert nan != nan  # array_equal: NaN equals nothing, itself included
+    for obj in (Extensor11(m), ExtendedExtensor.of(Extensor11(m))):
+        with pytest.raises(TypeError):
+            hash(obj)
