@@ -28,9 +28,12 @@ Slot gradients use closed forms when the LagrangianSpec provides them (all
 built-ins do).  Without ``grad_x``, :func:`blade_gradient` differentiates
 the density per blade over the whole batch with degree-exact stencils; the
 lattice uses it for either slot.  Without ``grad_d``, flat residuals take
-the dual derivative of the per-point slot gradient along coordinate lines.
-:func:`ele_residual_reference`, the independent cross-check, differentiates
-the density per point with :func:`multivector_derivative`.
+the dual derivative of the pointwise slot gradient along coordinate lines.
+:func:`ele_residual_reference`, the independent cross-check, takes a point
+or a batch as well.  These oracle paths also evaluate their trees once per
+call, over the point set or over all its coordinate-stencil points; only
+the density differentiation, :func:`multivector_derivative` per blade,
+runs row by row.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .fields import (
     ZERO,
     _as_coords,
     _lift,
-    _one_point,
     _prod_grades,
     add,
     del_expr_kind,
@@ -235,6 +237,22 @@ def variation(
     Returns a float for one point and a (P,) array for a (P, 4) batch.
     """
     pts, single = _as_coords(x)
+    # only the aggregates are needed: a plan would also build the slot gradients
+    d_expr = _aggregate(L, X, L.mode.star, bg, construction)
+    out = _variation(L, X, d_expr, A, pts, bg, construction)
+    return float(out[0]) if single else out
+
+
+def _variation(
+    L: LagrangianSpec,
+    X: FieldExpr,
+    d_expr: FieldExpr,
+    A: FieldExpr,
+    pts: np.ndarray,
+    bg: GaugeBackground | None,
+    construction: str | None,
+) -> np.ndarray:
+    """The variation at the (P, 4) points, given d_expr, the aggregate of X."""
     key = pts.tobytes()
     Av = A.ev(pts, key)
     if not A.grades <= X.grades:
@@ -244,15 +262,13 @@ def variation(
                 f"variation direction carries grades {sorted(actual)} outside the "
                 f"field's grade set {sorted(X.grades)}"
             )
-    # only the aggregates are needed: a plan would also build the slot gradients
-    dX = _aggregate(L, X, L.mode.star, bg, construction).ev(pts, key)
+    dX = d_expr.ev(pts, key)
     dA = _aggregate(L, A, L.mode.star, bg, construction).ev(pts, key)
     Xv = X.ev(pts, key)
     w = _weights(L, bg, pts, key)
-    out = scalar_derivative_at_zero(
+    return scalar_derivative_at_zero(
         lambda lam: w * L.density(Xv + lam * Av, dX + lam * dA, pts), L.poly_degree
     )
-    return float(out[0]) if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +286,7 @@ def _residual(L: LagrangianSpec, X: FieldExpr, x, plan: dict):
     if plan["dual_gd"] is not None:
         t2 = plan["dual_gd"].ev(pts, key)
     else:
-        t2 = np.array(
-            [_dual_of_numeric_slot_gradient(L, X, xc, plan).comps for xc in pts]
-        )
+        t2 = _dual_of_numeric_slot_gradient(L, X, pts, plan)
     res = sta.restrict(t1 - t2, L.field_grades)
     return Multivector(res[0]) if single else res
 
@@ -285,39 +299,61 @@ def residual_norms(res) -> list[float]:
     return [float(np.linalg.norm(row)) for row in res]
 
 
-def _numeric_slot_gradient(L: LagrangianSpec, X: FieldExpr, y, plan: dict) -> Multivector:
-    """grad_d l at the point y, per blade from the density itself."""
-    pts = _one_point(y)
-    dc = plan["d"].at(pts).restrict(L.d_grades()).comps
-    return _point_gradient(L, (X.at(pts).comps, dc), pts[0], 1)
+# the points at which scalar_derivative_at_zero samples a function of no
+# declared degree: h and h / 2 either side of zero, with its default step
+_STEP = 1e-3
+_RICHARDSON_OFFSETS = (_STEP, -_STEP, _STEP / 2.0, -_STEP / 2.0)
+
+
+def _richardson(values) -> np.ndarray:
+    """scalar_derivative_at_zero of g from g's values at _RICHARDSON_OFFSETS, in that order."""
+    return scalar_derivative_at_zero(dict(zip(_RICHARDSON_OFFSETS, values)).__getitem__)
+
+
+def _point_gradients(L: LagrangianSpec, slots: tuple, pts: np.ndarray, k: int) -> np.ndarray:
+    """:func:`_point_gradient` at each row of the (P, 16) slots and (P, 4) points."""
+    out = np.empty((len(pts), DIM))
+    for row, xv, dv, xc in zip(out, *slots, pts):
+        row[:] = _point_gradient(L, (xv, dv), xc, k).comps
+    return out
+
+
+def _numeric_slot_gradients(
+    L: LagrangianSpec, X: FieldExpr, pts: np.ndarray, plan: dict
+) -> np.ndarray:
+    """grad_d l at each of the (P, 4) points, per row and blade from the density itself."""
+    d = sta.restrict(plan["d"].sample(pts), L.d_grades())
+    return _point_gradients(L, (X.sample(pts), d), pts, 1)
 
 
 def _dual_of_numeric_slot_gradient(
-    L: LagrangianSpec, X: FieldExpr, x, plan: dict
-) -> Multivector:
+    L: LagrangianSpec, X: FieldExpr, pts: np.ndarray, plan: dict
+) -> np.ndarray:
     """Dual derivative of the pointwise slot-gradient field, by coordinate stencils.
 
     This is the generic (and deliberately independent) path: the slot
     gradient is sampled along coordinate lines and differentiated with
     Richardson extrapolation, then contracted like the matching dual
-    operator.  Only meaningful for flat modes; gauge modes require closed
-    slot gradients.
+    operator.  The stencil points of the whole (P, 4) set are one sample of
+    the field trees; each gives one row of (P, 16).  Only meaningful for
+    flat modes; gauge modes require closed slot gradients.
     """
     if L.mode.family != "flat":
         raise ValueError(
             f"Lagrangian {L.name!r} needs closed-form slot gradients for mode {L.mode.value}"
         )
-    xc = _one_point(x)[0]
-    kernel = sta.PRODUCT_KERNELS[L.mode.dual]
-    out = np.zeros(sta.DIM)
+    # 16 stencil points per point: point, axis mu, offset along mu, coordinate
+    stencil = np.repeat(pts, 16, axis=0).reshape(-1, 4, 4, 4)
     for mu in range(4):
-        def p(s: float) -> np.ndarray:
-            shifted = xc.copy()
-            shifted[mu] += s
-            return _numeric_slot_gradient(L, X, shifted, plan).comps
-
-        out += kernel(GAMMA_UP[mu].comps, scalar_derivative_at_zero(p))
-    return Multivector(out)
+        stencil[:, mu, :, mu] += _RICHARDSON_OFFSETS
+    grads = _numeric_slot_gradients(L, X, stencil.reshape(-1, 4), plan)
+    grads = grads.reshape(-1, 4, 4, DIM)
+    kernel = sta.PRODUCT_KERNELS[L.mode.dual]
+    out = np.zeros((len(pts), DIM))
+    for mu in range(4):
+        for row, deriv in zip(out, _richardson(grads[:, mu].swapaxes(0, 1))):
+            row += kernel(GAMMA_UP[mu].comps, deriv)
+    return out
 
 
 def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x):
@@ -374,29 +410,34 @@ def ele_residual_reference(
     x,
     bg: GaugeBackground | None = None,
     construction: str | None = None,
-) -> Multivector:
-    """Residual at one point via per-blade numeric slot gradients: the independent path.
+):
+    """Residual via per-blade numeric slot gradients: the independent path.
 
     For gauge and spinor modes the dual derivative is still applied to the
     closed slot-gradient field, but the grad_X term is recomputed per blade
     from the density, so the two code paths share no gradient formulas for
-    that term; flat modes recompute both terms numerically.
+    that term; flat modes recompute both terms numerically.  The field trees
+    are evaluated once over the point set (and once over all its stencil
+    points); only the density differentiation runs row by row.  One point
+    gives a :class:`Multivector`, a (P, 4) batch gives (P, 16) components.
     """
-    pts = _one_point(x)
+    pts, single = _as_coords(x)
+    key = pts.tobytes()
     plan = _plan(L, X, bg, construction)
-    xc = pts[0]
-    t1 = _point_gradient(L, (X.at(pts).comps, plan["d"].at(pts).comps), xc, 0)
+    t1 = _point_gradients(L, (X.ev(pts, key), plan["d"].ev(pts, key)), pts, 0)
     if L.mode.family == "flat":
         t2 = _dual_of_numeric_slot_gradient(L, X, pts, plan)
     else:
-        p_val = _numeric_slot_gradient(L, X, pts, plan)
         if plan["gd"] is None:
             raise ValueError("gauge/spinor reference path needs closed slot gradients")
         # cross-check the closed gradient against the per-blade one first
-        if (plan["gd"].at(pts) - p_val).norm() > 1e-6 * max(1.0, p_val.norm()):
-            raise AssertionError("closed-form slot gradient disagrees with per-blade values")
-        t2 = plan["dual_gd"].at(pts)
-    return (t1 - t2).restrict(L.field_grades)
+        per_blade = _numeric_slot_gradients(L, X, pts, plan)
+        for closed, blades in zip(plan["gd"].ev(pts, key), per_blade):
+            if np.linalg.norm(closed - blades) > 1e-6 * max(1.0, np.linalg.norm(blades)):
+                raise AssertionError("closed-form slot gradient disagrees with per-blade values")
+        t2 = plan["dual_gd"].ev(pts, key)
+    res = sta.restrict(t1 - t2, L.field_grades)
+    return Multivector(res[0]) if single else res
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +465,7 @@ def decomposition_check(
     plan = _plan(L, X, bg, construction)
     if plan["gd"] is None:
         raise ValueError("decomposition check needs a closed-form grad_d")
-    delta = variation(L, X, A, pts, bg, construction)
+    delta = _variation(L, X, plan["d"], A, pts, bg, construction)
     if L.mode is DerivMode.SPINOR:
         require_even(X, pts)
     res = _residual(L, X, pts, plan)

@@ -58,9 +58,6 @@ _H = random_invertible_h(np.random.default_rng(42))
 SINGLE_POINT_CALLS = {
     "FieldExpr.at": lambda x: _X.at(x),
     "ExtensorField.at": lambda x: _H.at(x),
-    "ele_residual_reference": lambda x: ele_residual_reference(
-        make_builtin("maxwell_flat"), _X, x
-    ),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multiform import fields as f
+from multiform import lagrangian
 from multiform import sta
 from multiform.fields import (
     BladeExp,
@@ -551,14 +552,21 @@ def _single_values(fn, pts):
         ("maxwell_gauge", "pushforward"),
         ("dirac_gauge", None),
         ("generic", None),
+        ("generic_dirac", None),
     ],
 )
 def test_batch_matches_single_points(name, construction):
-    """One (P, 4) call equals P single-point calls bit for bit, NaN rows included."""
+    """One (P, 4) call equals P single-point calls bit for bit, NaN rows included.
+
+    The generic cases have no closed slot gradients: their residuals take the
+    per-blade batch gradient and the coordinate stencils of the whole batch."""
     rng = np.random.default_rng(27)
     bg = rotor_gauge(random_rotor(rng)) if name.endswith("gauge") else None
     if name == "generic":
         L = make_builtin("maxwell_flat", sources={"J": random_field(rng, {1})})
+        L = dataclasses.replace(L, grad_x=None, grad_d=None)
+    elif name == "generic_dirac":
+        L = make_builtin("dirac_flat", sources={"A_ext": random_field(rng, {1})})
         L = dataclasses.replace(L, grad_x=None, grad_d=None)
     else:
         L = make_builtin(name)
@@ -572,7 +580,7 @@ def test_batch_matches_single_points(name, construction):
             lambda x: ele_residual(L, X, x, bg, construction),
             lambda x: variation(L, X, A, x, bg, construction),
         ]
-        if name != "generic":
+        if not name.startswith("generic"):
             ops.append(lambda x: decomposition_check(L, X, A, x, bg, construction))
         with np.errstate(divide="ignore", invalid="ignore"):
             for op in ops:
@@ -581,6 +589,56 @@ def test_batch_matches_single_points(name, construction):
             norms = [ele_residual(L, X, x, bg, construction).norm() for x in pts]
             assert np.array_equal(residual_norms(ops[0](pts)), norms, equal_nan=True)
         assert np.isnan(norms).tolist() == [False, False, has_nan, False]
-    if name == "generic":
+    if name.startswith("generic"):
         with pytest.raises(ValueError):
             decomposition_check(L, A, A, pts, bg, construction)
+
+
+def _reference_case(name, seed):
+    """A built-in Lagrangian, a random field of its grades, a background for
+    the gauge families, and three points."""
+    rng = np.random.default_rng(seed)
+    bg = rotor_gauge(random_rotor(rng)) if name.endswith("gauge") else None
+    L = make_builtin(name)
+    X = random_field(rng, {1}) if L.field_grades == {1} else random_even_field(rng)
+    return L, X, bg, random_points(rng, 3)
+
+
+@pytest.mark.parametrize(
+    "name, construction",
+    [
+        ("maxwell_flat", None),
+        ("dirac_flat", None),
+        ("maxwell_gauge", "omega"),
+        ("maxwell_gauge", "pushforward"),
+        ("dirac_gauge", None),
+    ],
+)
+def test_reference_batch_matches_single_points(name, construction):
+    """The reference residual of a (P, 4) batch equals P single-point calls bit for bit."""
+    L, X, bg, pts = _reference_case(name, 28)
+    ref = lambda x: ele_residual_reference(L, X, x, bg, construction)
+    batch = ref(pts)
+    assert batch.shape == (3, 16)
+    assert isinstance(ref(pts[0]), Multivector)
+    assert np.array_equal(batch, _single_values(ref, pts))
+    closed = ele_residual(L, X, pts, bg, construction)
+    assert np.abs(batch - closed).max() <= 1e-8 * max(1.0, np.abs(closed).max())
+
+
+@pytest.mark.parametrize("name", ["maxwell_flat", "dirac_flat", "maxwell_gauge", "dirac_gauge"])
+def test_reference_batch_stays_independent(name, monkeypatch):
+    """The batched reference path reads neither the per-blade batch gradient
+    nor a closed grad_x (nor, for flat modes, a closed grad_d)."""
+    L, X, bg, pts = _reference_case(name, 30)
+    want = ele_residual_reference(L, X, pts, bg)
+
+    def refuse(*args):
+        raise AssertionError("blade_gradient on the reference path")
+
+    monkeypatch.setattr(lagrangian, "blade_gradient", refuse)
+    poisoned = {"grad_x": lambda Xe, de: scale(np.nan, Xe)}
+    if L.mode.family == "flat":
+        poisoned["grad_d"] = lambda Xe, de: scale(np.nan, de)
+    L = dataclasses.replace(L, **poisoned)
+    assert np.array_equal(ele_residual_reference(L, X, pts, bg), want)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from multiform import scenarios
+from multiform import fields, scenarios
 from multiform.fields import worst_of
 from multiform.scenarios import SCENARIOS, ScenarioConfig, list_scenarios, run_scenario
 
@@ -111,3 +111,24 @@ def test_worst_of_ranks_nan_above_everything():
     assert worst_of(0.0, 2.0, 1.0) == 2.0
     for values in [(0.0, math.nan), (math.nan, 1.0), (math.inf, math.nan, 3.0)]:
         assert math.isnan(worst_of(*values))
+
+
+# node evaluations (misses of the value slot) at the CLI defaults, seed 3,
+# with about 20% headroom: the oracles sample each stencil as one batch, and
+# per-point oracles (18,105 / 39,398 / 18,819 evaluations) would exceed these
+NODE_EVALUATION_BOUNDS = {"derivatives": 8900, "maxwell-flat": 11900, "maxwell-gauge": 15500}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_EVALUATION_BOUNDS))
+def test_oracle_scenarios_evaluate_stencils_in_batches(name, monkeypatch):
+    ev = fields._Node.ev
+    misses = []
+
+    def counting_ev(node, xs, key):
+        if node._value[0] != key:
+            misses.append(1)
+        return ev(node, xs, key)
+
+    monkeypatch.setattr(fields._Node, "ev", counting_ev)
+    assert run_scenario(ScenarioConfig(scenario=name, seed=3)).passed
+    assert len(misses) <= NODE_EVALUATION_BOUNDS[name]
