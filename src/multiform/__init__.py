@@ -61,7 +61,6 @@ from .gauge import (  # noqa: F401
     rotor_gauge,
 )
 from .lagrangian import (  # noqa: F401
-    EleReport,
     LagrangianSpec,
     decomposition_check,
     ele_residual_flat,

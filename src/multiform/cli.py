@@ -69,7 +69,7 @@ def _make_config(args: argparse.Namespace) -> ScenarioConfig:
         seed=raw.get("seed", 0),
         points=raw.get("points", 100),
         lattice_n=raw.get("lattice_n", 8),
-        tolerances=dict(raw.get("tolerances", {})),
+        tolerances=raw.get("tolerances", {}),
         out=raw.get("out"),
     )
     if args.seed is not None:

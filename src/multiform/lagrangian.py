@@ -63,7 +63,6 @@ from .fields import (
     prod,
     scalar_derivative_at_zero,
     scale,
-    worst_of,
 )
 from .gauge import (
     GaugeBackground,
@@ -565,48 +564,3 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
         grad_x=grad_x,
         grad_d=grad_d,
     )
-
-
-# ---------------------------------------------------------------------------
-# reporting
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EleReport:
-    """Residual summary for a field against a Lagrangian over sample points."""
-
-    mode: str
-    field_name: str
-    residual_norms: list[float]
-    max_residual: float
-    mean_residual: float
-    decomposition_residual: float | None
-    metadata: dict
-
-    @classmethod
-    def evaluate(
-        cls,
-        L: LagrangianSpec,
-        X: FieldExpr,
-        points,
-        bg: GaugeBackground | None = None,
-        A: FieldExpr | None = None,
-        field_name: str = "field",
-        construction: str | None = None,
-        metadata: dict | None = None,
-    ) -> "EleReport":
-        pts, _ = _as_coords(points)
-        norms = residual_norms(ele_residual(L, X, pts, bg, construction))
-        deco = None
-        if A is not None:
-            deco = worst_of(*decomposition_check(L, X, A, pts, bg, construction))
-        return cls(
-            mode=L.mode.value,
-            field_name=field_name,
-            residual_norms=norms,
-            max_residual=worst_of(*norms),
-            mean_residual=float(np.mean(norms)),
-            decomposition_residual=deco,
-            metadata=metadata or {},
-        )

@@ -75,12 +75,15 @@ def test_malformed_config_exits_3(capsys, tmp_path):
 
 def test_invalid_config_values_exit_2(capsys, tmp_path):
     cfg = os.path.join(tmp_path, "cfg.json")
-    for tol in (-1.0, float("inf"), float("nan"), True, "1e-3", None):
+    bad_tols = (-1.0, float("inf"), float("nan"), True, "1e-3", None)
+    # a list of pairs is no mapping, although dict() would turn it into one
+    for tolerances in [{"associativity": tol} for tol in bad_tols] + [[["associativity", 1.0]]]:
         with open(cfg, "w") as fh:
-            json.dump({"tolerances": {"associativity": tol}}, fh)
+            json.dump({"tolerances": tolerances}, fh)
         code, _, err = run_cli(capsys, "verify", "algebra", "--config", cfg)
-        assert code == 2, tol
+        assert code == 2, tolerances
         assert "error: bad config:" in err
+    assert "tolerances must map check names" in err
     code, _, err = run_cli(capsys, "verify", "algebra", "--points", "0")
     assert code == 2
 

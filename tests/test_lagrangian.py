@@ -22,7 +22,6 @@ from multiform.fields import (
 from multiform.gauge import GaugeBackground, identity_background, rotor_gauge, spinor_grad_expr
 from multiform.lagrangian import (
     DerivMode,
-    EleReport,
     I_SIGMA3,
     LagrangianSpec,
     decomposition_check,
@@ -502,35 +501,9 @@ def test_nonpolynomial_density_paths():
         assert (res - want_res).norm() <= 1e-6
 
 
-def test_ele_report():
-    L = make_builtin("maxwell_flat")
-    rng = np.random.default_rng(19)
-    A = plane_wave()
-    V = random_field(rng, {1})
-    pts = random_points(rng, 8)
-    report = EleReport.evaluate(L, A, pts, A=V, field_name="plane-wave")
-    assert report.max_residual >= report.mean_residual >= 0.0
-    assert report.max_residual <= 1e-9
-    assert report.decomposition_residual <= 1e-7
-    assert len(report.residual_norms) == 8
-    assert report.mode == "flat-curl"
-
-
 def singular(X):
     """X recip(x.g0): finite for x0 != 0, NaN residuals at x0 = 0."""
     return prod(X, ScalarMap(coordinate(GAMMA[0]), "recip"), "gp")
-
-
-def test_ele_report_keeps_a_nan_residual():
-    L = make_builtin("maxwell_flat")
-    V = random_field(np.random.default_rng(26), {1})
-    pts = np.array([[0.5, 0.1, -0.2, 0.3], [0.0, 0.1, -0.2, 0.3]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        report = EleReport.evaluate(L, singular(Const(GAMMA[2])), pts, A=V)
-    assert report.residual_norms[0] == 16.0
-    assert np.isnan(report.residual_norms[1])
-    assert np.isnan(report.max_residual)
-    assert np.isnan(report.decomposition_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from multiform import fields, scenarios
@@ -22,6 +23,50 @@ FAST = {
     "lattice-maxwell": {"lattice_n": 6},
 }
 
+# every check of every scenario, in report order; tolerance overrides name them
+CHECK_NAMES = {
+    "algebra": [
+        "anticommutation", "contraction-duality", "associativity",
+        "reversion-and-scalar-product", "product-decomposition",
+        "outermorphism-multiplicativity", "contraction-transport", "adjoint-extension",
+        "determinant-consistency",
+    ],
+    "identities-flat": [
+        "identity-flat-lc", "identity-flat-op", "identity-flat-gp", "gradient-splits",
+        "gauss-linear", "gauss-quadratic-convergence",
+    ],
+    "identities-gauge": [
+        "identity-gauge-rotor-lc", "identity-gauge-rotor-op", "identity-gauge-rotor-gp",
+        "identity-gauge-pushforward-lc", "identity-gauge-pushforward-op",
+        "identity-gauge-pushforward-gp", "construction-agreement", "spinor-identities-rotor",
+        "spinor-identity-arbitrary-omega", "spinor-gradient-split", "flat-limit",
+    ],
+    "derivatives": [
+        "mvderiv-square", "mvderiv-pairing", "mvderiv-sandwich",
+        "structural-vs-finite-difference",
+    ],
+    "maxwell-flat": [
+        "plane-wave-residual", "residual-two-paths", "variation-vs-fd", "decomposition",
+    ],
+    "dirac-flat": [
+        "candidate-substitution", "free-spinor-residual", "decomposition",
+        "unit-spinor-density",
+    ],
+    "maxwell-gauge": [
+        "transported-plane-wave-residual", "flat-degeneration", "residual-two-paths",
+        "decomposition",
+    ],
+    "dirac-gauge": [
+        "transported-spinor-residual", "transported-first-order-equation",
+        "flat-degeneration", "decomposition",
+    ],
+    "lattice-maxwell": [
+        "gradient-residual-duality", "gradient-vs-fd", "discrete-gauss",
+        "residual-convergence-order", "manufactured-solution", "solver-relative-residual",
+        "dirichlet-trivial-solution", "uniform-current-residual",
+    ],
+}
+
 
 def test_listing_matches_registry():
     rows = list_scenarios()
@@ -33,6 +78,7 @@ def test_listing_matches_registry():
 def test_scenario_passes(name):
     cfg = ScenarioConfig(scenario=name, seed=1, **FAST[name])
     report = run_scenario(cfg)
+    assert [c.name for c in report.checks] == CHECK_NAMES[name]
     failing = [c.name for c in report.checks if not c.passed]
     assert report.passed, f"{name} failed: {failing}"
     assert all(c.max_residual <= c.tolerance for c in report.checks)
@@ -100,11 +146,20 @@ def test_unknown_scenario_rejected():
 
 
 def test_nan_after_finite_residual_fails_the_check(monkeypatch):
-    residuals = iter([1e-12] + [math.nan] * 100)
-    monkeypatch.setattr(scenarios, "check_identity_flat", lambda *args: next(residuals))
-    report = run_scenario(ScenarioConfig(scenario="identities-flat", seed=1, points=4))
-    rec = {c.name: c for c in report.checks}["identity-flat-lc"]
-    assert math.isnan(rec.max_residual) and not rec.passed and not report.passed
+    # the identity checks return one float per call, decomposition_check an array of rows
+    cases = [
+        ("identities-flat", "check_identity_flat", "identity-flat-lc", 1e-12, math.nan),
+        ("identities-gauge", "check_identity_gauge", "identity-gauge-rotor-lc", 1e-12, math.nan),
+        ("dirac-flat", "decomposition_check", "decomposition",
+         np.array([1e-12, 1e-12, 1e-12]), np.array([1e-12, math.nan, 1e-12])),
+    ]
+    for scenario, function, check, finite, nan in cases:
+        residuals = iter([finite] + [nan] * 100)
+        with monkeypatch.context() as patch:
+            patch.setattr(scenarios, function, lambda *args, **kw: next(residuals))
+            report = run_scenario(ScenarioConfig(scenario=scenario, seed=1, points=4))
+        rec = {c.name: c for c in report.checks}[check]
+        assert math.isnan(rec.max_residual) and not rec.passed and not report.passed, scenario
 
 
 def test_worst_of_ranks_nan_above_everything():
