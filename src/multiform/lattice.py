@@ -30,17 +30,20 @@ metric, and singular: pure-gauge potentials lie in its kernel.  On a
 periodic lattice it is circulant, so a 4D FFT solves it directly, one 4x4
 block per wavevector, and returns the minimum-norm potential; on a
 Dirichlet lattice MINRES solves the masked system.  Either way the returned
-potential is certified against the true discrete operator.
+potential is certified against the true discrete operator.  scipy supplies
+MINRES and nothing else, so it is imported by the first Dirichlet solve with
+a nonzero current, not with this module.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import sta
 from .fields import FieldExpr, GradeError, Tabulated, _prod_grades, worst_of
@@ -68,10 +71,13 @@ class Lattice:
     bc: str = "periodic"
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float).reshape(4)
-        self.extent = np.asarray(self.extent, dtype=float).reshape(4)
+        if isinstance(self.sites, bool) or not isinstance(self.sites, numbers.Integral):
+            raise ValueError(f"sites must be an integer, got {self.sites!r}")
+        self.sites = int(self.sites)
         if self.sites < 4:
             raise ValueError("need at least 4 sites per axis")
+        self.origin = np.asarray(self.origin, dtype=float).reshape(4)
+        self.extent = np.asarray(self.extent, dtype=float).reshape(4)
         if not (np.isfinite(self.origin).all() and np.isfinite(self.extent).all()):
             raise ValueError("origin and extents must be finite")
         if np.any(self.extent <= 0):
@@ -519,12 +525,21 @@ def solve_maxwell(
 
     Periodic: a direct solve by 4D FFT, one 4x4 symbol block per
     wavevector, returning the minimum-norm potential (see
-    :func:`_fft_solve`).  Dirichlet: MINRES (``maxiter`` iterations at most)
-    on the signed component system with the boundary sites masked on input
-    as on output.  Either way the potential is certified against
-    :func:`maxwell_operator` at the relative residual ``tol``; a current
-    that is not finite raises ``ValueError`` before any solve.
+    :func:`_fft_solve`).  Dirichlet: MINRES (``maxiter`` iterations at most,
+    40 N^2 when ``None``) on the signed component system with the boundary
+    sites masked on input as on output.  Either way the potential is
+    certified against :func:`maxwell_operator` at the relative residual
+    ``tol``.  A ``tol`` that is not finite and positive, a ``maxiter`` that
+    is neither ``None`` nor a positive integer, and a current that is not
+    finite raise ``ValueError`` before any solve.
     """
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite positive number, got {tol!r}")
+    if maxiter is not None and (
+        isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral) or maxiter < 1
+    ):
+        raise ValueError(f"maxiter must be None or a positive integer, got {maxiter!r}")
     if not J.grades <= {1}:
         raise GradeError("the current must be a 1-form field")
     if J.lattice is not lat and J.lattice != lat:
@@ -540,10 +555,13 @@ def solve_maxwell(
     if lat.bc == "periodic":
         a = _fft_solve(lat, np.moveaxis(rhs, 0, -1))
     else:
+        import scipy.sparse.linalg as spla  # the only use of scipy; see the module docstring
+
         nvec = 4 * lat.n_sites
         linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat))
         b = (np.moveaxis(rhs, 0, -1) * SP_DIAG[VECTOR_IDX]).reshape(-1)
-        maxiter = maxiter or 40 * lat.sites**2
+        if maxiter is None:
+            maxiter = 40 * lat.sites**2
         u, info = spla.minres(linop, b, rtol=min(tol, 1e-12), maxiter=maxiter)
         if info != 0:
             raise SolverError(f"MINRES did not converge (info={info})")

@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -59,6 +61,19 @@ def test_lattice_validation():
     lat = Lattice(np.zeros(4), np.array([1.0, 2.0, 3.0, 4.0]), 8)
     assert np.allclose(lat.spacing, [0.125, 0.25, 0.375, 0.5])
     assert lat.cell_volume == pytest.approx(np.prod(lat.spacing))
+
+
+@pytest.mark.parametrize("sites", [6.5, 6.0, np.float64(6.0), "6", True, None], ids=repr)
+def test_lattice_refuses_a_site_count_that_is_not_an_integer(sites):
+    with pytest.raises(ValueError, match="sites must be an integer"):
+        Lattice(np.zeros(4), np.ones(4), sites)
+
+
+def test_lattice_accepts_a_numpy_integer_site_count():
+    lat = Lattice(np.zeros(4), np.ones(4), np.int64(6))
+    assert type(lat.sites) is int
+    assert lat == Lattice(np.zeros(4), np.ones(4), 6)
+    assert lat.coords().shape == (6, 6, 6, 6, 4)
 
 
 def test_lattice_equality_is_by_value():
@@ -481,9 +496,103 @@ def test_non_finite_current_is_refused_before_solving(bc, bad, monkeypatch):
         raise AssertionError("a solver ran on a non-finite current")
 
     monkeypatch.setattr(lattice.np.fft, "rfftn", refuse)
-    monkeypatch.setattr(lattice.spla, "minres", refuse)
+    # solve_maxwell imports scipy.sparse.linalg in its Dirichlet branch and
+    # looks minres up on the module there, so this patch reaches it
+    monkeypatch.setattr("scipy.sparse.linalg.minres", refuse)
     with pytest.raises(ValueError, match="non-finite"):
         solve_maxwell(lat, J)
+
+
+def _smooth_current(lat):
+    """The current of a smooth potential (zero on a Dirichlet shell)."""
+    astar = np.zeros(lat.shape + (16,))
+    astar[..., 4] = np.prod(np.sin(np.pi * lat.coords()), axis=-1) * lat.interior_mask()
+    return LatticeField(lat, frozenset({1}), maxwell_operator(lat)(astar))
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": np.nan},
+        {"tol": np.inf},
+        {"tol": -1.0},
+        {"tol": 0.0},
+        {"tol": True},
+        {"tol": "1e-8"},
+        {"tol": None},
+        {"maxiter": 0},
+        {"maxiter": -3},
+        {"maxiter": True},
+        {"maxiter": 2.0},
+        {"maxiter": "10"},
+    ],
+    ids=repr,
+)
+def test_solver_arguments_are_checked_before_any_work(bc, kwargs, monkeypatch):
+    lat = Lattice(np.zeros(4), np.ones(4), 5, bc)
+    J = _smooth_current(lat)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_maxwell worked before checking its arguments")
+
+    monkeypatch.setattr(lattice, "_compact", refuse)
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        solve_maxwell(lat, J, **kwargs)
+
+
+def test_maxiter_bounds_the_minres_iterations():
+    """One iteration does not reach the certificate; an integer maxiter is taken
+    as given, numpy integers included, and None means 40 N^2."""
+    lat = Lattice(np.zeros(4), np.ones(4), 5, bc="dirichlet")
+    J = _smooth_current(lat)
+    with pytest.raises(lattice.SolverError, match="did not converge"):
+        solve_maxwell(lat, J, maxiter=1)
+    A = solve_maxwell(lat, J, maxiter=np.int64(40 * 5**2))
+    assert A == solve_maxwell(lat, J, maxiter=None)
+
+
+_COLD_START = """
+import sys
+
+import numpy as np
+
+import multiform
+from multiform import cli
+from multiform.lattice import Lattice, LatticeField, maxwell_operator, solve_maxwell
+
+assert "scipy" not in sys.modules, "import multiform loaded scipy"
+assert cli.main(["verify", "lattice-maxwell", "--json"]) == 0
+assert "scipy" not in sys.modules, "the lattice-maxwell scenario loaded scipy"
+lat = Lattice(np.zeros(4), np.ones(4), 5, bc="dirichlet")
+astar = np.zeros(lat.shape + (16,))
+astar[..., 4] = np.prod(np.sin(np.pi * lat.coords()), axis=-1) * lat.interior_mask()
+A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), maxwell_operator(lat)(astar)), tol=1e-8)
+assert "scipy.sparse.linalg" in sys.modules, "a Dirichlet solve ran without MINRES"
+np.save(sys.argv[1], A.comps)
+"""
+
+
+def test_scipy_is_loaded_only_by_a_dirichlet_solve(tmp_path):
+    """In a fresh interpreter (this one has scipy loaded already), importing
+    multiform and running lattice-maxwell leave scipy unloaded; a Dirichlet
+    solve with a nonzero current loads it, certifies at tol 1e-8 and returns
+    the potential this process computes for the same current."""
+    import multiform
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(multiform.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = tmp_path / "potential.npy"
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(out)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lat = Lattice(np.zeros(4), np.ones(4), 5, bc="dirichlet")
+    J = _smooth_current(lat)
+    assert np.array_equal(np.load(out), solve_maxwell(lat, J, tol=1e-8).comps)
 
 
 @pytest.mark.parametrize(
@@ -493,11 +602,9 @@ def test_dirichlet_solve_certifies(n, kind):
     """MINRES at rtol 1e-12 certifies these at tol 1e-8; at 1e-9 the certificate refused them."""
     lat = Lattice(np.zeros(4), np.ones(4), n, bc="dirichlet")
     if kind == "smooth":
-        astar = np.zeros(lat.shape + (16,))
-        astar[..., 4] = np.prod(np.sin(np.pi * lat.coords()), axis=-1) * lat.interior_mask()
-        jc = maxwell_operator(lat)(astar)
+        jc = _smooth_current(lat).comps
     else:
-        astar, jc = _random_potential_current(lat, n)
+        _, jc = _random_potential_current(lat, n)
     A = solve_maxwell(lat, LatticeField(lat, frozenset({1}), jc), tol=1e-8)
     op = maxwell_operator(lat)
     assert np.linalg.norm(op(A.comps) - jc) <= 1e-8 * np.linalg.norm(jc)
