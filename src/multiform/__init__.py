@@ -18,18 +18,9 @@ from .sta import (  # noqa: F401
     PSEUDOSCALAR,
     Multivector,
     commutator_product,
-    geometric_product,
-    grade_project,
-    grade_restrict,
-    grade_set,
-    left_contraction,
-    outer_product,
-    reverse,
-    scalar_product,
 )
 from .extensor import (  # noqa: F401
     Extensor11,
-    ExtendedExtensor,
     SingularExtensorError,
     adjoint,
     determinant,
@@ -40,15 +31,12 @@ from .extensor import (  # noqa: F401
 from .fields import (  # noqa: F401
     FieldExpr,
     GradeError,
-    ScalarFn,
     boundary_current_flat,
     check_identity_flat,
-    const,
     coordinate,
     gauss_check,
     multivector_derivative,
     position,
-    position_form,
 )
 from .gauge import (  # noqa: F401
     ExtensorField,

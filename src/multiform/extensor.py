@@ -4,7 +4,9 @@ An extensor is stored as a 4x4 matrix in the g_mu basis: column mu holds the
 coordinates of t(g_mu).  The extension to all of Cl(1,3) acts blade-wise,
 t(e_J) = t(g_j1) ^ ... ^ t(g_jr), realized as a 16x16 matrix with one block
 per grade; by construction it fixes scalars, agrees with t on grade 1, and
-multiplies the pseudoscalar by det(t).
+multiplies the pseudoscalar by det(t).  An extensor applies to a 1-form as
+``t(a)``; :func:`extend` is the one spelling of the extension, ``extend(t,
+X)``, and ``outermorphism_matrix(t.m)`` is its matrix.
 
 Batched helpers (on stacks of matrices) back the position-dependent extensor
 fields used by the gauge machinery.
@@ -50,16 +52,6 @@ class Extensor11:
     def identity(cls) -> "Extensor11":
         return cls(np.eye(N_GEN))
 
-    @classmethod
-    def scaling(cls, factor: float) -> "Extensor11":
-        return cls(factor * np.eye(N_GEN))
-
-    @classmethod
-    def from_images(cls, images) -> "Extensor11":
-        """Build from the four image 1-forms t(g_0)..t(g_3)."""
-        cols = [img.vector_coords() for img in images]
-        return cls(np.stack(cols, axis=1))
-
     def __call__(self, a: Multivector) -> Multivector:
         return Multivector.vector(self.m @ a.vector_coords())
 
@@ -77,45 +69,14 @@ class Extensor11:
         return f"Extensor11({self.m.tolist()})"
 
 
-class ExtendedExtensor:
-    """Outermorphism extension of an Extensor11 as a 16x16 grade-block map."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        arr = np.array(matrix, dtype=float).reshape(DIM, DIM)
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedExtensor is immutable")
-
-    @classmethod
-    def of(cls, t: Extensor11) -> "ExtendedExtensor":
-        return cls(outermorphism_matrix(t.m))
-
-    def __call__(self, x: Multivector) -> Multivector:
-        return Multivector(self.matrix @ x.comps)
-
-    def __eq__(self, other):
-        if isinstance(other, ExtendedExtensor):
-            return bool(np.array_equal(self.matrix, other.matrix))
-        return NotImplemented
-
-    __hash__ = None
-
-
-def apply(t: Extensor11, a: Multivector) -> Multivector:
-    return t(a)
-
-
 def adjoint(t: Extensor11) -> Extensor11:
     """Adjoint under the Minkowski scalar product: t(a).b = a.t_adj(b)."""
     return Extensor11(adjoint_mats(t.m))
 
 
 def extend(t: Extensor11, x: Multivector) -> Multivector:
-    return ExtendedExtensor.of(t)(x)
+    """The outermorphism extension of t applied to x."""
+    return Multivector(outermorphism_matrix(t.m) @ x.comps)
 
 
 def _require_finite(t: Extensor11, what: str) -> None:

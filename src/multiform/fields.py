@@ -18,6 +18,12 @@ a :class:`Multivector`; it refuses a batch.
 Derivatives have no pointwise entry points of their own: ``X.deriv(a)``
 and ``del_expr(X, mode)`` are trees, evaluated like any other field, as
 in ``X.deriv(a).at(x)`` or ``del_expr(X, "curl").sample(xs)``.
+Each leaf has one spelling: a constant is ``Const(value)``, the position
+field is ``position()``, and a point is a 4-array or the 1-form
+``Multivector.vector(coords)``.  Slot derivatives of a scalar function,
+:func:`multivector_derivative`, take a plain callable; without a declared
+polynomial degree they extrapolate central differences of step
+``RICHARDSON_STEP``, the one copy of that step in the package.
 
 Every node (field or matrix) owns one value slot, ``(point-set key,
 value)`` from its last evaluation, and returns the stored value while the
@@ -58,8 +64,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -67,7 +73,6 @@ import numpy as np
 from . import sta
 from .extensor import outermorphism_matrix, outermorphism_matrix_derivative
 from .sta import (
-    ALL_GRADES,
     DIM,
     GAMMA,
     GRADES,
@@ -84,11 +89,6 @@ class GradeError(ValueError):
 # ---------------------------------------------------------------------------
 # coordinate plumbing
 # ---------------------------------------------------------------------------
-
-
-def position_form(coords) -> Multivector:
-    """The position 1-form x = x^mu g_mu with the given affine coordinates."""
-    return Multivector.vector(coords)
 
 
 def _as_coords(x) -> tuple[np.ndarray, bool]:
@@ -367,10 +367,6 @@ class Tabulated(FieldExpr):
 
     def _build_deriv(self, a):
         raise ValueError("tabulated values have no derivative")
-
-
-def const(value) -> FieldExpr:
-    return _lift(value)
 
 
 def coordinate(k) -> FieldExpr:
@@ -820,26 +816,13 @@ class ExtApply(FieldExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarFn:
-    """Scalar-valued function of one or two multivector slots.
-
-    ``poly_degree`` declares the total polynomial degree in the slots when
-    the function is polynomial; slot derivatives are then computed with
-    degree-exact symmetric stencils instead of limits.
-    """
-
-    fn: Callable[..., float]
-    arity: int = 1
-    grades: tuple = (ALL_GRADES,)
-    poly_degree: int | None = None
-
-    def __call__(self, *args) -> float:
-        return float(self.fn(*args))
+# central-difference step of scalar_derivative_at_zero for a function of no
+# declared degree; lagrangian builds its Richardson offsets from it
+RICHARDSON_STEP = 1e-3
 
 
 def scalar_derivative_at_zero(
-    g: Callable[[float], float], poly_degree: int | None = None, step: float = 1e-3
+    g: Callable[[float], float], poly_degree: int | None = None
 ) -> float:
     """d/dl g(l) at l = 0 (elementwise when g returns an array).
 
@@ -851,7 +834,7 @@ def scalar_derivative_at_zero(
         return 0.5 * (g(1.0) - g(-1.0))
     if poly_degree is not None and poly_degree <= 4:
         return (-g(2.0) + 8.0 * g(1.0) - 8.0 * g(-1.0) + g(-2.0)) / 12.0
-    h = step
+    h = RICHARDSON_STEP
     d1 = (g(h) - g(-h)) / (2.0 * h)
     d2 = (g(h / 2.0) - g(-h / 2.0)) / h
     return (4.0 * d2 - d1) / 3.0
@@ -862,7 +845,6 @@ def multivector_derivative(
     X0: Multivector,
     grades: Iterable[int],
     poly_degree: int | None = None,
-    step: float = 1e-3,
 ) -> Multivector:
     """Slot derivative of a scalar function: sum_J e^J d/dl F(X0 + l e_J).
 
@@ -876,12 +858,6 @@ def multivector_derivative(
         raise GradeError(
             f"X0 has grades {sorted(actual)} outside {sorted(grades)}"
         )
-    if isinstance(F, ScalarFn):
-        if poly_degree is None:
-            poly_degree = F.poly_degree
-        fn = F.fn
-    else:
-        fn = F
     out = np.zeros(DIM)
     for mask in range(DIM):
         if GRADES[mask] not in grades:
@@ -889,9 +865,9 @@ def multivector_derivative(
         blade = Multivector.blade(mask)
 
         def g(lam: float, _b=blade) -> float:
-            return float(fn(X0 + lam * _b))
+            return float(F(X0 + lam * _b))
 
-        out[mask] = SP_DIAG[mask] * scalar_derivative_at_zero(g, poly_degree, step)
+        out[mask] = SP_DIAG[mask] * scalar_derivative_at_zero(g, poly_degree)
     return Multivector(out)
 
 
@@ -948,12 +924,19 @@ def gauss_check(
     """Midpoint volume integral of div v over a 4-box vs the outward face flux.
 
     Faces are sampled at midpoints of the transverse grid; d3S_mu carries the
-    product of the three transverse extents with outward orientation.
+    product of the three transverse extents with outward orientation.  ``n``
+    is an integer >= 2 and ``box`` is (lo, hi), two finite 4-arrays with
+    hi > lo on every axis; anything else raises ValueError.
     """
-    if n < 2:
-        raise ValueError("need at least 2 subdivisions per axis")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"need an integer n of at least 2 subdivisions per axis, got {n!r}")
+    n = int(n)
     lo = np.asarray(box[0], dtype=float)
     hi = np.asarray(box[1], dtype=float)
+    if lo.shape != (4,) or hi.shape != (4,):
+        raise ValueError(f"box corners need 4 coordinates each, got {box!r}")
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (hi > lo).all()):
+        raise ValueError(f"box corners must be finite with hi > lo on every axis, got {box!r}")
     h = (hi - lo) / n
     axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)

@@ -52,6 +52,7 @@ from .fields import (
     FieldExpr,
     GradeError,
     Graded,
+    RICHARDSON_STEP,
     ZERO,
     _as_coords,
     _lift,
@@ -73,9 +74,9 @@ from .gauge import (
 )
 from .sta import DIM, EVEN_GRADES, GAMMA, GAMMA_UP, GRADES, Multivector, PSEUDOSCALAR, SP_DIAG
 
-SIGMA3 = sta.geometric_product(GAMMA[3], GAMMA[0])
-I_SIGMA3 = sta.geometric_product(PSEUDOSCALAR, SIGMA3)
-I_GAMMA3 = sta.geometric_product(PSEUDOSCALAR, GAMMA[3])
+SIGMA3 = GAMMA[3] * GAMMA[0]
+I_SIGMA3 = PSEUDOSCALAR * SIGMA3
+I_GAMMA3 = PSEUDOSCALAR * GAMMA[3]
 
 
 class DerivMode(enum.Enum):
@@ -299,9 +300,10 @@ def residual_norms(res) -> list[float]:
 
 
 # the points at which scalar_derivative_at_zero samples a function of no
-# declared degree: h and h / 2 either side of zero, with its default step
-_STEP = 1e-3
-_RICHARDSON_OFFSETS = (_STEP, -_STEP, _STEP / 2.0, -_STEP / 2.0)
+# declared degree: h and h / 2 either side of zero
+_RICHARDSON_OFFSETS = (
+    RICHARDSON_STEP, -RICHARDSON_STEP, RICHARDSON_STEP / 2.0, -RICHARDSON_STEP / 2.0
+)
 
 
 def _richardson(values) -> np.ndarray:
@@ -487,6 +489,8 @@ _BUILTIN_NAMES = ("maxwell_flat", "dirac_flat", "maxwell_gauge", "dirac_gauge")
 
 _DEFAULT_PARAMS = {"mu0": 1.0, "hbar": 1.0, "c": 1.0, "m": 1.0, "e": 1.0}
 
+_SOURCE_NAMES = ("J", "A_ext")
+
 
 def make_builtin(name: str, params: dict | None = None, sources: dict | None = None) -> LagrangianSpec:
     """The four built-in densities.
@@ -496,19 +500,27 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
                 (flat gradient or spinor derivative; gauge forms carry det h)
 
     Sources: ``J`` (1-form current) and ``A_ext`` (external potential), as
-    field expressions; both default to zero and are never varied.
+    field expressions; both default to zero and are never varied.  A key
+    outside these names or ``_DEFAULT_PARAMS`` raises ValueError, and a
+    source with a grade other than 1 raises GradeError.
     """
     if name not in _BUILTIN_NAMES:
         raise ValueError(f"unknown builtin {name!r}; choose from {_BUILTIN_NAMES}")
+    params, sources = params or {}, sources or {}
+    for given, known in ((params, _DEFAULT_PARAMS), (sources, _SOURCE_NAMES)):
+        unknown = sorted(set(given) - set(known), key=str)
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown}; choose from {sorted(known)}")
     p = dict(_DEFAULT_PARAMS)
-    p.update(params or {})
+    p.update(params)
     if not all(math.isfinite(p[k]) for k in ("mu0", "hbar", "c", "m", "e")):
         raise ValueError("mu0, hbar, c, m and e must be finite")
     if not (p["mu0"] > 0 and p["hbar"] > 0 and p["c"] > 0 and p["m"] >= 0):
         raise ValueError("need mu0, hbar, c > 0 and m >= 0")
-    sources = sources or {}
-    j_expr = _lift(sources.get("J", ZERO))
-    a_expr = _lift(sources.get("A_ext", ZERO))
+    j_expr, a_expr = (_lift(sources.get(key, ZERO)) for key in _SOURCE_NAMES)
+    for key, expr in zip(_SOURCE_NAMES, (j_expr, a_expr)):
+        if not expr.grades <= {1}:
+            raise GradeError(f"source {key} must be a 1-form, got grades {sorted(expr.grades)}")
 
     if name.startswith("maxwell"):
         mu0 = p["mu0"]
@@ -517,7 +529,7 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
             return -0.5 / mu0 * sta.sp(Fc, Fc) - sta.sp(Ac, j_expr.sample(xs))
 
         def grad_x(Xe, de):
-            return scale(-1.0, Graded(j_expr, {1}))
+            return scale(-1.0, j_expr)
 
         def grad_d(Xe, de):
             return scale(-1.0 / mu0, de)

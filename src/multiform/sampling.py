@@ -26,8 +26,8 @@ from .gauge import ExtensorField, GaugeBackground, OmegaField, rotor_gauge
 from .sta import Multivector
 
 
-def random_points(rng: np.random.Generator, n: int, box: float = 1.0) -> np.ndarray:
-    return rng.uniform(-box, box, size=(n, 4))
+def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, size=(n, 4))
 
 
 def random_multivector(rng: np.random.Generator, grades) -> Multivector:
@@ -39,11 +39,7 @@ def random_vector(rng: np.random.Generator) -> Multivector:
 
 
 def random_field(
-    rng: np.random.Generator,
-    grades,
-    degree: int = 2,
-    terms: int = 2,
-    trig: bool = True,
+    rng: np.random.Generator, grades, degree: int = 2, terms: int = 2
 ) -> FieldExpr:
     """Sum of (constant blade mix) * polynomial(x.k) * trig(x.k') terms."""
     acc: FieldExpr | None = None
@@ -51,15 +47,14 @@ def random_field(
         base = Const(random_multivector(rng, grades))
         coeffs = rng.uniform(-1.0, 1.0, degree + 1)
         term: FieldExpr = prod(base, PolyMap(coordinate(random_vector(rng)), coeffs), "gp")
-        if trig:
-            kind = "sin" if rng.uniform() < 0.5 else "cos"
-            term = prod(term, ScalarMap(coordinate(random_vector(rng)), kind), "gp")
+        kind = "sin" if rng.uniform() < 0.5 else "cos"
+        term = prod(term, ScalarMap(coordinate(random_vector(rng)), kind), "gp")
         acc = term if acc is None else add(acc, term)
     return acc
 
 
-def random_even_field(rng: np.random.Generator, degree: int = 2, terms: int = 2) -> FieldExpr:
-    return random_field(rng, {0, 2, 4}, degree=degree, terms=terms)
+def random_even_field(rng: np.random.Generator) -> FieldExpr:
+    return random_field(rng, {0, 2, 4})
 
 
 def random_simple_bivector(rng: np.random.Generator) -> Multivector:
@@ -70,12 +65,12 @@ def random_simple_bivector(rng: np.random.Generator) -> Multivector:
             return b
 
 
-def random_rotor(rng: np.random.Generator, frequency: float = 0.5) -> FieldExpr:
+def random_rotor(rng: np.random.Generator) -> FieldExpr:
     """Product of two blade exponentials with linear scalar arguments."""
     factors = []
     for _ in range(2):
         blade = random_simple_bivector(rng)
-        arg = scale(frequency * rng.uniform(0.3, 1.0), coordinate(random_vector(rng)))
+        arg = scale(0.5 * rng.uniform(0.3, 1.0), coordinate(random_vector(rng)))
         factors.append(BladeExp(blade, arg))
     return prod(factors[0], factors[1], "gp")
 
@@ -84,16 +79,14 @@ def random_rotor_background(rng: np.random.Generator) -> GaugeBackground:
     return rotor_gauge(random_rotor(rng))
 
 
-def random_invertible_h(
-    rng: np.random.Generator, amplitude: float = 0.15
-) -> ExtensorField:
+def random_invertible_h(rng: np.random.Generator) -> ExtensorField:
     """Identity plus small smooth perturbations: invertible on the unit box."""
     entries = []
     for i in range(4):
         row = []
         for j in range(4):
             pert = scale(
-                amplitude * rng.uniform(0.3, 1.0),
+                0.15 * rng.uniform(0.3, 1.0),
                 prod(
                     PolyMap(coordinate(random_vector(rng)), rng.uniform(-1, 1, 2)),
                     ScalarMap(coordinate(random_vector(rng)), "cos"),

@@ -11,7 +11,12 @@ Two layers live here:
   broadcast over leading axes of ``(..., 16)`` arrays -- used by the field
   and lattice machinery, where everything is evaluated in batches;
 * the immutable :class:`Multivector` value type wrapping a single 16-vector,
-  which is the unit of currency of the public API.
+  which is the unit of currency of the public API.  Each operation on it has
+  one spelling: ``*`` (geometric product), ``^`` (outer product), ``<<``
+  (left contraction), ``.sp`` (scalar product), ``.reverse()``,
+  ``.grade(r)``, ``.restrict(grades)`` and ``.grade_set(tol)``; only the
+  commutator product, which has no operator, is the function
+  :func:`commutator_product`.
 
 All products are table-driven: the Cayley data (sign and target blade per
 blade pair) is built once at import from the canonical reordering rule plus
@@ -353,41 +358,8 @@ def _frame_sum(
     return acc
 
 
-# -- named operations on Multivector values ------------------------------
-
-
-def geometric_product(x: Multivector, y: Multivector) -> Multivector:
-    return Multivector(gp(x.comps, y.comps))
-
-
-def outer_product(x: Multivector, y: Multivector) -> Multivector:
-    return Multivector(op(x.comps, y.comps))
-
-
-def left_contraction(x: Multivector, y: Multivector) -> Multivector:
-    return Multivector(lc(x.comps, y.comps))
-
-
-def scalar_product(x: Multivector, y: Multivector) -> float:
-    return float(sp(x.comps, y.comps))
-
-
-def reverse(x: Multivector) -> Multivector:
-    return x.reverse()
-
-
-def grade_project(x: Multivector, r: int) -> Multivector:
-    return x.grade(r)
-
-
-def grade_restrict(x: Multivector, grades: Iterable[int]) -> Multivector:
-    return x.restrict(grades)
+# -- the one product without a Multivector operator ----------------------
 
 
 def commutator_product(x: Multivector, y: Multivector) -> Multivector:
     return Multivector(cross(x.comps, y.comps))
-
-
-def grade_set(x: Multivector, tol: float = 0.0) -> frozenset[int]:
-    return x.grade_set(tol)
-

@@ -15,7 +15,6 @@ from multiform.fields import (
     Const,
     GradeError,
     PolyMap,
-    ScalarFn,
     ScalarMap,
     Tabulated,
     boundary_current_flat,
@@ -25,7 +24,6 @@ from multiform.fields import (
     gauss_check,
     multivector_derivative,
     position,
-    position_form,
     prod,
     scale,
 )
@@ -51,7 +49,7 @@ def fd_derivative(expr, a, x, h=1e-3):
 
 def test_position_field_derivative_is_direction():
     a = Multivector.vector([1.0, 2.0, 3.0, 4.0])
-    x = position_form([0.3, -0.2, 0.5, 0.1])
+    x = Multivector.vector([0.3, -0.2, 0.5, 0.1])
     assert position().deriv(a).at(x).isclose(a)
 
 
@@ -68,7 +66,7 @@ def test_square_coordinate_spec_values():
     expr = PolyMap(coordinate(k), [0.0, 0.0, 1.0])
     x = rng.uniform(-1, 1, 4)
     a = random_vector(rng)
-    want = 2.0 * position_form(x).sp(k) * k.sp(a)
+    want = 2.0 * Multivector.vector(x).sp(k) * k.sp(a)
     got = expr.deriv(a).at(x)
     assert got.comps[0] == pytest.approx(want, abs=1e-13)
 
@@ -195,12 +193,6 @@ def test_multivector_derivative_grade_mismatch():
         multivector_derivative(lambda W: W.sp(W), GAMMA[0] + ONE, {1})
 
 
-def test_scalar_fn_wrapper():
-    fn = ScalarFn(lambda W: W.sp(W), arity=1, grades=({1},), poly_degree=2)
-    got = multivector_derivative(fn, 2.0 * GAMMA[1], {1})
-    assert got.isclose(4.0 * GAMMA[1], tol=1e-12)
-
-
 def test_boundary_current_trivial_cases():
     pts = random_points(np.random.default_rng(4), 10)
     # a . scalar = 0 for every direction
@@ -257,6 +249,39 @@ def test_gauss_check_convergence_rate():
     assert d8 / d16 == pytest.approx(4.0, abs=0.8)
     with pytest.raises(ValueError):
         gauss_check(v, box, 1)
+
+
+@pytest.mark.parametrize(
+    "n, box",
+    [
+        (2.5, (np.zeros(4), np.ones(4))),
+        (True, (np.zeros(4), np.ones(4))),
+        (np.float64(4.0), (np.zeros(4), np.ones(4))),
+        ("4", (np.zeros(4), np.ones(4))),
+        (4, (np.ones(4), np.zeros(4))),
+        (4, (np.zeros(4), np.array([1.0, 1.0, 0.0, 1.0]))),
+        (4, (np.zeros(4), np.array([1.0, np.inf, 1.0, 1.0]))),
+        (4, (np.array([0.0, 0.0, np.nan, 0.0]), np.ones(4))),
+        (4, (np.zeros(5), np.ones(5))),
+        (4, (np.zeros(3), np.ones(3))),
+        (4, (np.zeros(4), 1.0)),
+    ],
+    ids=[
+        "fractional-n", "bool-n", "float-n", "string-n", "hi-below-lo",
+        "empty-axis", "infinite-corner", "nan-corner", "five-axes", "three-axes",
+        "scalar-corner",
+    ],
+)
+def test_gauss_check_refuses_a_bad_n_or_box(n, box):
+    """n = 2.5 gave (8.29, 6.91) for div x over the unit box, against (4, 4);
+    5-coordinate corners gave (2, 4)."""
+    with pytest.raises(ValueError):
+        gauss_check(position(), box, n)
+
+
+def test_gauss_check_takes_a_numpy_integer_n():
+    got = gauss_check(position(), (np.zeros(4), np.ones(4)), np.int64(2))
+    assert got == pytest.approx((4.0, 4.0), rel=1e-12)
 
 
 def test_gauss_check_working_set_is_bounded():

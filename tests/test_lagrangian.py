@@ -78,6 +78,30 @@ def test_builtin_refuses_non_finite_parameters(name, param, value):
         make_builtin(name, params={param: value})
 
 
+@pytest.mark.parametrize(
+    "name, kwargs, error, match",
+    [
+        ("dirac_flat", {"params": {"mass": 5.0}}, ValueError, "mass"),
+        ("maxwell_flat", {"params": {"mu0": 1.0, "Mu0": 2.0}}, ValueError, "Mu0"),
+        ("maxwell_flat", {"sources": {"j": Const(GAMMA[0])}}, ValueError, "'j'"),
+        ("dirac_flat", {"sources": {"A": Const(GAMMA[0])}}, ValueError, "'A'"),
+        ("maxwell_flat", {"sources": {"J": 3}}, GradeError, "J"),
+        ("maxwell_flat", {"sources": {"J": Const(GAMMA[0] + ONE)}}, GradeError, "J"),
+        ("dirac_flat", {"sources": {"A_ext": Const(GAMMA[0] ^ GAMMA[1])}}, GradeError, "A_ext"),
+        ("maxwell_gauge", {"sources": {"J": position() * position()}}, GradeError, "J"),
+    ],
+    ids=[
+        "unknown-param", "misspelt-param", "unknown-source", "A-for-A_ext",
+        "scalar-current", "mixed-current", "bivector-potential", "gauge-scalar-current",
+    ],
+)
+def test_builtin_refuses_input_it_would_ignore(name, kwargs, error, match):
+    """An unknown key used to build the defaults (m = 1 for "mass", no source
+    for "j"), and a scalar J added nothing: A.J keeps only J's 1-form part."""
+    with pytest.raises(error, match=match):
+        make_builtin(name, **kwargs)
+
+
 def test_maxwell_density_values():
     L = make_builtin("maxwell_flat")
     zero = np.zeros((1, 16))
@@ -615,3 +639,15 @@ def test_reference_batch_stays_independent(name, monkeypatch):
         poisoned["grad_d"] = lambda Xe, de: scale(np.nan, de)
     L = dataclasses.replace(L, **poisoned)
     assert np.array_equal(ele_residual_reference(L, X, pts, bg), want)
+
+
+def test_richardson_offsets_are_the_derivative_step():
+    """_richardson finds its values by offset, so its offsets must be the
+    points scalar_derivative_at_zero samples; a second copy of the step that
+    drifted would raise KeyError here."""
+
+    def g(lam):
+        return np.array([np.sin(3.0 * lam), np.exp(lam), lam**3 - 2.0 * lam])
+
+    got = lagrangian._richardson([g(lam) for lam in lagrangian._RICHARDSON_OFFSETS])
+    assert np.array_equal(got, f.scalar_derivative_at_zero(g))

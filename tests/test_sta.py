@@ -10,12 +10,6 @@ from multiform.sta import (
     ONE,
     PSEUDOSCALAR,
     commutator_product,
-    geometric_product,
-    grade_project,
-    grade_restrict,
-    grade_set,
-    reverse,
-    scalar_product,
 )
 
 ETA = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -59,7 +53,7 @@ def test_geometric_product_matches_oracle_exhaustively():
     for a in range(16):
         for b in range(16):
             mask, sign = blade_product_oracle(a, b)
-            got = geometric_product(Multivector.blade(a), Multivector.blade(b))
+            got = Multivector.blade(a) * Multivector.blade(b)
             want = Multivector.blade(mask, sign)
             assert got == want, (a, b)
 
@@ -104,7 +98,7 @@ def test_outer_product_cases():
 def test_left_contraction_cases():
     e01 = GAMMA[0] * GAMMA[1]
     # grade-projection-of-product oracle
-    want = grade_project(GAMMA[0] * e01, 1)
+    want = (GAMMA[0] * e01).grade(1)
     assert (GAMMA[0] << e01) == want == GAMMA[1]
     # r > s vanishes
     assert (GAMMA[2] << ONE) == Multivector.zero()
@@ -121,13 +115,13 @@ def test_left_contraction_cases():
 def test_scalar_product_reciprocal_basis():
     for mu in range(4):
         for nu in range(4):
-            assert scalar_product(GAMMA_UP[mu], GAMMA[nu]) == (1.0 if mu == nu else 0.0)
-            assert scalar_product(GAMMA[mu], GAMMA[nu]) == ETA[mu, nu]
+            assert GAMMA_UP[mu].sp(GAMMA[nu]) == (1.0 if mu == nu else 0.0)
+            assert GAMMA[mu].sp(GAMMA[nu]) == ETA[mu, nu]
     # <i reverse(i)>_0 by direct multiplication
-    direct = grade_project(PSEUDOSCALAR * reverse(PSEUDOSCALAR), 0)
-    assert scalar_product(PSEUDOSCALAR, PSEUDOSCALAR) == direct.comps[0] == -1.0
+    direct = (PSEUDOSCALAR * PSEUDOSCALAR.reverse()).grade(0)
+    assert PSEUDOSCALAR.sp(PSEUDOSCALAR) == direct.comps[0] == -1.0
     # distinct blades are orthogonal
-    assert scalar_product(Multivector.blade(0b0011), Multivector.blade(0b1100)) == 0.0
+    assert Multivector.blade(0b0011).sp(Multivector.blade(0b1100)) == 0.0
 
 
 def test_scalar_product_from_reversion_random():
@@ -135,38 +129,36 @@ def test_scalar_product_from_reversion_random():
     for _ in range(50):
         x = Multivector(rng.uniform(-1, 1, 16))
         y = Multivector(rng.uniform(-1, 1, 16))
-        assert scalar_product(x, y) == pytest.approx(
-            (x * reverse(y)).comps[0], abs=1e-13
-        )
+        assert x.sp(y) == pytest.approx((x * y.reverse()).comps[0], abs=1e-13)
 
 
 def test_reversion():
-    assert reverse(GAMMA[0]) == GAMMA[0]
-    assert reverse(Multivector.blade(0b0011)) == Multivector.blade(0b0011, -1.0)
-    assert reverse(PSEUDOSCALAR) == PSEUDOSCALAR
+    assert GAMMA[0].reverse() == GAMMA[0]
+    assert Multivector.blade(0b0011).reverse() == Multivector.blade(0b0011, -1.0)
+    assert PSEUDOSCALAR.reverse() == PSEUDOSCALAR
     rng = np.random.default_rng(2)
     for _ in range(30):
         x = Multivector(rng.uniform(-1, 1, 16))
         y = Multivector(rng.uniform(-1, 1, 16))
-        assert reverse(reverse(x)) == x
-        lhs = reverse(x * y)
-        rhs = reverse(y) * reverse(x)
+        assert x.reverse().reverse() == x
+        lhs = (x * y).reverse()
+        rhs = y.reverse() * x.reverse()
         assert np.allclose(lhs.comps, rhs.comps, atol=1e-13)
 
 
 def test_grade_operations():
     x = ONE + GAMMA[0] + Multivector.blade(0b0011)
-    assert grade_project(x, 1) == GAMMA[0]
+    assert x.grade(1) == GAMMA[0]
     with pytest.raises(ValueError):
-        grade_project(x, 5)
+        x.grade(5)
     rng = np.random.default_rng(3)
     y = Multivector(rng.uniform(-1, 1, 16))
-    total = sum((grade_project(y, r) for r in range(5)), Multivector.zero())
+    total = sum((y.grade(r) for r in range(5)), Multivector.zero())
     assert total == y
     mixed = GAMMA[0] + Multivector.blade(0b0011) + PSEUDOSCALAR
-    kept = grade_restrict(mixed, {0, 2, 4})
+    kept = mixed.restrict({0, 2, 4})
     assert kept == Multivector.blade(0b0011) + PSEUDOSCALAR
-    assert grade_set(mixed) == {1, 2, 4}
+    assert mixed.grade_set() == {1, 2, 4}
 
 
 def test_commutator_product():
