@@ -11,6 +11,7 @@ an unknown scenario), 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -34,9 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run one named verification scenario")
     verify.add_argument("scenario", help="scenario name (see `multiform list`)")
     verify.add_argument("--config", help="JSON config file; flags override its fields")
-    verify.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    verify.add_argument("--points", type=int, default=None, help="sample point count (default 100)")
-    verify.add_argument("--lattice", type=int, default=None, help="lattice sites per axis (default 8)")
+    verify.add_argument("--seed", type=int, help=f"RNG seed (default {ScenarioConfig.seed})")
+    verify.add_argument(
+        "--points", type=int, help=f"sample point count (default {ScenarioConfig.points})"
+    )
+    verify.add_argument(
+        "--lattice", type=int, help=f"lattice sites per axis (default {ScenarioConfig.lattice_n})"
+    )
     verify.add_argument("--out", help="write the JSON report to this path")
     verify.add_argument("--json", action="store_true", help="print the JSON report to stdout")
 
@@ -45,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = ("seed", "points", "lattice_n", "out", "tolerances")
+# the scenario is named on the command line only
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "scenario")
 
 
 def _load_config_file(path: str) -> dict:
@@ -61,26 +67,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _make_config(args: argparse.Namespace) -> ScenarioConfig:
-    raw: dict = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-    cfg = ScenarioConfig(
-        scenario=args.scenario,
-        seed=raw.get("seed", 0),
-        points=raw.get("points", 100),
-        lattice_n=raw.get("lattice_n", 8),
-        tolerances=raw.get("tolerances", {}),
-        out=raw.get("out"),
-    )
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.points is not None:
-        cfg.points = args.points
-    if args.lattice is not None:
-        cfg.lattice_n = args.lattice
-    if args.out is not None:
-        cfg.out = args.out
-    return cfg
+    raw = _load_config_file(args.config) if args.config else {}
+    flags = {"seed": args.seed, "points": args.points, "lattice_n": args.lattice, "out": args.out}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    return ScenarioConfig(args.scenario, **raw)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

@@ -20,7 +20,10 @@ and ``del_expr(X, mode)`` are trees, evaluated like any other field, as
 in ``X.deriv(a).at(x)`` or ``del_expr(X, "curl").sample(xs)``.
 Each leaf has one spelling: a constant is ``Const(value)``, the position
 field is ``position()``, and a point is a 4-array or the 1-form
-``Multivector.vector(coords)``.  Slot derivatives of a scalar function,
+``Multivector.vector(coords)``.  So does each combination of trees, which
+have no operators: ``add(l, r)``, ``scale(c, child)``, ``prod(l, r, kind)``
+with kind "gp", "op", "lc", "sp" or "cross", ``Rev(child)`` and
+``Graded(child, grades)``.  Slot derivatives of a scalar function,
 :func:`multivector_derivative`, take a plain callable; without a declared
 polynomial degree they extrapolate central differences of step
 ``RICHARDSON_STEP``, the one copy of that step in the package.
@@ -236,48 +239,6 @@ class FieldExpr(_Node):
     @property
     def is_zero(self) -> bool:
         return False
-
-    # -- sugar ----------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(-1.0, _lift(other)))
-
-    def __rsub__(self, other):
-        return add(_lift(other), scale(-1.0, self))
-
-    def __neg__(self):
-        return scale(-1.0, self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(float(other), self)
-        return prod(self, _lift(other), "gp")
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(float(other), self)
-        return prod(_lift(other), self, "gp")
-
-    def __xor__(self, other):
-        return prod(self, _lift(other), "op")
-
-    def __lshift__(self, other):
-        return prod(self, _lift(other), "lc")
-
-    def sp(self, other) -> "FieldExpr":
-        return prod(self, _lift(other), "sp")
-
-    def reverse(self) -> "FieldExpr":
-        return Rev(self)
-
-    def restrict(self, grades: Iterable[int]) -> "FieldExpr":
-        return Graded(self, grades)
 
 
 def _lift(value) -> FieldExpr:

@@ -35,6 +35,7 @@ from .fields import (
     ExtApply,
     FieldExpr,
     GradeError,
+    Graded,
     MatExpr,
     Rev,
     ScalarMap,
@@ -189,7 +190,7 @@ class OmegaField:
         if len(cols) != 4:
             raise ValueError("need one bivector column per basis direction")
         self._columns = tuple(
-            ZERO if c.is_zero else c.restrict({2}) for c in cols
+            ZERO if c.is_zero else Graded(c, {2}) for c in cols
         )
 
     @classmethod

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -385,26 +386,6 @@ def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackgroun
     return _residual(L, psi, x, _plan(L, psi, bg, None))
 
 
-def ele_residual(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    x,
-    bg: GaugeBackground | None = None,
-    construction: str | None = None,
-):
-    """Mode-dispatching wrapper over the three residual operators.
-
-    One point gives a :class:`Multivector`, a (P, 4) batch gives (P, 16)
-    components.
-    """
-    fam = L.mode.family
-    if fam == "flat":
-        return ele_residual_flat(L, X, x)
-    if fam == "gauge":
-        return ele_residual_gauge(L, X, x, bg, construction)
-    return ele_residual_spinor(L, X, x, bg)
-
-
 def ele_residual_reference(
     L: LagrangianSpec,
     X: FieldExpr,
@@ -513,8 +494,10 @@ def make_builtin(name: str, params: dict | None = None, sources: dict | None = N
             raise ValueError(f"unknown key(s) {unknown}; choose from {sorted(known)}")
     p = dict(_DEFAULT_PARAMS)
     p.update(params)
-    if not all(math.isfinite(p[k]) for k in ("mu0", "hbar", "c", "m", "e")):
-        raise ValueError("mu0, hbar, c, m and e must be finite")
+    for key, value in p.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise ValueError(f"{key} must be a finite real number, got {value!r}")
     if not (p["mu0"] > 0 and p["hbar"] > 0 and p["c"] > 0 and p["m"] >= 0):
         raise ValueError("need mu0, hbar, c > 0 and m >= 0")
     j_expr, a_expr = (_lift(sources.get(key, ZERO)) for key in _SOURCE_NAMES)

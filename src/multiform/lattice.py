@@ -517,11 +517,10 @@ def _fft_solve(lat: Lattice, rhs: np.ndarray) -> np.ndarray:
 def solve_maxwell(
     lat: Lattice,
     J: LatticeField,
-    mu0: float = 1.0,
     tol: float = 1e-8,
     maxiter: int | None = None,
 ) -> LatticeField:
-    """Solve the discrete stationarity system div(curl A) = mu0 J.
+    """Solve the discrete stationarity system div(curl A) = J, at mu0 = 1.
 
     Periodic: a direct solve by 4D FFT, one 4x4 symbol block per
     wavevector, returning the minimum-norm potential (see
@@ -545,9 +544,9 @@ def solve_maxwell(
     if J.lattice is not lat and J.lattice != lat:
         raise ValueError("current lives on a different lattice")
 
-    rhs = mu0 * _zero_boundary(lat, _compact(J.comps, {1}))
+    rhs = _zero_boundary(lat, _compact(J.comps, {1}))
     if not np.isfinite(rhs).all():
-        raise ValueError("the current (times mu0) has non-finite components")
+        raise ValueError("the current has non-finite components")
     if not rhs.any():
         return LatticeField.zeros(lat, {1})
 

@@ -32,7 +32,9 @@ from .extensor import (
 from .fields import (
     BladeExp,
     Const,
+    Graded,
     PolyMap,
+    Rev,
     ScalarMap,
     add,
     check_identity_flat,
@@ -106,8 +108,8 @@ class ScenarioConfig:
     seed: int = 0
     points: int = 100
     lattice_n: int = 8
-    tolerances: dict = dataclass_field(default_factory=dict)
     out: str | None = None
+    tolerances: dict = dataclass_field(default_factory=dict)
 
     def validate(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -442,8 +444,8 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
         exprs.append(ScalarMap(scale(0.5, s1), kind))
     exprs.append(BladeExp(GAMMA[1] ^ GAMMA[2], scale(0.6, coordinate(k2))))
     exprs.append(BladeExp(GAMMA[0] ^ GAMMA[1], scale(0.4, coordinate(k2))))
-    exprs.append(random_field(rng, {0, 1, 2, 3, 4}).reverse())
-    exprs.append(random_field(rng, {0, 1, 2, 3, 4}).restrict({1, 2}))
+    exprs.append(Rev(random_field(rng, {0, 1, 2, 3, 4})))
+    exprs.append(Graded(random_field(rng, {0, 1, 2, 3, 4}), {1, 2}))
     exprs.append(del_expr(random_field(rng, {1, 2}), "curl"))
     hfield = random_invertible_h(rng)
     inner = random_field(rng, {1, 2})

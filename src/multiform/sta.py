@@ -308,7 +308,6 @@ class Multivector:
 GAMMA = tuple(Multivector.blade(1 << mu) for mu in range(N_GEN))
 # reciprocal basis by index raising: g^0 = g_0, g^k = -g_k
 GAMMA_UP = tuple(Multivector.blade(1 << mu, METRIC[mu]) for mu in range(N_GEN))
-GAMMA_ARR = np.stack([g.comps for g in GAMMA])
 GAMMA_UP_ARR = np.stack([g.comps for g in GAMMA_UP])
 ONE = Multivector.scalar(1.0)
 PSEUDOSCALAR = Multivector.blade(0b1111)

@@ -13,8 +13,11 @@ from multiform.fields import (
     BladeExp,
     Const,
     ExtApply,
+    Graded,
     PolyMap,
+    Rev,
     ScalarMap,
+    add,
     coordinate,
     del_expr,
     position,
@@ -90,13 +93,13 @@ def _trees(seed: int) -> list:
         Const(Multivector.vector([0.1, 0.2, 0.3, 0.4])),
         position(),
         X,
-        X - V,
-        X.reverse(),
-        X.restrict({1, 2}),
-        X * V,
-        X ^ V,
-        V << X,
-        X.sp(V),
+        add(X, scale(-1.0, V)),
+        Rev(X),
+        Graded(X, {1, 2}),
+        prod(X, V, "gp"),
+        prod(X, V, "op"),
+        prod(V, X, "lc"),
+        prod(X, V, "sp"),
         prod(X, V, "cross"),
         PolyMap(s, [0.5, -1.0, 0.25]),
         ScalarMap(scale(0.5, s), "sin"),

@@ -25,7 +25,6 @@ from multiform.lagrangian import (
     I_SIGMA3,
     LagrangianSpec,
     decomposition_check,
-    ele_residual,
     ele_residual_flat,
     ele_residual_gauge,
     ele_residual_reference,
@@ -71,9 +70,10 @@ def test_builtin_parameter_validation():
 
 @pytest.mark.parametrize("name", ["maxwell_flat", "dirac_flat"])
 @pytest.mark.parametrize("param", ["mu0", "hbar", "c", "m", "e"])
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True, "1"])
 def test_builtin_refuses_non_finite_parameters(name, param, value):
-    # NaN fails every comparison, so a test of p <= 0 alone lets it through
+    # NaN fails every comparison, so a test of p <= 0 alone lets it through;
+    # a bool or a string is no real number, though True compares as 1
     with pytest.raises(ValueError, match="finite"):
         make_builtin(name, params={param: value})
 
@@ -88,7 +88,7 @@ def test_builtin_refuses_non_finite_parameters(name, param, value):
         ("maxwell_flat", {"sources": {"J": 3}}, GradeError, "J"),
         ("maxwell_flat", {"sources": {"J": Const(GAMMA[0] + ONE)}}, GradeError, "J"),
         ("dirac_flat", {"sources": {"A_ext": Const(GAMMA[0] ^ GAMMA[1])}}, GradeError, "A_ext"),
-        ("maxwell_gauge", {"sources": {"J": position() * position()}}, GradeError, "J"),
+        ("maxwell_gauge", {"sources": {"J": prod(position(), position(), "gp")}}, GradeError, "J"),
     ],
     ids=[
         "unknown-param", "misspelt-param", "unknown-source", "A-for-A_ext",
@@ -540,19 +540,46 @@ def _single_values(fn, pts):
     return np.array([v.comps if isinstance(v, Multivector) else v for v in out])
 
 
+# each case's closed residual, called through its family's typed operator
+_RESIDUAL_CASES = [
+    pytest.param(
+        "maxwell_flat", None, lambda L, X, x, bg: ele_residual_flat(L, X, x),
+        id="maxwell_flat-None",
+    ),
+    pytest.param(
+        "dirac_flat", None, lambda L, X, x, bg: ele_residual_flat(L, X, x),
+        id="dirac_flat-None",
+    ),
+    pytest.param(
+        "maxwell_gauge", "omega", lambda L, X, x, bg: ele_residual_gauge(L, X, x, bg, "omega"),
+        id="maxwell_gauge-omega",
+    ),
+    pytest.param(
+        "maxwell_gauge", "pushforward",
+        lambda L, X, x, bg: ele_residual_gauge(L, X, x, bg, "pushforward"),
+        id="maxwell_gauge-pushforward",
+    ),
+    pytest.param(
+        "dirac_gauge", None, lambda L, X, x, bg: ele_residual_spinor(L, X, x, bg),
+        id="dirac_gauge-None",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "name, construction",
-    [
-        ("maxwell_flat", None),
-        ("dirac_flat", None),
-        ("maxwell_gauge", "omega"),
-        ("maxwell_gauge", "pushforward"),
-        ("dirac_gauge", None),
-        ("generic", None),
-        ("generic_dirac", None),
+    "name, construction, residual",
+    _RESIDUAL_CASES + [
+        pytest.param(
+            "generic", None, lambda L, X, x, bg: ele_residual_flat(L, X, x),
+            id="generic-None",
+        ),
+        pytest.param(
+            "generic_dirac", None, lambda L, X, x, bg: ele_residual_flat(L, X, x),
+            id="generic_dirac-None",
+        ),
     ],
 )
-def test_batch_matches_single_points(name, construction):
+def test_batch_matches_single_points(name, construction, residual):
     """One (P, 4) call equals P single-point calls bit for bit, NaN rows included.
 
     The generic cases have no closed slot gradients: their residuals take the
@@ -574,7 +601,7 @@ def test_batch_matches_single_points(name, construction):
     X0 = random_field(rng, grades)
     for X, has_nan in ((X0, False), (singular(X0), True)):
         ops = [
-            lambda x: ele_residual(L, X, x, bg, construction),
+            lambda x: residual(L, X, x, bg),
             lambda x: variation(L, X, A, x, bg, construction),
         ]
         if not name.startswith("generic"):
@@ -583,7 +610,7 @@ def test_batch_matches_single_points(name, construction):
             for op in ops:
                 batch = op(pts)
                 assert np.array_equal(batch, _single_values(op, pts), equal_nan=True)
-            norms = [ele_residual(L, X, x, bg, construction).norm() for x in pts]
+            norms = [residual(L, X, x, bg).norm() for x in pts]
             assert np.array_equal(residual_norms(ops[0](pts)), norms, equal_nan=True)
         assert np.isnan(norms).tolist() == [False, False, has_nan, False]
     if name.startswith("generic"):
@@ -601,17 +628,8 @@ def _reference_case(name, seed):
     return L, X, bg, random_points(rng, 3)
 
 
-@pytest.mark.parametrize(
-    "name, construction",
-    [
-        ("maxwell_flat", None),
-        ("dirac_flat", None),
-        ("maxwell_gauge", "omega"),
-        ("maxwell_gauge", "pushforward"),
-        ("dirac_gauge", None),
-    ],
-)
-def test_reference_batch_matches_single_points(name, construction):
+@pytest.mark.parametrize("name, construction, residual", _RESIDUAL_CASES)
+def test_reference_batch_matches_single_points(name, construction, residual):
     """The reference residual of a (P, 4) batch equals P single-point calls bit for bit."""
     L, X, bg, pts = _reference_case(name, 28)
     ref = lambda x: ele_residual_reference(L, X, x, bg, construction)
@@ -619,7 +637,7 @@ def test_reference_batch_matches_single_points(name, construction):
     assert batch.shape == (3, 16)
     assert isinstance(ref(pts[0]), Multivector)
     assert np.array_equal(batch, _single_values(ref, pts))
-    closed = ele_residual(L, X, pts, bg, construction)
+    closed = residual(L, X, pts, bg)
     assert np.abs(batch - closed).max() <= 1e-8 * max(1.0, np.abs(closed).max())
 
 

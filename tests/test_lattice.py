@@ -14,6 +14,7 @@ from multiform.fields import (
     Const,
     GradeError,
     ScalarMap,
+    add,
     coordinate,
     position,
     prod,
@@ -707,7 +708,7 @@ def test_grade_guards_reject_nan_outside_the_grades():
         inside[1, 2, 3, 0, 1] = value
         kept = LatticeField(lat, frozenset({1}), inside).comps
         assert np.array_equal(kept, inside, equal_nan=True)
-    nan_scalar = Const(Multivector.scalar(np.nan)) + position()
+    nan_scalar = add(Const(Multivector.scalar(np.nan)), position())
     with pytest.raises(GradeError):
         discretize(nan_scalar, lat, {1})
 
