@@ -16,8 +16,10 @@ output equals one whole-set evaluation bit for bit, and no node holds more
 than a block of values.  ``expr.at(x)`` is the single-point form returning
 a :class:`Multivector`; it refuses a batch.
 Derivatives have no pointwise entry points of their own: ``X.deriv(a)``
-and ``del_expr(X, mode)`` are trees, evaluated like any other field, as
-in ``X.deriv(a).at(x)`` or ``del_expr(X, "curl").sample(xs)``.
+and ``del_expr_kind(X, kind)`` are trees, evaluated like any other field,
+as in ``X.deriv(a).at(x)`` or ``del_expr_kind(X, "op").sample(xs)``.  A
+derivative aggregate sum_mu g^mu * (d_mu X) is named by its product kind
+*: "lc" for the divergence, "op" for the curl, "gp" for the gradient.
 Each leaf has one spelling: a constant is ``Const(value)``, the position
 field is ``position()``, and a point is a 4-array or the 1-form
 ``Multivector.vector(coords)``.  So does each combination of trees, which
@@ -553,24 +555,17 @@ class BladeExp(FieldExpr):
         return prod(blade, inner, "gp")
 
 
-# The derivative aggregates sum_mu g^mu * (d_mu X), one per product kind *:
-# kind -> (mode name, short name in DerivMode values, dual kind).  The dual
-# kind is the product whose aggregate pairs with * in the divergence-form
-# identities and in the Euler-Lagrange residuals.
-AGGREGATES = {
-    "lc": ("divergence", "div", "op"),
-    "op": ("curl", "curl", "lc"),
-    "gp": ("gradient", "grad", "gp"),
-}
+# The derivative aggregates sum_mu g^mu * (d_mu X), one per product kind *,
+# mapped to their dual kind: the product whose aggregate pairs with * in the
+# divergence-form identities and in the Euler-Lagrange residuals.
+AGGREGATES = {"lc": "op", "op": "lc", "gp": "gp"}
 
 
-def aggregate_kind(mode: str) -> str:
-    """The product kind of the derivative aggregate named ``mode``."""
-    for kind, (name, _, _) in AGGREGATES.items():
-        if mode == name:
-            return kind
-    names = [name for name, _, _ in AGGREGATES.values()]
-    raise ValueError(f"mode must be one of {names}, got {mode!r}")
+def _check_kind(kind: str) -> str:
+    """The dual kind of the derivative aggregate kind ``kind``; ValueError for any other."""
+    if kind not in AGGREGATES:
+        raise ValueError(f"kind must be one of {tuple(AGGREGATES)}, got {kind!r}")
+    return AGGREGATES[kind]
 
 
 class DelExpr(FieldExpr):
@@ -579,8 +574,7 @@ class DelExpr(FieldExpr):
     __slots__ = ("child", "kind")
 
     def __init__(self, child: FieldExpr, kind: str):
-        if kind not in AGGREGATES:
-            raise ValueError(f"bad derivative kind {kind!r}")
+        _check_kind(kind)
         super().__init__(_prod_grades(frozenset({1}), child.grades, kind))
         self.child = child
         self.kind = kind
@@ -634,14 +628,11 @@ def prod(left: FieldExpr, right: FieldExpr, kind: str) -> FieldExpr:
 
 
 def del_expr_kind(child: FieldExpr, kind: str) -> FieldExpr:
+    """The flat derivative aggregate of ``child`` with product kind lc, op or gp as a field."""
+    _check_kind(kind)
     if child.is_zero:
         return ZERO
     return DelExpr(child, kind)
-
-
-def del_expr(child: FieldExpr, mode: str) -> FieldExpr:
-    """Derivative aggregate as a field; mode is gradient/divergence/curl."""
-    return del_expr_kind(child, aggregate_kind(mode))
 
 
 # ---------------------------------------------------------------------------
@@ -847,8 +838,7 @@ def _boundary_current(frames, X: FieldExpr, Y: FieldExpr, kind: str) -> FieldExp
 
 def boundary_current_flat(X: FieldExpr, Y: FieldExpr, kind: str) -> FieldExpr:
     """The 1-form current v = sum_mu g^mu [(g_mu * X) . Y] for * in {lc, op, gp}."""
-    if kind not in AGGREGATES:
-        raise ValueError(f"kind must be one of {tuple(AGGREGATES)}, got {kind!r}")
+    _check_kind(kind)
     return _boundary_current(GAMMA_NODES, X, Y, kind)
 
 
@@ -870,7 +860,7 @@ def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:
     """
     pts, _ = _as_coords(points)
     key = pts.tobytes()
-    dual = AGGREGATES[kind][2]
+    dual = _check_kind(kind)
     lhs = sta.sp(del_expr_kind(X, kind).ev(pts, key), Y.ev(pts, key)) + sta.sp(
         X.ev(pts, key), del_expr_kind(Y, dual).ev(pts, key)
     )

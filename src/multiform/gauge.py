@@ -28,7 +28,6 @@ import numpy as np
 from . import sta
 from .extensor import DET_GATE, Extensor11, SingularExtensorError, adjoint, invert
 from .fields import (
-    AGGREGATES,
     GAMMA_NODES,
     GAMMA_UP_NODES,
     Const,
@@ -43,10 +42,10 @@ from .fields import (
     _as_coords,
     _as_direction,
     _boundary_current,
+    _check_kind,
     _lift,
     _one_point,
     add,
-    aggregate_kind,
     del_expr_kind,
     prod,
     scale,
@@ -352,14 +351,15 @@ def _star_contraction(X: FieldExpr, kind: str, bg: GaugeBackground, directional)
 
 
 def gauge_del_expr(
-    X: FieldExpr, mode: str, bg: GaugeBackground, construction: str | None = None
+    X: FieldExpr, kind: str, bg: GaugeBackground, construction: str | None = None
 ) -> FieldExpr:
-    """Covariant divergence/curl/gradient of X as a differentiable field.
+    """Covariant aggregate sum_mu h*(g^mu) * D_{g_mu} X as a differentiable field.
 
+    ``kind`` is the product *: lc (divergence), op (curl) or gp (gradient).
     Each call builds a new tree over X; a caller that evaluates it more than
     once keeps it.
     """
-    kind = aggregate_kind(mode)
+    _check_kind(kind)
     construction = bg.pick_construction(construction)
     if construction == "omega":
         return _star_contraction(X, kind, bg, covariant_directional_expr)
@@ -374,8 +374,8 @@ def gauge_del_expr(
     if kind == "op":
         return bg.h.apply_expr(del_expr_kind(bg.h.apply_expr(X, "adjoint"), "op"), "star")
     return add(
-        gauge_del_expr(X, "divergence", bg, construction),
-        gauge_del_expr(X, "curl", bg, construction),
+        gauge_del_expr(X, "lc", bg, construction),
+        gauge_del_expr(X, "op", bg, construction),
     )
 
 
@@ -429,10 +429,10 @@ def check_identity_gauge(
     the det(h)-weighted gauge current.
     """
     pts, _ = _as_coords(points)
-    mode, _, dual = AGGREGATES[kind]
+    dual = _check_kind(kind)
     key = pts.tobytes()
-    dx = gauge_del_expr(X, mode, bg, construction)
-    dy = gauge_del_expr(Y, AGGREGATES[dual][0], bg, construction)
+    dx = gauge_del_expr(X, kind, bg, construction)
+    dy = gauge_del_expr(Y, dual, bg, construction)
     lhs = sta.sp(dx.ev(pts, key), Y.ev(pts, key)) + sta.sp(
         X.ev(pts, key), dy.ev(pts, key)
     )
@@ -441,21 +441,14 @@ def check_identity_gauge(
 
 
 def check_identity_spinor(
-    psi: FieldExpr,
-    phi: FieldExpr,
-    bg: GaugeBackground,
-    points,
-    which: str = "both",
+    psi: FieldExpr, phi: FieldExpr, bg: GaugeBackground, points
 ) -> float:
     """Max residual of the spinor pairing identities.
 
-    ``derivative`` checks (D^s psi).phi + psi.(D^s phi) against the covariant
-    gradients (valid for any bivector connection); ``divergence`` checks the
-    det-weighted divergence form (needs a compatible background); ``both``
-    returns the larger of the two.
+    Checks (D^s psi).phi + psi.(D^s phi) against the covariant gradients
+    (valid for any bivector connection) and, on a compatible background,
+    also against the det-weighted divergence form; returns the larger.
     """
-    if which not in ("both", "derivative", "divergence"):
-        raise ValueError(f"bad which {which!r}")
     require_even(psi, _PROBE[0])
     require_even(phi, _PROBE[0])
     pts, _ = _as_coords(points)
@@ -465,28 +458,26 @@ def check_identity_spinor(
     lhs = sta.sp(ds_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
         psi.ev(pts, key), ds_phi.ev(pts, key)
     )
-    out = 0.0
-    if which in ("both", "derivative"):
-        d_psi = gauge_del_expr(psi, "gradient", bg, "omega")
-        d_phi = gauge_del_expr(phi, "gradient", bg, "omega")
-        rhs = sta.sp(d_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
-            psi.ev(pts, key), d_phi.ev(pts, key)
+    d_psi = gauge_del_expr(psi, "gp", bg, "omega")
+    d_phi = gauge_del_expr(phi, "gp", bg, "omega")
+    rhs = sta.sp(d_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
+        psi.ev(pts, key), d_phi.ev(pts, key)
+    )
+    out = float(np.abs(np.atleast_1d(lhs - rhs)).max())
+    # the cancellation mechanism behind the identity: the symmetrized
+    # correction phi Omega(a) psi~ + psi Omega(a) phi~ is pure grade 2,
+    # so its pairing against the 1-form h*(g^mu) vanishes
+    for mu in range(4):
+        w = add(
+            prod(prod(phi, bg.omega.column(mu), "gp"), Rev(psi), "gp"),
+            prod(prod(psi, bg.omega.column(mu), "gp"), Rev(phi), "gp"),
         )
-        out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
-        # the cancellation mechanism behind the identity: the symmetrized
-        # correction phi Omega(a) psi~ + psi Omega(a) phi~ is pure grade 2,
-        # so its pairing against the 1-form h*(g^mu) vanishes
-        for mu in range(4):
-            w = add(
-                prod(prod(phi, bg.omega.column(mu), "gp"), Rev(psi), "gp"),
-                prod(prod(psi, bg.omega.column(mu), "gp"), Rev(phi), "gp"),
-            )
-            wv = w.ev(pts, key)
-            nong2 = wv * (1.0 - sta.grade_mask({2}))
-            out = worst_of(out, float(np.abs(nong2).max()))
-            pairing = sta.sp(bg.h.star_basis(mu, upper=True).ev(pts, key), wv)
-            out = worst_of(out, float(np.abs(np.atleast_1d(pairing)).max()))
-    if which in ("both", "divergence"):
+        wv = w.ev(pts, key)
+        nong2 = wv * (1.0 - sta.grade_mask({2}))
+        out = worst_of(out, float(np.abs(nong2).max()))
+        pairing = sta.sp(bg.h.star_basis(mu, upper=True).ev(pts, key), wv)
+        out = worst_of(out, float(np.abs(np.atleast_1d(pairing)).max()))
+    if bg.compatible:
         rhs = _weighted_current_divergence(psi, phi, "gp", bg, pts, key)
         out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
     return out
@@ -499,9 +490,9 @@ def check_pushforward_vs_omega(
     pts, _ = _as_coords(points)
     key = pts.tobytes()
     worst = 0.0
-    for mode in ("divergence", "curl", "gradient"):
-        via_omega = gauge_del_expr(X, mode, bg, "omega").ev(pts, key)
-        via_push = gauge_del_expr(X, mode, bg, "pushforward").ev(pts, key)
+    for kind in ("lc", "op", "gp"):
+        via_omega = gauge_del_expr(X, kind, bg, "omega").ev(pts, key)
+        via_push = gauge_del_expr(X, kind, bg, "pushforward").ev(pts, key)
         worst = worst_of(worst, float(np.abs(via_omega - via_push).max()))
     return worst
 
@@ -523,7 +514,7 @@ def check_spinor_gradient_split(
             "gp",
         )
         correction = add(correction, term)
-    d_psi = gauge_del_expr(psi, "gradient", bg, "omega").ev(pts, key)
+    d_psi = gauge_del_expr(psi, "gp", bg, "omega").ev(pts, key)
     ds_psi = spinor_grad_expr(psi, bg).ev(pts, key)
     corr = correction.ev(pts, key)
     return float(np.abs(d_psi - ds_psi + 0.5 * corr).max())

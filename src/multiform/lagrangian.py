@@ -81,30 +81,27 @@ I_GAMMA3 = PSEUDOSCALAR * GAMMA[3]
 
 
 class DerivMode(enum.Enum):
-    """Derivative aggregate declared by a Lagrangian mapping."""
+    """Derivative aggregate declared by a Lagrangian mapping: (family, product kind)."""
 
-    FLAT_DIV = "flat-div"
-    FLAT_CURL = "flat-curl"
-    FLAT_GRAD = "flat-grad"
-    GAUGE_DIV = "gauge-div"
-    GAUGE_CURL = "gauge-curl"
-    GAUGE_GRAD = "gauge-grad"
-    SPINOR = "spinor"
+    FLAT_DIV = ("flat", "lc")
+    FLAT_CURL = ("flat", "op")
+    FLAT_GRAD = ("flat", "gp")
+    GAUGE_DIV = ("gauge", "lc")
+    GAUGE_CURL = ("gauge", "op")
+    GAUGE_GRAD = ("gauge", "gp")
+    SPINOR = ("spinor", "gp")
 
     @property
     def family(self) -> str:
-        return self.value.split("-")[0] if self is not DerivMode.SPINOR else "spinor"
+        return self.value[0]
 
     @property
     def star(self) -> str:
-        if self is DerivMode.SPINOR:
-            return "gp"
-        short = self.value.split("-")[1]
-        return next(kind for kind, (_, s, _) in AGGREGATES.items() if s == short)
+        return self.value[1]
 
     @property
     def dual(self) -> str:
-        return AGGREGATES[self.star][2]
+        return AGGREGATES[self.star]
 
     @property
     def weighted(self) -> bool:
@@ -153,9 +150,9 @@ def _aggregate(
     if fam == "flat":
         return del_expr_kind(Y, kind)
     if bg is None:
-        raise ValueError(f"{L.mode.value} Lagrangians need a gauge background")
+        raise ValueError(f"{L.mode.name} Lagrangians need a gauge background")
     if fam == "gauge":
-        return gauge_del_expr(Y, AGGREGATES[kind][0], bg, construction)
+        return gauge_del_expr(Y, kind, bg, construction)
     return spinor_grad_expr(Y, bg)
 
 
@@ -342,7 +339,7 @@ def _dual_of_numeric_slot_gradient(
     """
     if L.mode.family != "flat":
         raise ValueError(
-            f"Lagrangian {L.name!r} needs closed-form slot gradients for mode {L.mode.value}"
+            f"Lagrangian {L.name!r} needs closed-form slot gradients for mode {L.mode.name}"
         )
     # 16 stencil points per point: point, axis mu, offset along mu, coordinate
     stencil = np.repeat(pts, 16, axis=0).reshape(-1, 4, 4, 4)
@@ -361,7 +358,7 @@ def _dual_of_numeric_slot_gradient(
 def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x):
     """grad_X l - (dual flat derivative) grad_d l at x, grade-restricted."""
     if L.mode.family != "flat":
-        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not flat")
+        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not flat")
     return _residual(L, X, x, _plan(L, X, None, None))
 
 
@@ -374,14 +371,14 @@ def ele_residual_gauge(
 ):
     """grad_X l - (dual covariant derivative) grad_d l at x."""
     if L.mode.family != "gauge":
-        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not gauge")
+        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not gauge")
     return _residual(L, X, x, _plan(L, X, bg, construction))
 
 
 def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackground):
     """grad_psi l - D^s grad_{D^s psi} l at x, for even-grade psi."""
     if L.mode is not DerivMode.SPINOR:
-        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.value}, not spinor")
+        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not spinor")
     require_even(psi, x)
     return _residual(L, psi, x, _plan(L, psi, bg, None))
 

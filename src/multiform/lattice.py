@@ -315,7 +315,7 @@ def _require_operands(L: LagrangianSpec, F: LatticeField) -> None:
     """A flat-mode Lagrangian and a field within its grades."""
     if L.mode.family != "flat":
         raise ValueError(
-            f"lattice operations take flat-mode Lagrangians, not {L.mode.value}"
+            f"lattice operations take flat-mode Lagrangians, not {L.mode.name}"
         )
     if not F.grades <= L.field_grades:
         raise GradeError(f"field grades {sorted(F.grades)} outside {sorted(L.field_grades)}")

@@ -39,7 +39,7 @@ from .fields import (
     add,
     check_identity_flat,
     coordinate,
-    del_expr,
+    del_expr_kind,
     gauss_check,
     multivector_derivative,
     position,
@@ -314,8 +314,8 @@ def _scenario_identities_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     residuals = []
     for _ in range(10):
         X = random_field(rng, all_grades)
-        grad = del_expr(X, "gradient").sample(pts)
-        split = del_expr(X, "divergence").sample(pts) + del_expr(X, "curl").sample(pts)
+        grad = del_expr_kind(X, "gp").sample(pts)
+        split = del_expr_kind(X, "lc").sample(pts) + del_expr_kind(X, "op").sample(pts)
         residuals.append(float(np.abs(grad - split).max()))
     run.check("gradient-splits", residuals, 1e-10)
 
@@ -363,9 +363,7 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     run.check("construction-agreement", residuals, 1e-7)
 
     residuals = [
-        check_identity_spinor(
-            random_even_field(rng), random_even_field(rng), bg, pts, which="both"
-        )
+        check_identity_spinor(random_even_field(rng), random_even_field(rng), bg, pts)
         for _ in range(5)
     ]
     run.check("spinor-identities-rotor", residuals, 1e-7)
@@ -373,7 +371,7 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     incompatible = GaugeBackground(random_invertible_h(rng), random_omega(rng), False)
     residuals = [
         check_identity_spinor(
-            random_even_field(rng), random_even_field(rng), incompatible, pts, which="derivative"
+            random_even_field(rng), random_even_field(rng), incompatible, pts
         )
         for _ in range(5)
     ]
@@ -389,10 +387,10 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     residuals = []
     X = random_field(rng, all_grades)
     flat_bg = identity_background()
-    for mode in ("gradient", "divergence", "curl"):
-        want = del_expr(X, mode).sample(pts[:10])
+    for kind in ("gp", "lc", "op"):
+        want = del_expr_kind(X, kind).sample(pts[:10])
         for construction in ("omega", "pushforward"):
-            got = gauge_del_expr(X, mode, flat_bg, construction).sample(pts[:10])
+            got = gauge_del_expr(X, kind, flat_bg, construction).sample(pts[:10])
             residuals.extend(residual_norms(got - want))
     run.check("flat-limit", residuals, 1e-12)
 
@@ -446,7 +444,7 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
     exprs.append(BladeExp(GAMMA[0] ^ GAMMA[1], scale(0.4, coordinate(k2))))
     exprs.append(Rev(random_field(rng, {0, 1, 2, 3, 4})))
     exprs.append(Graded(random_field(rng, {0, 1, 2, 3, 4}), {1, 2}))
-    exprs.append(del_expr(random_field(rng, {1, 2}), "curl"))
+    exprs.append(del_expr_kind(random_field(rng, {1, 2}), "op"))
     hfield = random_invertible_h(rng)
     inner = random_field(rng, {1, 2})
     for variant in ("direct", "adjoint", "inverse", "star"):
@@ -512,7 +510,7 @@ def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
 
         def act(lam):
             Xl = add(Ar, scale(lam, Av))
-            return L.density(Xl.sample(p), del_expr(Xl, "curl").sample(p), p)
+            return L.density(Xl.sample(p), del_expr_kind(Xl, "op").sample(p), p)
 
         fd = (act(h) - act(-h)) / (2 * h)
         for i in range(3):
@@ -529,7 +527,7 @@ def _scenario_dirac_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     psi = _free_spinor(params["m"], params["c"], params["hbar"])
 
     # validate the candidate by substitution into the first-order equation
-    dpsi = del_expr(psi, "gradient").sample(pts)
+    dpsi = del_expr_kind(psi, "gp").sample(pts)
     run.check(
         "candidate-substitution", _first_order_residuals(dpsi, psi.sample(pts), params), 1e-10
     )

@@ -144,12 +144,6 @@ def rev(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=float) * REV_SIGNS
 
 
-def project(x: np.ndarray, r: int) -> np.ndarray:
-    if not 0 <= r <= N_GEN:
-        raise ValueError(f"grade must be in 0..4, got {r}")
-    return np.asarray(x, dtype=float) * GRADE_MASKS[r]
-
-
 def restrict(x: np.ndarray, grades: Iterable[int]) -> np.ndarray:
     return np.asarray(x, dtype=float) * grade_mask(grades)
 
@@ -218,7 +212,7 @@ class Multivector:
     # -- structure ----------------------------------------------------
 
     def grade(self, r: int) -> "Multivector":
-        return Multivector(project(self.comps, r))
+        return Multivector(restrict(self.comps, (r,)))
 
     def restrict(self, grades: Iterable[int]) -> "Multivector":
         return Multivector(restrict(self.comps, grades))

@@ -23,7 +23,7 @@ from multiform.fields import (
     ScalarMap,
     check_identity_flat,
     coordinate,
-    del_expr,
+    del_expr_kind,
     multivector_derivative,
     prod,
     scale,
@@ -148,8 +148,8 @@ def test_criterion_3_flat_identity_suite():
     split = 0.0
     for _ in range(10):
         X = random_field(rng, ALL_GRADES)
-        g = del_expr(X, "gradient").sample(pts)
-        parts = del_expr(X, "divergence").sample(pts) + del_expr(X, "curl").sample(pts)
+        g = del_expr_kind(X, "gp").sample(pts)
+        parts = del_expr_kind(X, "lc").sample(pts) + del_expr_kind(X, "op").sample(pts)
         split = max(split, float(np.abs(g - parts).max()))
     elapsed = time.perf_counter() - t0
     assert split <= 1e-10, f"gradient split {split:.3e} > 1e-10"
@@ -211,12 +211,12 @@ def test_criterion_5_gauge_identity_suite():
     for _ in range(5):
         psi = random_even_field(rng)
         phi = random_even_field(rng)
-        worst = max(worst, check_identity_spinor(psi, phi, bg, pts, which="both"))
+        worst = max(worst, check_identity_spinor(psi, phi, bg, pts))
     wild = GaugeBackground(random_invertible_h(rng), random_omega(rng), False)
     for _ in range(5):
         psi = random_even_field(rng)
         phi = random_even_field(rng)
-        worst = max(worst, check_identity_spinor(psi, phi, wild, pts, which="derivative"))
+        worst = max(worst, check_identity_spinor(psi, phi, wild, pts))
 
     # covariant-vs-pushforward agreement and the gradient split
     for _ in range(4):
@@ -255,7 +255,7 @@ def test_criterion_6_ele_reproduction():
     )
     substitution = max(
         (
-            (del_expr(psi, "gradient").at(pts[i]) * I_SIGMA3) * params["hbar"]
+            (del_expr_kind(psi, "gp").at(pts[i]) * I_SIGMA3) * params["hbar"]
             - (psi.at(pts[i]) * GAMMA[0]) * mc
         ).norm()
         for i in range(pts.shape[0])

@@ -19,7 +19,7 @@ from multiform.fields import (
     ScalarMap,
     add,
     coordinate,
-    del_expr,
+    del_expr_kind,
     position,
     prod,
     scale,
@@ -108,15 +108,15 @@ def _trees(seed: int) -> list:
         ScalarMap(PolyMap(s, [2.0, 0.5]), "recip"),
         BladeExp(GAMMA[1] ^ GAMMA[2], scale(0.6, s)),
         BladeExp(GAMMA[0] ^ GAMMA[1], scale(0.4, s)),
-        del_expr(X, "gradient"),
-        del_expr(V, "divergence"),
+        del_expr_kind(X, "gp"),
+        del_expr_kind(V, "lc"),
         *applied,
         *tangent,
         *two_tangents,
         *(t.deriv(a).deriv(b) for t in applied),
         h.det_expr(),
-        gauge_del_expr(V, "curl", bg, "omega"),
-        gauge_del_expr(V, "gradient", bg, "pushforward"),
+        gauge_del_expr(V, "op", bg, "omega"),
+        gauge_del_expr(V, "gp", bg, "pushforward"),
         spinor_grad_expr(psi, bg),
         boundary_current_gauge(X, V, "lc", bg),
     ]
@@ -174,7 +174,7 @@ def test_checks_do_not_keep_fields_alive():
     for _ in range(50):
         position().deriv(rng.normal(size=4))
     other = rotor_gauge(random_rotor(rng))
-    gauge_del_expr(position(), "divergence", other).at(pts[0])
+    gauge_del_expr(position(), "lc", other).at(pts[0])
     decomposition_check(L, X, f.ZERO, pts, other)
     assert len(position()._dcache) == 0 and len(f.ZERO._dcache) == 0
     refs = [weakref.ref(obj) for obj in (X, A, Y, other)]
@@ -223,7 +223,7 @@ def test_checks_free_fields_without_a_collection(gc_disabled):
     ele_residual_flat(make_builtin("maxwell_flat"), X, pts)
     ele_residual_reference(make_builtin("dirac_flat"), psi, pts[0])
     for tree in (E, R, B, inverse):
-        del_expr(del_expr(tree, "gradient"), "gradient").sample(pts + 2.0)
+        del_expr_kind(del_expr_kind(tree, "gp"), "gp").sample(pts + 2.0)
     del tree
     refs = [weakref.ref(obj) for obj in (X, A, Y, psi, phi, E, R, B, h, inverse, s)]
     del X, A, Y, psi, phi, E, R, B, h, inverse, s

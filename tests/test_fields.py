@@ -22,7 +22,7 @@ from multiform.fields import (
     boundary_current_flat,
     check_identity_flat,
     coordinate,
-    del_expr,
+    del_expr_kind,
     gauss_check,
     multivector_derivative,
     position,
@@ -107,7 +107,7 @@ def test_every_node_kind_derivative_against_fd():
         BladeExp(GAMMA[0] ^ GAMMA[1], scale(0.5, s)),  # positive square
         Rev(random_field(rng, {1, 2})),
         Graded(random_field(rng, {0, 1, 2, 3, 4}), {1, 3}),
-        del_expr(random_field(rng, {1, 2}), "curl"),
+        del_expr_kind(random_field(rng, {1, 2}), "op"),
     ]
     for expr in hline:
         x = rng.uniform(-0.8, 0.8, 4)
@@ -133,16 +133,16 @@ def test_del_operators_on_position():
     summed = sum((GAMMA_UP[mu] * GAMMA[mu] for mu in range(4)), Multivector.zero())
     assert summed == Multivector.scalar(4.0)
     x = np.array([0.4, 0.1, -0.7, 0.2])
-    assert del_expr(position(), "gradient").at(x).isclose(Multivector.scalar(4.0), tol=1e-14)
-    assert del_expr(position(), "divergence").at(x).isclose(Multivector.scalar(4.0), tol=1e-14)
-    assert del_expr(position(), "curl").at(x).norm() <= 1e-15
+    assert del_expr_kind(position(), "gp").at(x).isclose(Multivector.scalar(4.0), tol=1e-14)
+    assert del_expr_kind(position(), "lc").at(x).isclose(Multivector.scalar(4.0), tol=1e-14)
+    assert del_expr_kind(position(), "op").at(x).norm() <= 1e-15
 
 
 def test_gradient_of_coordinate_is_the_direction():
     rng = np.random.default_rng(1)
     k = random_vector(rng)
     x = rng.uniform(-1, 1, 4)
-    assert del_expr(coordinate(k), "gradient").at(x).isclose(k, tol=1e-13)
+    assert del_expr_kind(coordinate(k), "gp").at(x).isclose(k, tol=1e-13)
 
 
 def test_gradient_splits_into_divergence_plus_curl():
@@ -150,12 +150,12 @@ def test_gradient_splits_into_divergence_plus_curl():
     pts = random_points(rng, 20)
     for _ in range(10):
         X = random_field(rng, {0, 1, 2, 3, 4})
-        g = del_expr(X, "gradient").sample(pts)
-        d = del_expr(X, "divergence").sample(pts)
-        c = del_expr(X, "curl").sample(pts)
+        g = del_expr_kind(X, "gp").sample(pts)
+        d = del_expr_kind(X, "lc").sample(pts)
+        c = del_expr_kind(X, "op").sample(pts)
         assert np.abs(g - d - c).max() <= 1e-10
     with pytest.raises(ValueError):
-        del_expr(X, "laplacian")
+        del_expr_kind(X, "laplacian")
 
 
 def test_multivector_derivative_rules():
@@ -327,7 +327,7 @@ def test_tabulated_leaf_lives_on_its_point_set_only():
     with pytest.raises(ValueError):
         leaf.deriv(GAMMA[0])
     with pytest.raises(ValueError):
-        del_expr(leaf, "curl").sample(pts)
+        del_expr_kind(leaf, "op").sample(pts)
 
 
 def test_nan_component_counts_in_the_grade_set():
@@ -414,8 +414,8 @@ def test_double_gradient_evaluates_each_factor_once_per_point_set(monkeypatch):
         return ev(node, xs, key)
 
     monkeypatch.setattr(f._Node, "ev", counting_ev)
-    grad = del_expr(ScalarMap(coordinate(K), "sin"), "gradient")
-    hess = del_expr(grad, "gradient")
+    grad = del_expr_kind(ScalarMap(coordinate(K), "sin"), "gp")
+    hess = del_expr_kind(grad, "gp")
     rng = np.random.default_rng(50)
     for n in (1, 2):
         pts = random_points(rng, 4)

@@ -14,7 +14,7 @@ from multiform.fields import (
     GradeError,
     ScalarMap,
     coordinate,
-    del_expr,
+    del_expr_kind,
     position,
     prod,
     add,
@@ -200,8 +200,8 @@ def test_singular_h_raises_without_warning():
     X = random_field(np.random.default_rng(23), {1, 2})
     x = np.array([0.0, 0.3, -0.2, 0.1])
     calls = [
-        lambda mode=mode: gauge_del_expr(X, mode, bg, "pushforward").at(x)
-        for mode in ("divergence", "curl", "gradient")
+        lambda kind=kind: gauge_del_expr(X, kind, bg, "pushforward").at(x)
+        for kind in ("lc", "op", "gp")
     ]
     calls += [lambda v=v: bg.h.apply_expr(X, v).at(x) for v in ("inverse", "star")]
     with warnings.catch_warnings():
@@ -301,15 +301,27 @@ def test_spinor_directional():
         spinor_directional_expr(psi, PSEUDOSCALAR, bg)
 
 
+@pytest.mark.parametrize("kind", ["divergence", "curl", "gradient", "sp", "bogus"])
+def test_aggregates_refuse_names_that_are_not_kinds(kind):
+    """Mode names and non-aggregate products raise, for a zero field too."""
+    X = random_field(np.random.default_rng(4), {0, 1, 2})
+    for child in (X, ZERO):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            del_expr_kind(child, kind)
+    for construction in ("omega", "pushforward"):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            gauge_del_expr(X, kind, identity_background(), construction)
+
+
 def test_gauge_del_flat_limit():
     idbg = identity_background()
     rng = np.random.default_rng(5)
     X = random_field(rng, {0, 1, 2})
     x = rng.uniform(-1, 1, 4)
-    for mode in ("gradient", "divergence", "curl"):
-        flat = del_expr(X, mode).at(x)
+    for kind in ("gp", "lc", "op"):
+        flat = del_expr_kind(X, kind).at(x)
         for construction in ("omega", "pushforward"):
-            got = gauge_del_expr(X, mode, idbg, construction).at(x)
+            got = gauge_del_expr(X, kind, idbg, construction).at(x)
             assert (got - flat).norm() <= 1e-12
 
 
@@ -328,7 +340,7 @@ def test_pushforward_curl_of_scaled_position():
     h2 = ExtensorField.from_matrix(2.0 * np.eye(4))
     bg = GaugeBackground(h2, None, compatible=False)
     x = np.array([0.7, -0.1, 0.4, 0.2])
-    got = gauge_del_expr(position(), "curl", bg, "pushforward").at(x)
+    got = gauge_del_expr(position(), "op", bg, "pushforward").at(x)
     assert got.norm() <= 1e-13
 
 
@@ -336,7 +348,7 @@ def test_gauge_del_singular_h_rejected():
     entries = [[Const(Multivector.scalar(0.0)) for _ in range(4)] for _ in range(4)]
     bad = GaugeBackground(ExtensorField(entries), None, compatible=False)
     with pytest.raises(SingularExtensorError):
-        gauge_del_expr(position(), "curl", bad, "pushforward").at(np.zeros(4))
+        gauge_del_expr(position(), "op", bad, "pushforward").at(np.zeros(4))
 
 
 def test_gauge_identity_flat_limit():
@@ -376,13 +388,13 @@ def test_spinor_identities():
     for _ in range(3):
         psi = random_even_field(rng)
         phi = random_even_field(rng)
-        assert check_identity_spinor(psi, phi, bg, pts, which="both") <= 1e-7
+        assert check_identity_spinor(psi, phi, bg, pts) <= 1e-7
     # the derivative form holds for arbitrary, incompatible connections
     wild = GaugeBackground(random_invertible_h(rng), random_omega(rng), False)
     for _ in range(3):
         psi = random_even_field(rng)
         phi = random_even_field(rng)
-        assert check_identity_spinor(psi, phi, wild, pts, which="derivative") <= 1e-7
+        assert check_identity_spinor(psi, phi, wild, pts) <= 1e-7
     with pytest.raises(GradeError):
         check_identity_spinor(position(), phi, bg, pts)
 
@@ -395,7 +407,7 @@ def test_spinor_identity_constant_equal_spinors():
     psi0 = Multivector(rng.uniform(-1, 1, 16)).restrict({0, 2, 4})
     pts = random_points(rng, 20)
     psi = Const(psi0)
-    assert check_identity_spinor(psi, psi, bg, pts, which="derivative") <= 1e-12
+    assert check_identity_spinor(psi, psi, bg, pts) <= 1e-12
     # directly: sum_mu h*(g^mu) . <psi Omega(g_mu) psi~>_2 = 0 by grade
     worst = 0.0
     for mu in range(4):
@@ -424,5 +436,5 @@ def test_spinor_grad_flat_reduction():
     psi = random_even_field(rng)
     x = rng.uniform(-1, 1, 4)
     got = spinor_grad_expr(psi, idbg).at(x)
-    want = del_expr(psi, "gradient").at(x)
+    want = del_expr_kind(psi, "gp").at(x)
     assert (got - want).norm() <= 1e-13

@@ -14,7 +14,7 @@ from multiform.fields import (
     GradeError,
     ScalarMap,
     coordinate,
-    del_expr,
+    del_expr_kind,
     position,
     prod,
     scale,
@@ -52,6 +52,23 @@ def plane_wave():
 
 def free_spinor(m, c, hbar):
     return BladeExp(GAMMA[1] ^ GAMMA[2], scale(m * c / hbar, coordinate(GAMMA[0])))
+
+
+# (family, product kind of the aggregate, dual kind) of every mode
+DERIV_MODES = {
+    DerivMode.FLAT_DIV: ("flat", "lc", "op"),
+    DerivMode.FLAT_CURL: ("flat", "op", "lc"),
+    DerivMode.FLAT_GRAD: ("flat", "gp", "gp"),
+    DerivMode.GAUGE_DIV: ("gauge", "lc", "op"),
+    DerivMode.GAUGE_CURL: ("gauge", "op", "lc"),
+    DerivMode.GAUGE_GRAD: ("gauge", "gp", "gp"),
+    DerivMode.SPINOR: ("spinor", "gp", "gp"),
+}
+
+
+@pytest.mark.parametrize("mode", list(DerivMode), ids=lambda m: m.name)
+def test_deriv_mode_family_star_dual(mode):
+    assert (mode.family, mode.star, mode.dual) == DERIV_MODES[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +133,7 @@ def test_maxwell_density_values():
     )
     for _ in range(5):
         pt = rng.uniform(-1, 1, (1, 4))
-        dens = L.density(A.sample(pt), del_expr(A, "curl").sample(pt), pt)[0]
+        dens = L.density(A.sample(pt), del_expr_kind(A, "op").sample(pt), pt)[0]
         assert abs(dens) <= 1e-14
 
 
@@ -172,7 +189,7 @@ def test_variation_matches_lambda_fd():
         def action_density(lam):
             Xl = f.add(X, scale(lam, A))
             p = x.reshape(1, 4)
-            return L.density(Xl.sample(p), del_expr(Xl, "curl").sample(p), p)[0]
+            return L.density(Xl.sample(p), del_expr_kind(Xl, "op").sample(p), p)[0]
 
         fd = (action_density(h) - action_density(-h)) / (2 * h)
         assert abs(got - fd) <= 1e-8
@@ -211,8 +228,8 @@ def test_maxwell_quadratic_potential_residual():
     for _ in range(5):
         x = rng.uniform(-1, 1, 4)
         res = ele_residual_flat(L, A, x)
-        F_expr = del_expr(A, "curl")
-        indep = del_expr(F_expr, "divergence").at(x) * (1.0 / mu0)
+        F_expr = del_expr_kind(A, "op")
+        indep = del_expr_kind(F_expr, "lc").at(x) * (1.0 / mu0)
         assert (res - indep).norm() <= 1e-12
         assert res.norm() > 0.1  # genuinely nonzero
 
@@ -226,7 +243,7 @@ def test_dirac_candidate_by_substitution_then_residual():
     pts = random_points(rng, 10)
     # first: the candidate satisfies the first-order equation pointwise
     for i in range(10):
-        eq = (del_expr(psi, "gradient").at(pts[i]) * I_SIGMA3) * params["hbar"] - (
+        eq = (del_expr_kind(psi, "gp").at(pts[i]) * I_SIGMA3) * params["hbar"] - (
             psi.at(pts[i]) * GAMMA[0]
         ) * mc
         assert eq.norm() <= 1e-12
@@ -251,7 +268,7 @@ def test_residual_two_code_paths_agree():
 def test_residual_mode_mismatch_and_grades():
     L = make_builtin("maxwell_flat")
     A = plane_wave()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has mode FLAT_CURL, not gauge"):
         ele_residual_gauge(L, A, np.zeros(4), identity_background())
     rng = np.random.default_rng(9)
     for _ in range(3):
@@ -438,7 +455,7 @@ def test_divergence_mode_flat_residual():
         res = ele_residual_flat(L, X, x)
         want = (
             2.0 * X.at(x)
-            - del_expr(scale(2.0, del_expr(X, "divergence")), "curl").at(x)
+            - del_expr_kind(scale(2.0, del_expr_kind(X, "lc")), "op").at(x)
         ).restrict({1})
         assert (res - want).norm() <= 1e-12
         # fully numeric two-path agreement (no closed forms)
@@ -458,10 +475,10 @@ def test_divergence_mode_gauge_residual():
         X = random_field(rng, {1})
         x = rng.uniform(-1, 1, 4)
         res = ele_residual_gauge(L, X, x, bg)
-        d_expr = gauge_del_expr(X, "divergence", bg)
+        d_expr = gauge_del_expr(X, "lc", bg)
         want = (
             2.0 * X.at(x)
-            - gauge_del_expr(scale(2.0, d_expr), "curl", bg).at(x)
+            - gauge_del_expr(scale(2.0, d_expr), "op", bg).at(x)
         ).restrict({1})
         assert (res - want).norm() <= 1e-10
         ref = ele_residual_reference(L, X, x, bg)
@@ -480,7 +497,7 @@ def test_maxwell_with_current_source():
         r2 = ele_residual_reference(L, A, x)
         assert (r1 - r2).norm() <= 1e-7 * max(1.0, r1.norm())
         # residual = -J + div(curl A)/mu0
-        indep = del_expr(del_expr(A, "curl"), "divergence").at(x) * (1 / 1.7) - j_expr.at(x)
+        indep = del_expr_kind(del_expr_kind(A, "op"), "lc").at(x) * (1 / 1.7) - j_expr.at(x)
         assert (r1 - indep.restrict({1})).norm() <= 1e-11
         assert decomposition_check(L, A, random_field(rng, {1}), x) <= 1e-8
 

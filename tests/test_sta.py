@@ -149,8 +149,9 @@ def test_reversion():
 def test_grade_operations():
     x = ONE + GAMMA[0] + Multivector.blade(0b0011)
     assert x.grade(1) == GAMMA[0]
-    with pytest.raises(ValueError):
-        x.grade(5)
+    for bad in (5, 1.5):
+        with pytest.raises(ValueError):
+            x.grade(bad)
     rng = np.random.default_rng(3)
     y = Multivector(rng.uniform(-1, 1, 16))
     total = sum((y.grade(r) for r in range(5)), Multivector.zero())
