@@ -13,8 +13,9 @@ coordinates and returns (P, 16) component arrays.  A point set larger than
 ``SAMPLE_BLOCK`` rows is evaluated one block of rows at a time into one
 output; no row's value depends on the rows evaluated with it, so the
 output equals one whole-set evaluation bit for bit, and no node holds more
-than a block of values.  ``expr.at(x)`` is the single-point form returning
-a :class:`Multivector`; it refuses a batch.
+than a block of values.  The lattice's slot gradients keep the same bound.
+``expr.at(x)`` is the single-point form returning a :class:`Multivector`;
+it refuses a batch.
 Derivatives have no pointwise entry points of their own: ``X.deriv(a)``
 and ``del_expr_kind(X, kind)`` are trees, evaluated like any other field,
 as in ``X.deriv(a).at(x)`` or ``del_expr_kind(X, "op").sample(xs)``.  A

@@ -22,7 +22,9 @@ of a stencilled blade, in mu order; the results equal those of 16-wide
 site-major arrays under np.tensordot stencils bit for bit (up to the sign
 of a zero; the oracle is in tests/test_kernel_oracle.py).  Site-major
 16-wide arrays appear only where fields leave or enter: LatticeField.comps,
-and the density and slot-gradient trees, which evaluate 16 components.
+allocated once where a field leaves this module, and the density and
+slot-gradient trees, which evaluate 16 components SAMPLE_BLOCK sites at a
+time.
 
 The stationary Maxwell operator is that residual for the source-free flat
 Maxwell density.  Its system is symmetric indefinite once signed by the
@@ -46,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import sta
-from .fields import FieldExpr, GradeError, Tabulated, _prod_grades, worst_of
+from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, _prod_grades, worst_of
 from .lagrangian import LagrangianSpec, blade_gradient
 from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
@@ -179,7 +181,7 @@ class LatticeField:
 
     @classmethod
     def zeros(cls, lattice: Lattice, grades) -> "LatticeField":
-        return cls(lattice, frozenset(grades), np.zeros(lattice.shape + (DIM,)))
+        return _field(lattice, grades, np.zeros((len(_blade_masks(grades)),) + lattice.shape))
 
     def pair(self, other: "LatticeField") -> float:
         """Sum over sites of the algebra scalar product of the two values."""
@@ -242,6 +244,17 @@ def _widen(arr: np.ndarray, grades) -> np.ndarray:
     out = np.zeros(arr.shape[1:] + (DIM,))
     out[..., _blade_masks(grades)] = np.moveaxis(arr, 0, -1)
     return out
+
+
+def _field(lat: Lattice, grades, arr: np.ndarray) -> LatticeField:
+    """The field holding the compact ``arr``, in its one 16-wide allocation.
+
+    No copy and no grade check: ``_widen`` writes exact zeros off the
+    grades, so the public constructor's guard and its ``comps * mask``
+    would only copy the same bits."""
+    F = LatticeField.__new__(LatticeField)
+    F.lattice, F.grades, F.comps = lat, frozenset(grades), _widen(arr, grades)
+    return F
 
 
 @functools.lru_cache(maxsize=3 * 2**10)  # every (kind, grade set, grade set) triple
@@ -337,23 +350,26 @@ def _slot_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site slot gradients (grad_X l, grad_d l) as component arrays.
 
-    The spec's closed slot-gradient trees are built on two leaves that hold
-    the site values of F and of its aggregate d under the lattice's
-    coordinate key; a slot without a closed form takes the per-blade
-    stencils of :func:`blade_gradient`.
+    Sites are taken ``SAMPLE_BLOCK`` rows at a time, as ``FieldExpr.sample``
+    takes points, so no node's value slot holds more than a block.  Per
+    block, the spec's closed slot-gradient trees are built on two leaves
+    that hold the block's values of F and of its aggregate d under the
+    block's coordinate key; a slot without a closed form takes the
+    per-blade stencils of :func:`blade_gradient`.
     """
     xs = F.lattice.coords().reshape(-1, 4)
-    key = xs.tobytes()
     slots = (F.comps.reshape(-1, DIM), d.reshape(-1, DIM))
-    leaves = (
-        Tabulated(slots[0], F.grades, key),
-        Tabulated(slots[1], L.d_grades(), key),
-    )
-    grads = []
-    for k, build in enumerate((L.grad_x, L.grad_d)):
-        g = blade_gradient(L, slots, xs, k) if build is None else build(*leaves).ev(xs, key)
-        grads.append(g.reshape(F.comps.shape))
-    return grads[0], grads[1]
+    grads = (np.empty_like(slots[0]), np.empty_like(slots[0]))
+    for lo in range(0, len(xs), SAMPLE_BLOCK):
+        rows = slice(lo, lo + SAMPLE_BLOCK)
+        pts, block = xs[rows], (slots[0][rows], slots[1][rows])
+        key = pts.tobytes()
+        leaves = (Tabulated(block[0], F.grades, key), Tabulated(block[1], L.d_grades(), key))
+        for k, build in enumerate((L.grad_x, L.grad_d)):
+            grads[k][rows] = (
+                blade_gradient(L, block, pts, k) if build is None else build(*leaves).ev(pts, key)
+            )
+    return grads[0].reshape(F.comps.shape), grads[1].reshape(F.comps.shape)
 
 
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
@@ -389,8 +405,7 @@ def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     product: for any interior perturbation ``delta``,
     ``gradient.pair(delta)`` equals d/dl of the action along F + l delta.
     """
-    acc = _residual(L, F) * F.lattice.cell_volume
-    return LatticeField(F.lattice, L.field_grades, _widen(acc, L.field_grades))
+    return _field(F.lattice, L.field_grades, _residual(L, F) * F.lattice.cell_volume)
 
 
 def discrete_ele_residual(L: LagrangianSpec, F: LatticeField) -> LatticeField:
@@ -402,7 +417,7 @@ def discrete_ele_residual(L: LagrangianSpec, F: LatticeField) -> LatticeField:
     statement: the residual is the action gradient's sum before the cell
     volume.
     """
-    return LatticeField(F.lattice, L.field_grades, _widen(_residual(L, F), L.field_grades))
+    return _field(F.lattice, L.field_grades, _residual(L, F))
 
 
 def discrete_gauss(v: LatticeField) -> tuple[float, float]:
@@ -570,7 +585,7 @@ def solve_maxwell(
     rel = np.linalg.norm(_maxwell(lat, a) - rhs) / np.linalg.norm(rhs)
     if not rel <= tol:
         raise SolverError(f"solution residual {rel:.3e} exceeds tolerance {tol:g}")
-    return LatticeField(lat, frozenset({1}), _widen(a, {1}))
+    return _field(lat, {1}, a)
 
 
 # ---------------------------------------------------------------------------

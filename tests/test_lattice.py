@@ -4,11 +4,12 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from multiform import lattice, sta
+from multiform import fields, lattice, sta
 from multiform.fields import (
     ZERO,
     Const,
@@ -21,6 +22,7 @@ from multiform.fields import (
     scalar_derivative_at_zero,
 )
 from multiform.sampling import random_field
+from multiform.scenarios import ScenarioConfig, run_scenario
 from multiform.lagrangian import DerivMode, LagrangianSpec, make_builtin
 from multiform.lattice import (
     Lattice,
@@ -754,3 +756,67 @@ def test_dirac_closed_slot_gradients_match_the_blade_stencils(bc, n):
 
     lattice._slot_gradients(dataclasses.replace(L, grad_x=grad_x), F, d)
     assert seen == [({0, 2, 4}, {1, 3})]
+
+
+def test_lattice_maxwell_at_n16_peaks_below_five_wide_fields():
+    """Five 16-wide N=16 fields are 40 MiB: the scenario allocates each returned
+    field once and forms its check differences in place (it peaked at 50.6 MiB
+    with a copy per field and a fresh array per difference)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert run_scenario(ScenarioConfig("lattice-maxwell", seed=1, lattice_n=16)).passed
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 5 * 16**4 * 16 * 8
+
+
+def test_lattice_slot_gradients_keep_the_sample_block_bound(monkeypatch):
+    """With a source on a 12^4 lattice (20,736 sites), no node evaluated for the
+    slot gradients, the source tree and the shared position leaf included,
+    keeps a value of more than SAMPLE_BLOCK rows."""
+    seen = []
+    ev = fields._Node.ev
+
+    def recording_ev(node, xs, key):
+        seen.append(node)
+        return ev(node, xs, key)
+
+    monkeypatch.setattr(fields._Node, "ev", recording_ev)
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 12, "periodic")
+    j_expr = prod(Const(GAMMA[2]), ScalarMap(coordinate(GAMMA[1]), "cos"), "gp")
+    L = make_builtin("maxwell_flat", sources={"J": j_expr})
+    F = discretize(j_expr, lat, {1})
+    seen.clear()
+    discrete_ele_residual(L, F)
+    assert any(node is position() for node in seen)
+    rows = [len(node._value[1]) for node in seen if node._value[0] is not None]
+    assert rows and max(rows) <= fields.SAMPLE_BLOCK
+
+
+def test_returned_fields_equal_the_public_constructor_and_own_their_arrays():
+    """solve_maxwell (both boundary conditions), action_gradient and
+    discrete_ele_residual build their field from the compact result, with no
+    copy and no grade check: it is the field the public constructor makes,
+    and it shares memory with none of its inputs."""
+    rng = np.random.default_rng(23)
+    periodic = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 6, "periodic")
+    L = make_builtin("maxwell_flat", sources={"J": random_field(rng, {1})})
+    F = random_grade1_field(periodic, rng)
+    cases = [
+        (op(L, F), (F.comps, periodic.coords()))
+        for op in (action_gradient, discrete_ele_residual)
+    ]
+    for lat in (periodic, Lattice(np.zeros(4), np.ones(4), 5, "dirichlet")):
+        J = _smooth_current(lat)
+        cases.append((solve_maxwell(lat, J), (J.comps, lat.coords())))
+    for G, inputs in cases:
+        assert G == LatticeField(G.lattice, G.grades, G.comps.copy())
+        assert not any(np.shares_memory(G.comps, arr) for arr in inputs)
+    zero = LatticeField.zeros(periodic, [2])
+    assert zero == LatticeField(periodic, frozenset({2}), np.zeros(periodic.shape + (16,)))
