@@ -35,9 +35,17 @@ Every node (field or matrix) owns one value slot, ``(point-set key,
 value)`` from its last evaluation, and returns the stored value while the
 key matches.  The key is the float64 bytes of the (P, 4) coordinates,
 computed once per top-level call: an equal array built anew hits the slot,
-a point set changed in place misses it.  A subtree shared between trees,
-such as the extensor field of a gauge background, is therefore evaluated
-once per point set however many trees and calls use it.  Stored values are
+a point set changed in place misses it.  A node counts the parents that
+read its value, and one with exactly one parent stores nothing: its
+parent's slot covers every re-read.  Roots, nodes with more parents and
+nodes handed out by ``derived`` or ``outermorphism``, which any caller may
+ask for again, store.  A subtree shared between trees, such as the
+extensor field of a gauge background, is therefore evaluated once per
+point set however many trees and calls use it.  Counts only rise, and a
+node that gains its second parent after it was evaluated is evaluated
+again, so a caller builds every tree it will evaluate before the first
+evaluation.  A nine-scenario pass stores 43,469 values where storing at
+every node stored 69,176, for 1.2% more evaluations.  Stored values are
 read-only arrays.  A slot lives as long as its node.  A node owns its
 derivatives and chain-rule factors; aggregates and residual plans are built
 per call and owned by their caller.  Every tree is acyclic: nothing a node
@@ -60,10 +68,11 @@ these factors (ScalarMap 2,151, PolyMap 2,074, Scale 1,215, against Prod
 1,050 of 34k and Add 40 of 13.7k).  Sharing the factor alone removes 10.9%
 with no table.
 
-Trees are immutable after construction and evaluation is pure, so point
-batches may be processed from concurrent contexts.  Each slot is replaced
-as one tuple: concurrent callers always get correct values, but may
-recompute a value another caller has just stored.
+Trees are immutable after construction, but for use counts, which decide
+only what is stored, and evaluation is pure, so point batches may be
+processed from concurrent contexts.  Each slot is replaced as one tuple:
+concurrent callers always get correct values, but may recompute a value
+another caller has just stored.
 """
 
 from __future__ import annotations
@@ -172,11 +181,16 @@ SAMPLE_BLOCK = 4096
 class _Node:
     """Base of field and matrix nodes: one value slot and the trees derived from the node."""
 
-    __slots__ = ("_dcache", "_value", "__weakref__")
+    __slots__ = ("_dcache", "_value", "_uses", "__weakref__")
 
-    def __init__(self):
+    def __init__(self, children: tuple = ()):  # the nodes whose values it reads
         self._dcache: dict = {}
         self._value: tuple = (None, None)
+        self._uses = 0
+        for child in children:
+            child._uses += 1
+            if child._uses == 1:  # its one reader's slot covers it from now on
+                child._value = (None, None)
 
     # subclasses implement _eval(xs, key) -> array
 
@@ -190,15 +204,22 @@ class _Node:
             return hit[1]
         out = self._eval(xs, key)
         out.flags.writeable = False
-        self._value = (key, out)
+        if self._uses != 1:
+            self._value = (key, out)
         return out
 
-    def derived(self, key, build: Callable[[], object]):
-        """The tree that ``build`` makes from this node, built once per key and owned here."""
+    def derived(self, key, build: Callable[[], "_Node"]) -> "_Node":
+        """The tree ``build`` makes from this node, built once per key, owned here, shared."""
         hit = self._dcache.get(key)
         if hit is None:
-            hit = self._dcache[key] = build()
+            hit = self._dcache[key] = _shared(build())
         return hit
+
+
+def _shared(node: _Node) -> _Node:
+    """``node``, counted as read by more than one parent, so that it keeps its value."""
+    node._uses += 2
+    return node
 
 
 class FieldExpr(_Node):
@@ -206,8 +227,8 @@ class FieldExpr(_Node):
 
     __slots__ = ("grades",)
 
-    def __init__(self, grades: Iterable[int]):
-        super().__init__()
+    def __init__(self, grades: Iterable[int], children: tuple = ()):
+        _Node.__init__(self, children)  # not super(): this runs for every node built
         self.grades = frozenset(grades)
 
     # subclasses implement _eval(xs, key) -> (P, 16) and _build_deriv(a),
@@ -342,7 +363,7 @@ class Add(FieldExpr):
     __slots__ = ("left", "right")
 
     def __init__(self, left: FieldExpr, right: FieldExpr):
-        super().__init__(left.grades | right.grades)
+        super().__init__(left.grades | right.grades, (left, right))
         self.left = left
         self.right = right
 
@@ -357,7 +378,7 @@ class Scale(FieldExpr):
     __slots__ = ("factor", "child")
 
     def __init__(self, factor: float, child: FieldExpr):
-        super().__init__(child.grades)
+        super().__init__(child.grades, (child,))
         self.factor = float(factor)
         self.child = child
 
@@ -374,7 +395,7 @@ class Prod(FieldExpr):
     __slots__ = ("left", "right", "kind")
 
     def __init__(self, left: FieldExpr, right: FieldExpr, kind: str):
-        super().__init__(_prod_grades(left.grades, right.grades, kind))
+        super().__init__(_prod_grades(left.grades, right.grades, kind), (left, right))
         self.left = left
         self.right = right
         self.kind = kind
@@ -409,7 +430,7 @@ class Rev(FieldExpr):
     __slots__ = ("child",)
 
     def __init__(self, child: FieldExpr):
-        super().__init__(child.grades)
+        super().__init__(child.grades, (child,))
         self.child = child
 
     def _eval(self, xs, key):
@@ -424,7 +445,7 @@ class Graded(FieldExpr):
 
     def __init__(self, child: FieldExpr, grades: Iterable[int]):
         keep = frozenset(grades)
-        super().__init__(child.grades & keep)
+        super().__init__(child.grades & keep, (child,))
         self.child = child
         self.keep = keep
         self.mask = sta.grade_mask(keep)
@@ -456,7 +477,7 @@ class ScalarMap(FieldExpr):
             raise GradeError(f"{kind} needs a scalar-valued argument")
         if kind not in _SCALAR_FNS:
             raise ValueError(f"unknown scalar map {kind!r}")
-        super().__init__({0})
+        super().__init__({0}, (child,))
         self.child = child
         self.kind = kind
 
@@ -495,7 +516,7 @@ class PolyMap(FieldExpr):
     def __init__(self, child: FieldExpr, coeffs):
         if not child.grades <= {0}:
             raise GradeError("polynomial needs a scalar-valued argument")
-        super().__init__({0})
+        super().__init__({0}, (child,))
         self.child = child
         self.coeffs = np.asarray(coeffs, dtype=float)
 
@@ -528,7 +549,7 @@ class BladeExp(FieldExpr):
         beta = square[0]
         if not np.abs(square - beta * sta.ONE.comps).max() <= 1e-12:
             raise ValueError("blade exponential needs a blade with scalar square")
-        super().__init__(frozenset({0}) | blade.grade_set())
+        super().__init__(frozenset({0}) | blade.grade_set(), (child,))
         self.b_comps = blade.comps
         self.beta = float(beta)
         self.child = child
@@ -572,16 +593,19 @@ def _check_kind(kind: str) -> str:
 class DelExpr(FieldExpr):
     """Flat derivative aggregate sum_mu g^mu * (d_mu child) as a field."""
 
-    __slots__ = ("child", "kind")
+    __slots__ = ("child", "kind", "parts")
 
     def __init__(self, child: FieldExpr, kind: str):
         _check_kind(kind)
-        super().__init__(_prod_grades(frozenset({1}), child.grades, kind))
+        # built before any evaluation, so that the readers they add are counted
+        parts = tuple(child._deriv(g.comps) for g in GAMMA)
+        super().__init__(_prod_grades(frozenset({1}), child.grades, kind), parts)
         self.child = child
         self.kind = kind
+        self.parts = parts
 
     def _eval(self, xs, key):
-        parts = [self.child._deriv(g.comps) for g in GAMMA]
+        parts = self.parts
         grades = frozenset().union(*(d.grades for d in parts))
         return sta._frame_sum(
             self.kind,
@@ -647,9 +671,6 @@ class MatExpr(_Node):
     __slots__ = ("entries", "_outers")
 
     def __init__(self, entries):
-        super().__init__()
-        # the Outermorphism of each tangent set, alive while an application reads it
-        self._outers: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         rows = [list(row) for row in entries]
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("entries must be 4x4")
@@ -657,6 +678,9 @@ class MatExpr(_Node):
             for e in row:
                 if not e.grades <= {0}:
                     raise GradeError("extensor entries must be scalar-valued fields")
+        super().__init__(tuple(e for row in rows for e in row))
+        # the Outermorphism of each tangent set, alive while an application reads it
+        self._outers: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self.entries = tuple(tuple(row) for row in rows)
 
     def _eval(self, xs, key):
@@ -679,7 +703,7 @@ class MatExpr(_Node):
         """The one live outermorphism node of this matrix along ``tangents``."""
         outer = self._outers.get(tangents)
         if outer is None:
-            outer = self._outers[tangents] = Outermorphism(self, tangents)
+            outer = self._outers[tangents] = _shared(Outermorphism(self, tangents))
         return outer
 
     @property
@@ -694,7 +718,7 @@ class Outermorphism(_Node):
     __slots__ = ("mat", "tangents")
 
     def __init__(self, mat: MatExpr, tangents: tuple):
-        super().__init__()
+        super().__init__((mat,) + tangents)
         self.mat = mat
         self.tangents = tangents
 
@@ -727,12 +751,13 @@ class ExtApply(FieldExpr):
     def __init__(
         self, mat: MatExpr, child: FieldExpr, tangents: tuple = (), adjoint: bool = False
     ):
-        super().__init__(child.grades)
+        outer = mat.outermorphism(tangents)
+        super().__init__(child.grades, (child, outer))
         self.mat = mat
         self.tangents = tangents
         self.child = child
         self.adjoint = adjoint
-        self.outer = mat.outermorphism(tangents)
+        self.outer = outer
 
     def _eval(self, xs, key):
         big = self.outer.ev(xs, key)
@@ -862,11 +887,10 @@ def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:
     pts, _ = _as_coords(points)
     key = pts.tobytes()
     dual = _check_kind(kind)
-    lhs = sta.sp(del_expr_kind(X, kind).ev(pts, key), Y.ev(pts, key)) + sta.sp(
-        X.ev(pts, key), del_expr_kind(Y, dual).ev(pts, key)
-    )
-    current = boundary_current_flat(X, Y, kind)
-    rhs = del_expr_kind(current, "lc").ev(pts, key)[:, 0]
+    dX, dY = del_expr_kind(X, kind), del_expr_kind(Y, dual)
+    div = del_expr_kind(boundary_current_flat(X, Y, kind), "lc")
+    lhs = sta.sp(dX.ev(pts, key), Y.ev(pts, key)) + sta.sp(X.ev(pts, key), dY.ev(pts, key))
+    rhs = div.ev(pts, key)[:, 0]
     return float(np.abs(np.atleast_1d(lhs - rhs)).max())
 
 
@@ -891,8 +915,11 @@ def gauss_check(
         raise ValueError(f"box corners must be finite with hi > lo on every axis, got {box!r}")
     h = (hi - lo) / n
     axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    div_vals = del_expr_kind(v, "lc").sample(grid)[:, 0]
+    div, div_vals = del_expr_kind(v, "lc"), np.empty(n**4)
+    for start in range(0, n**4, SAMPLE_BLOCK):  # the grid in row-major order, a block at a time
+        index = np.unravel_index(np.arange(start, min(start + SAMPLE_BLOCK, n**4)), (n,) * 4)
+        block = np.stack([axes[k][i] for k, i in enumerate(index)], axis=-1)
+        div_vals[start : start + SAMPLE_BLOCK] = div.sample(block)[:, 0]
     volume = float(div_vals.sum() * np.prod(h))
 
     flux = 0.0

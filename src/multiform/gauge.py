@@ -45,6 +45,7 @@ from .fields import (
     _check_kind,
     _lift,
     _one_point,
+    _shared,
     add,
     del_expr_kind,
     prod,
@@ -113,7 +114,7 @@ class ExtensorField:
     def _tree(self, key, build):
         hit = self._trees.get(key)
         if hit is None:
-            hit = self._trees[key] = build()
+            hit = self._trees[key] = _shared(build())
         return hit
 
     @classmethod
@@ -405,13 +406,9 @@ def boundary_current_gauge(
     return prod(bg.h.det_expr(), _boundary_current(frames, X, Y, kind), "gp")
 
 
-def _weighted_current_divergence(
-    X: FieldExpr, Y: FieldExpr, kind: str, bg: GaugeBackground, pts: np.ndarray, key: bytes
-) -> np.ndarray:
-    """det(h^-1) times the flat divergence of the gauge boundary current, per point."""
-    current = boundary_current_gauge(X, Y, kind, bg)
-    det_vals = bg.h.det_expr().ev(pts, key)[:, 0]
-    return del_expr_kind(current, "lc").ev(pts, key)[:, 0] / det_vals
+def _current_divergence(X: FieldExpr, Y: FieldExpr, kind: str, bg: GaugeBackground) -> FieldExpr:
+    """The flat divergence of the gauge boundary current: det(h) times the covariant one."""
+    return del_expr_kind(boundary_current_gauge(X, Y, kind, bg), "lc")
 
 
 def check_identity_gauge(
@@ -433,10 +430,11 @@ def check_identity_gauge(
     key = pts.tobytes()
     dx = gauge_del_expr(X, kind, bg, construction)
     dy = gauge_del_expr(Y, dual, bg, construction)
+    div = _current_divergence(X, Y, kind, bg)  # every tree built before any evaluation
     lhs = sta.sp(dx.ev(pts, key), Y.ev(pts, key)) + sta.sp(
         X.ev(pts, key), dy.ev(pts, key)
     )
-    rhs = _weighted_current_divergence(X, Y, kind, bg, pts, key)
+    rhs = div.ev(pts, key)[:, 0] / bg.h.det_expr().ev(pts, key)[:, 0]
     return float(np.abs(np.atleast_1d(lhs - rhs)).max())
 
 
@@ -455,11 +453,12 @@ def check_identity_spinor(
     key = pts.tobytes()
     ds_psi = spinor_grad_expr(psi, bg)
     ds_phi = spinor_grad_expr(phi, bg)
+    d_psi = gauge_del_expr(psi, "gp", bg, "omega")
+    d_phi = gauge_del_expr(phi, "gp", bg, "omega")
+    div = _current_divergence(psi, phi, "gp", bg) if bg.compatible else None
     lhs = sta.sp(ds_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
         psi.ev(pts, key), ds_phi.ev(pts, key)
     )
-    d_psi = gauge_del_expr(psi, "gp", bg, "omega")
-    d_phi = gauge_del_expr(phi, "gp", bg, "omega")
     rhs = sta.sp(d_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
         psi.ev(pts, key), d_phi.ev(pts, key)
     )
@@ -477,8 +476,8 @@ def check_identity_spinor(
         out = worst_of(out, float(np.abs(nong2).max()))
         pairing = sta.sp(bg.h.star_basis(mu, upper=True).ev(pts, key), wv)
         out = worst_of(out, float(np.abs(np.atleast_1d(pairing)).max()))
-    if bg.compatible:
-        rhs = _weighted_current_divergence(psi, phi, "gp", bg, pts, key)
+    if div is not None:
+        rhs = div.ev(pts, key)[:, 0] / bg.h.det_expr().ev(pts, key)[:, 0]
         out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
     return out
 

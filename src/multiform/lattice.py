@@ -348,7 +348,8 @@ def _aggregate(lat: Lattice, kind: str, comps: np.ndarray, grades) -> np.ndarray
 def _slot_gradients(
     L: LagrangianSpec, F: LatticeField, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site slot gradients (grad_X l, grad_d l) as component arrays.
+    """Per-site slot gradients (grad_X l, grad_d l) as compact arrays on the
+    blades of the field grades and of the aggregate grades.
 
     Sites are taken ``SAMPLE_BLOCK`` rows at a time, as ``FieldExpr.sample``
     takes points, so no node's value slot holds more than a block.  Per
@@ -359,17 +360,19 @@ def _slot_gradients(
     """
     xs = F.lattice.coords().reshape(-1, 4)
     slots = (F.comps.reshape(-1, DIM), d.reshape(-1, DIM))
-    grads = (np.empty_like(slots[0]), np.empty_like(slots[0]))
+    masks = (_blade_masks(L.field_grades), _blade_masks(L.d_grades()))
+    grads = tuple(np.empty((len(m), len(xs))) for m in masks)
     for lo in range(0, len(xs), SAMPLE_BLOCK):
         rows = slice(lo, lo + SAMPLE_BLOCK)
         pts, block = xs[rows], (slots[0][rows], slots[1][rows])
         key = pts.tobytes()
         leaves = (Tabulated(block[0], F.grades, key), Tabulated(block[1], L.d_grades(), key))
         for k, build in enumerate((L.grad_x, L.grad_d)):
-            grads[k][rows] = (
+            value = (
                 blade_gradient(L, block, pts, k) if build is None else build(*leaves).ev(pts, key)
             )
-    return grads[0].reshape(F.comps.shape), grads[1].reshape(F.comps.shape)
+            grads[k][:, rows] = value.T[masks[k]]
+    return tuple(g.reshape((len(g),) + F.lattice.shape) for g in grads)
 
 
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
@@ -388,13 +391,8 @@ def _residual(L: LagrangianSpec, F: LatticeField) -> np.ndarray:
     _require_operands(L, F)
     lat = F.lattice
     gx, gd = _slot_gradients(L, F, _aggregate(lat, L.mode.star, F.comps, F.grades))
-    acc = _compact(gx, L.field_grades)
-    d_grades = L.d_grades()
-    _frame_sum(
-        L.mode.dual, _compact(gd, d_grades), d_grades, acc, L.field_grades,
-        _stencils(lat, transpose=True),
-    )
-    return _zero_boundary(lat, acc)
+    _frame_sum(L.mode.dual, gd, L.d_grades(), gx, L.field_grades, _stencils(lat, transpose=True))
+    return _zero_boundary(lat, gx)
 
 
 def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:

@@ -19,6 +19,7 @@ from multiform.fields import (
     Rev,
     ScalarMap,
     Tabulated,
+    add,
     boundary_current_flat,
     check_identity_flat,
     coordinate,
@@ -286,6 +287,25 @@ def test_gauss_check_takes_a_numpy_integer_n():
     assert got == pytest.approx((4.0, 4.0), rel=1e-12)
 
 
+def _whole_grid_volume(v, box, n):
+    """The midpoint volume integral over the whole (n^4, 4) grid sampled at once."""
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
+    h = (hi - lo) / n
+    axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    return float(del_expr_kind(v, "lc").sample(grid)[:, 0].sum() * np.prod(h))
+
+
+@pytest.mark.parametrize("n", [8, 9, 16])
+def test_streamed_gauss_volume_equals_the_whole_grid_bit_for_bit(n):
+    """gauss_check builds its midpoints a block at a time and keeps one column;
+    at n = 9 the 6,561 points end in a partial block."""
+    v = prod(Const(GAMMA[1]), ScalarMap(coordinate(GAMMA[1] + GAMMA[0]), "sin"), "gp")
+    v = add(v, prod(position(), PolyMap(coordinate(GAMMA[3]), [0.3, -1.1, 0.7]), "gp"))
+    box = (np.array([0.0, -0.5, 0.2, 1.0]), np.array([1.0, 0.5, 1.2, 3.0]))
+    assert gauss_check(v, box, n)[0] == _whole_grid_volume(v, box, n)
+
+
 def test_gauss_check_working_set_is_bounded():
     """65,536 sampled points in blocks: the peak is a few (P, 16) arrays, not
     one per tree node."""
@@ -427,6 +447,55 @@ def test_double_gradient_evaluates_each_factor_once_per_point_set(monkeypatch):
                 maps[node.kind] += count
         # cos s in the four first partials, -sin s in the sixteen second ones
         assert maps == {"cos": n, "sin": n}
+
+
+def test_a_node_read_by_one_parent_keeps_no_value(monkeypatch):
+    """Only roots and nodes read by more than one parent keep a value slot: a
+    node with one parent is re-read only through its parent's slot."""
+    evaluated = []
+    ev = f._Node.ev
+
+    def recording_ev(node, xs, key):
+        evaluated.append(node)
+        return ev(node, xs, key)
+
+    monkeypatch.setattr(f._Node, "ev", recording_ev)
+    X = random_field(np.random.default_rng(52), {1, 2})
+    X.sample(random_points(np.random.default_rng(53), 3))
+    assert X._value[0] is not None  # a root keeps its value ...
+    Y = scale(2.0, X)
+    assert X._uses == 1 and X._value == (None, None)  # ... until a parent reads it
+    root = del_expr_kind(Y, "gp")
+    pts = random_points(np.random.default_rng(54), 5)
+    got = root.sample(pts)
+    single = [node for node in evaluated if node._uses == 1]
+    assert len(single) > 20
+    assert all(node._value == (None, None) for node in single)
+    assert root._value[0] == pts.tobytes() and root._value[1] is got
+
+
+def test_a_partial_shared_by_two_aggregates_is_evaluated_once_per_point_set(monkeypatch):
+    """The lc and op aggregates of one X read the same four partials; a derived
+    tree counts as shared, so a partial read by one aggregate keeps its value
+    for a caller that asks for it again."""
+    evals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    ev = f._Node.ev
+
+    def counting_ev(node, xs, key):
+        if node._value[0] != key:
+            evals[node] = evals.get(node, 0) + 1
+        return ev(node, xs, key)
+
+    monkeypatch.setattr(f._Node, "ev", counting_ev)
+    X, Y = (random_field(np.random.default_rng(seed), {1}) for seed in (55, 57))
+    div, curl, grad = del_expr_kind(X, "lc"), del_expr_kind(X, "op"), del_expr_kind(Y, "gp")
+    partials = [Z.deriv(g) for Z in (X, Y) for g in GAMMA]
+    rng = np.random.default_rng(56)
+    for n in (1, 2):
+        pts = random_points(rng, 4)
+        for tree in [div, curl, grad] + partials:
+            tree.sample(pts)
+        assert [evals[d] for d in partials] == [n] * 8
 
 
 def test_constant_leaf_is_a_read_only_stride_zero_view():

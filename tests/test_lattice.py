@@ -718,7 +718,8 @@ def test_grade_guards_reject_nan_outside_the_grades():
 @pytest.mark.parametrize("with_j", [False, True], ids=["no-source", "source"])
 @pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 6), ("periodic", 6)])
 def test_maxwell_slot_gradients_are_the_closed_form(bc, n, with_j):
-    """The spec's trees, evaluated on the site leaves, give -<J>_1 and -d bit for bit."""
+    """The spec's trees, evaluated on the site leaves, give -<J>_1 and -d bit for
+    bit, as compact arrays on the field's and the aggregate's blades."""
     rng = np.random.default_rng(7)
     J = random_field(rng, {1}) if with_j else ZERO
     L = make_builtin("maxwell_flat", sources={"J": J})
@@ -727,8 +728,9 @@ def test_maxwell_slot_gradients_are_the_closed_form(bc, n, with_j):
     d = lattice._aggregate(lat, "op", F.comps, F.grades)
     gx, gd = lattice._slot_gradients(L, F, d)
     xs = lat.coords().reshape(-1, 4)
-    assert np.array_equal(gx, -sta.restrict(J.sample(xs), {1}).reshape(F.comps.shape))
-    assert np.array_equal(gd, -d)
+    want_x = -sta.restrict(J.sample(xs), {1}).reshape(F.comps.shape)
+    assert np.array_equal(gx, lattice._compact(want_x, L.field_grades))
+    assert np.array_equal(gd, lattice._compact(-d, L.d_grades()))
 
 
 @pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 5)])
