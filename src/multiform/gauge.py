@@ -443,9 +443,16 @@ def check_identity_spinor(
 ) -> float:
     """Max residual of the spinor pairing identities.
 
-    Checks (D^s psi).phi + psi.(D^s phi) against the covariant gradients
-    (valid for any bivector connection) and, on a compatible background,
-    also against the det-weighted divergence form; returns the larger.
+    Compares (D^s psi).phi + psi.(D^s phi) with the covariant gradients
+    and, on a compatible background, with the det-weighted divergence form,
+    and checks that the symmetrized connection terms phi Omega(g_mu) psi~ +
+    psi Omega(g_mu) phi~ are pure grade 2 with a vanishing pairing against
+    h*(g^mu); returns the largest residual.  As built, both pairing sides, and
+    the divergence form's boundary current, read exactly 0.0 at every point:
+    D^s psi and D psi have grades {1, 3}, phi has {0, 2, 4}, and the scalar
+    product is diagonal in the blade basis.  So the residual comes from the
+    grade-2 cancellation terms alone.  A form that is not vacuous, such as
+    d_mu (psi.phi) = (D^s_mu psi).phi + psi.(D^s_mu phi), would move them.
     """
     require_even(psi, _PROBE[0])
     require_even(phi, _PROBE[0])

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import sta
-from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, _prod_grades, worst_of
+from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, worst_of
 from .lagrangian import LagrangianSpec, blade_gradient
 from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
@@ -152,21 +152,9 @@ class LatticeField:
 
     def __post_init__(self):
         self.grades = frozenset(self.grades)
-        self.comps = np.asarray(self.comps, dtype=float).reshape(
-            self.lattice.shape + (DIM,)
+        self.comps = _on_grades(
+            np.asarray(self.comps, dtype=float).reshape(self.lattice.shape + (DIM,)), self.grades
         )
-        mask = sta.grade_mask(self.grades)
-        # selected, not masked: NaN * 0 is NaN, and a NaN is never small;
-        # one blade at a time, so the check copies no more than one blade
-        outside = worst_of(
-            0.0, *(np.abs(self.comps[..., m]).max() for m in np.flatnonzero(mask == 0.0))
-        )
-        if not outside <= 1e-12:
-            raise GradeError(
-                f"field has components of size {outside:.3e} outside grades "
-                f"{sorted(self.grades)}"
-            )
-        self.comps = self.comps * mask
 
     def __eq__(self, other):
         if not isinstance(other, LatticeField):
@@ -186,6 +174,20 @@ class LatticeField:
     def pair(self, other: "LatticeField") -> float:
         """Sum over sites of the algebra scalar product of the two values."""
         return float((self.comps * SP_DIAG * other.comps).sum())
+
+
+def _on_grades(comps: np.ndarray, grades: frozenset, out: np.ndarray | None = None) -> np.ndarray:
+    """``comps * grade_mask(grades)``, into ``out`` when given; ``GradeError``
+    when a component outside the grades is larger than 1e-12 or NaN."""
+    mask = sta.grade_mask(grades)
+    # selected, not masked: NaN * 0 is NaN, and a NaN is never small;
+    # one blade at a time, so the check copies no more than one blade
+    outside = worst_of(0.0, *(np.abs(comps[..., m]).max() for m in np.flatnonzero(mask == 0.0)))
+    if not outside <= 1e-12:
+        raise GradeError(
+            f"field has components of size {outside:.3e} outside grades {sorted(grades)}"
+        )
+    return np.multiply(comps, mask, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,7 @@ def _frame_sum(
                 acc[o] += x[i]
             else:
                 acc[o] -= x[i]
+        del x  # freed before the next axis's is made
     return acc
 
 
@@ -320,8 +323,14 @@ def _zero_boundary(lat: Lattice, arr: np.ndarray) -> np.ndarray:
 def discretize(X: FieldExpr, lat: Lattice, grades) -> LatticeField:
     """Sample a field expression at the site centers; values outside ``grades``
     raise ``GradeError`` from the :class:`LatticeField` guard."""
-    vals = X.sample(lat.coords().reshape(-1, 4))
-    return LatticeField(lat, frozenset(grades), vals.reshape(lat.shape + (DIM,)))
+    vals = X.sample(lat.coords().reshape(-1, 4)).reshape(lat.shape + (DIM,))
+    if not vals.flags.writeable:  # at most one block, a value a tree slot may hold
+        vals = vals.copy()
+    # masked in place, so that the field holds the one 16-wide array
+    F = LatticeField.__new__(LatticeField)
+    F.lattice, F.grades = lat, frozenset(grades)
+    F.comps = _on_grades(vals, F.grades, out=vals)
+    return F
 
 
 def _require_operands(L: LagrangianSpec, F: LatticeField) -> None:
@@ -334,37 +343,35 @@ def _require_operands(L: LagrangianSpec, F: LatticeField) -> None:
         raise GradeError(f"field grades {sorted(F.grades)} outside {sorted(L.field_grades)}")
 
 
-def _aggregate(lat: Lattice, kind: str, comps: np.ndarray, grades) -> np.ndarray:
+def _aggregate(lat: Lattice, kind: str, comps: np.ndarray, grades, out_grades) -> np.ndarray:
     """The discrete derivative aggregate sum_mu g^mu * D_mu comps at every site,
-    for site-major comps that vanish outside grades; site-major, as the
-    density and the slot-gradient leaves take it."""
-    grades = frozenset(grades)
-    out_grades = _prod_grades(frozenset({1}), grades, kind)
+    for site-major comps that vanish outside grades, compact on the blades of
+    ``out_grades``, which hold the aggregate's grades."""
     d = np.zeros((len(_blade_masks(out_grades)),) + lat.shape)
-    _frame_sum(kind, _compact(comps, grades), grades, d, out_grades, _stencils(lat))
-    return _widen(d, out_grades)
+    return _frame_sum(kind, _compact(comps, grades), grades, d, out_grades, _stencils(lat))
 
 
 def _slot_gradients(
     L: LagrangianSpec, F: LatticeField, d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-site slot gradients (grad_X l, grad_d l) as compact arrays on the
-    blades of the field grades and of the aggregate grades.
+    blades of the field grades and of the aggregate grades, for the
+    aggregate ``d`` of F compact on the blades of ``L.d_grades()``.
 
     Sites are taken ``SAMPLE_BLOCK`` rows at a time, as ``FieldExpr.sample``
     takes points, so no node's value slot holds more than a block.  Per
     block, the spec's closed slot-gradient trees are built on two leaves
-    that hold the block's values of F and of its aggregate d under the
-    block's coordinate key; a slot without a closed form takes the
-    per-blade stencils of :func:`blade_gradient`.
+    that hold the block's values of F and of its aggregate d, widened to 16
+    components, under the block's coordinate key; a slot without a closed
+    form takes the per-blade stencils of :func:`blade_gradient`.
     """
     xs = F.lattice.coords().reshape(-1, 4)
-    slots = (F.comps.reshape(-1, DIM), d.reshape(-1, DIM))
+    comps, d = F.comps.reshape(-1, DIM), d.reshape(d.shape[0], -1)
     masks = (_blade_masks(L.field_grades), _blade_masks(L.d_grades()))
     grads = tuple(np.empty((len(m), len(xs))) for m in masks)
     for lo in range(0, len(xs), SAMPLE_BLOCK):
         rows = slice(lo, lo + SAMPLE_BLOCK)
-        pts, block = xs[rows], (slots[0][rows], slots[1][rows])
+        pts, block = xs[rows], (comps[rows], _widen(d[:, rows], L.d_grades()))
         key = pts.tobytes()
         leaves = (Tabulated(block[0], F.grades, key), Tabulated(block[1], L.d_grades(), key))
         for k, build in enumerate((L.grad_x, L.grad_d)):
@@ -372,13 +379,15 @@ def _slot_gradients(
                 blade_gradient(L, block, pts, k) if build is None else build(*leaves).ev(pts, key)
             )
             grads[k][:, rows] = value.T[masks[k]]
+        del block, leaves, value  # freed before the next block's are made
     return tuple(g.reshape((len(g),) + F.lattice.shape) for g in grads)
 
 
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
     """Sum over sites of the density times the cell volume."""
     _require_operands(L, F)
-    d = _aggregate(F.lattice, L.mode.star, F.comps, F.grades)
+    dg = L.d_grades()
+    d = _widen(_aggregate(F.lattice, L.mode.star, F.comps, F.grades, dg), dg)
     xs = F.lattice.coords().reshape(-1, 4)
     dens = L.density(F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
     return float(dens.sum() * F.lattice.cell_volume)
@@ -390,7 +399,9 @@ def _residual(L: LagrangianSpec, F: LatticeField) -> np.ndarray:
     transposed stencils."""
     _require_operands(L, F)
     lat = F.lattice
-    gx, gd = _slot_gradients(L, F, _aggregate(lat, L.mode.star, F.comps, F.grades))
+    gx, gd = _slot_gradients(
+        L, F, _aggregate(lat, L.mode.star, F.comps, F.grades, L.d_grades())
+    )
     _frame_sum(L.mode.dual, gd, L.d_grades(), gx, L.field_grades, _stencils(lat, transpose=True))
     return _zero_boundary(lat, gx)
 

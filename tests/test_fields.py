@@ -451,7 +451,9 @@ def test_double_gradient_evaluates_each_factor_once_per_point_set(monkeypatch):
 
 def test_a_node_read_by_one_parent_keeps_no_value(monkeypatch):
     """Only roots and nodes read by more than one parent keep a value slot: a
-    node with one parent is re-read only through its parent's slot."""
+    node with one parent is re-read only through its parent's slot.  That
+    holds for a derivative built inside a tree too: X has one reader, so each
+    partial of X, read only by the matching partial of 2 X, keeps nothing."""
     evaluated = []
     ev = f._Node.ev
 
@@ -472,6 +474,8 @@ def test_a_node_read_by_one_parent_keeps_no_value(monkeypatch):
     assert len(single) > 20
     assert all(node._value == (None, None) for node in single)
     assert root._value[0] == pts.tobytes() and root._value[1] is got
+    internal = [X._deriv(g.comps) for g in GAMMA]
+    assert all(d in evaluated and d._uses == 1 and d._value == (None, None) for d in internal)
 
 
 def test_a_partial_shared_by_two_aggregates_is_evaluated_once_per_point_set(monkeypatch):

@@ -462,6 +462,11 @@ def oracle_dirichlet_potential(lat, jc, tol):
     return _oracle_zero_boundary(lat, comps)
 
 
+def _aggregate(lat, kind, comps, grades):
+    """lattice's compact aggregate on the blades of every grade, returned 16 wide."""
+    return lattice._widen(lattice._aggregate(lat, kind, comps, grades, ALL_GRADES), ALL_GRADES)
+
+
 def _scatter(lat, kind, arr, grades, acc, out_grades, transpose, sign):
     """lattice's compact frame sum on 16-wide operands, returned 16 wide."""
     out = lattice._compact(acc, out_grades)
@@ -482,7 +487,7 @@ def test_lattice_aggregates_equal_dense_kernel(kind, bc):
         want = _dense_frame_sum(
             kind, [_oracle_diff(lat, comps, mu) for mu in range(4)], np.zeros(comps.shape)
         )
-        assert np.array_equal(lattice._aggregate(lat, kind, comps, grades), want)
+        assert np.array_equal(_aggregate(lat, kind, comps, grades), want)
         acc = _arr(rng, comps.shape)
         # g^mu * moves grade r to r - 1 and r + 1; keeping one side tests the mask
         out_grades = {r - 1 for r in grades if r > 0} or {1}
@@ -504,7 +509,7 @@ def test_compact_lattice_frame_sums_equal_the_16_wide_path(n, bc):
     for kind in sorted(AGGREGATES):
         for grades in (frozenset({1}), frozenset({2}), ALL_GRADES):
             comps = _arr(rng, lat.shape + (DIM,)) * sta.grade_mask(grades)
-            got = lattice._aggregate(lat, kind, comps, grades)
+            got = _aggregate(lat, kind, comps, grades)
             assert np.array_equal(got, oracle_aggregate(lat, kind, comps, grades))
             acc = _arr(rng, comps.shape)
             out_grades = {r - 1 for r in grades if r > 0} | {4}

@@ -715,6 +715,38 @@ def test_grade_guards_reject_nan_outside_the_grades():
         discretize(nan_scalar, lat, {1})
 
 
+def test_discretize_keeps_the_sampled_array_when_it_owns_it(monkeypatch):
+    """Above SAMPLE_BLOCK sites sample returns an array of its own, and the
+    field holds that array, masked in place, not a second 16-wide copy; it
+    equals the public constructor's field, and the grade guard still raises.
+    At or below SAMPLE_BLOCK the sample is a read-only slot value and is
+    copied."""
+    returned = []
+    sample = fields.FieldExpr.sample
+
+    def recording_sample(expr, xs):
+        returned.append(sample(expr, xs))
+        return returned[-1]
+
+    monkeypatch.setattr(fields.FieldExpr, "sample", recording_sample)
+    # a scalar far below the guard's 1e-12 is masked to exact zeros
+    wave = add(
+        prod(Const(GAMMA[2]), ScalarMap(coordinate(GAMMA[1]), "cos"), "gp"),
+        Const(Multivector.scalar(1e-14)),
+    )
+    for n, owned in [(9, True), (8, False)]:  # 6561 and 4096 sites
+        lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, "periodic")
+        returned.clear()
+        F = discretize(wave, lat, {1})
+        (vals,) = returned
+        assert np.shares_memory(F.comps, vals) == owned, n
+        want = LatticeField(lat, frozenset({1}), wave.sample(lat.coords().reshape(-1, 4)))
+        assert F == want and not np.any(F.comps[..., 0])
+        nan_scalar = add(Const(Multivector.scalar(np.nan)), position())
+        with pytest.raises(GradeError):
+            discretize(nan_scalar, lat, {1})
+
+
 @pytest.mark.parametrize("with_j", [False, True], ids=["no-source", "source"])
 @pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 6), ("periodic", 6)])
 def test_maxwell_slot_gradients_are_the_closed_form(bc, n, with_j):
@@ -725,12 +757,12 @@ def test_maxwell_slot_gradients_are_the_closed_form(bc, n, with_j):
     L = make_builtin("maxwell_flat", sources={"J": J})
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
     F = random_grade1_field(lat, rng)
-    d = lattice._aggregate(lat, "op", F.comps, F.grades)
+    d = lattice._aggregate(lat, "op", F.comps, F.grades, L.d_grades())
     gx, gd = lattice._slot_gradients(L, F, d)
     xs = lat.coords().reshape(-1, 4)
     want_x = -sta.restrict(J.sample(xs), {1}).reshape(F.comps.shape)
     assert np.array_equal(gx, lattice._compact(want_x, L.field_grades))
-    assert np.array_equal(gd, lattice._compact(-d, L.d_grades()))
+    assert np.array_equal(gd, -d)
 
 
 @pytest.mark.parametrize("bc, n", [("periodic", 4), ("dirichlet", 5)])
@@ -742,7 +774,7 @@ def test_dirac_closed_slot_gradients_match_the_blade_stencils(bc, n):
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
     comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask(L.field_grades)
     F = LatticeField(lat, L.field_grades, comps)
-    d = lattice._aggregate(lat, "gp", F.comps, F.grades)
+    d = lattice._aggregate(lat, "gp", F.comps, F.grades, L.d_grades())
     for closed, blades in zip(lattice._slot_gradients(L, F, d), lattice._slot_gradients(generic, F, d)):
         assert np.abs(closed - blades).max() <= 1e-13 * max(1.0, np.abs(blades).max())
     for op in (action_gradient, discrete_ele_residual):
