@@ -12,8 +12,8 @@ Evaluation is batched: ``expr.sample(xs)`` takes an (P, 4) array of
 coordinates and returns (P, 16) component arrays.  A point set larger than
 ``SAMPLE_BLOCK`` rows is evaluated one block of rows at a time into one
 output; no row's value depends on the rows evaluated with it, so the
-output equals one whole-set evaluation bit for bit, and no node holds more
-than a block of values.  The lattice's slot gradients keep the same bound.
+output equals one whole-set evaluation bit for bit, and no value holds more
+than a block of rows.  The lattice's slot gradients keep the same bound.
 ``expr.at(x)`` is the single-point form returning a :class:`Multivector`;
 it refuses a batch.
 Derivatives have no pointwise entry points of their own: ``X.deriv(a)``
@@ -31,52 +31,45 @@ with kind "gp", "op", "lc", "sp" or "cross", ``Rev(child)`` and
 polynomial degree they extrapolate central differences of step
 ``RICHARDSON_STEP``, the one copy of that step in the package.
 
-Every node (field or matrix) owns one value slot, ``(point-set key,
-value)`` from its last evaluation, and returns the stored value while the
-key matches.  The key is the float64 bytes of the (P, 4) coordinates,
-computed once per top-level call: an equal array built anew hits the slot,
-a point set changed in place misses it.  A node counts the parents that
-read its value, and one with exactly one parent stores nothing: its
-parent's slot covers every re-read.  Roots and nodes with more parents
-store, and so do the nodes a caller may ask for again: a derivative handed
-out by ``deriv``, the four partials of an aggregate, the trees of an
-extensor field and an outermorphism.  Any other derivative is cached on its
-owner and asked for again only by the derivatives of the owner's readers,
-so it stores when its owner does not have exactly one reader, and otherwise
-counts its own readers like any other node.  A subtree shared between
-trees, such as the extensor field of a gauge background, is therefore
-evaluated once per point set however many trees and calls use it.  Counts
-only rise, and a node that gains its second parent after it was evaluated
-is evaluated again, so a caller builds every tree it will evaluate before
-the first evaluation.  A nine-scenario pass at seed 3 stores 26,122 values
-and makes 70,050 evaluations, 1.3% more than storing at every node (69,176
-stores and evaluations).  Stored values are read-only arrays.  A slot lives as long as its node.  A node owns its
-derivatives and chain-rule factors; aggregates and residual plans are built
-per call and owned by their caller.  Every tree is acyclic: nothing a node
-owns points back at it, so reference counting frees a field nothing holds,
-with its trees and their values, at once.  The derivatives of e^s, 1/s and
-exp(B s) contain the node's own value; they read it from a twin, a node of
-the same kind over the same child, which computes the same bits.  An
-outermorphism is shared through a weak-valued map on its matrix.
+Trees are evaluated by one entry, ``evaluate(roots, pts)``, which returns
+the values of the trees ``roots`` at one point set; ``sample``, ``at`` and
+every library function pass it all the roots they read.  Values live for the
+call: each node's ``_eval`` receives its children's values, and a memo holds
+the value of each root and of each node read by more than one parent until
+the call returns.  Only kept nodes keep a value between calls, in a slot
+``(point-set key, value)`` keyed by the float64 bytes of the (P, 4)
+coordinates (an equal array built anew hits it, one changed in place misses
+it): the leaves ``Const`` and ``position()``, the trees handed out for reuse
+(a ``deriv`` result, the four partials of an aggregate, an extensor field's
+matrix and trees, an outermorphism) and every tree ``derived`` builds from a
+kept node.  So the extensor field of a gauge background is evaluated once
+per point set.  A nine-scenario pass at seed 3 makes 72,418 evaluations and
+keeps 11,717 values between calls (70,050 and 26,122 when roots and nodes of
+several readers kept their last value).  Returned and kept values are
+read-only.  Trees are immutable after construction, but for reader counts
+and kept slots; each call has its own memo and a slot is replaced as one
+tuple, so point batches may be evaluated from concurrent contexts, which may
+recompute a value another has just kept.  A slot lives as long as its node.
+A node owns its derivatives and chain-rule factors; aggregates and residual
+plans are built per call and owned by their caller.  Every tree is acyclic:
+nothing a node owns points back at it, so reference counting frees a field
+nothing holds, with its trees and their values, at once.  The derivatives of
+e^s, 1/s and exp(B s) contain the node's own value; they read it from a
+twin, a node of the same kind over the same child, which computes the same
+bits.  An outermorphism is shared through a weak-valued map on its matrix.
 
 The chain rule d_a f(s) = f'(s) d_a s has a factor that does not depend on
 the direction a.  ScalarMap, PolyMap and BladeExp build it once per node
 (cos s, -sin s, e^s, -(1/s)^2, p'(s), the constant blade B) through the
 node's own ``derived("outer", ...)`` entry, so the four partials of a node,
-and their own derivatives, share one factor node, one value slot and one
-derivative cache.  Full hash-consing (one live node per structure, found in
-a global weak table) was measured and not adopted: it removed 14.6% of the
-node evaluations of a nine-scenario pass, but its key building and table
-traffic cost as much time as that saved, and almost all of its hits were
-these factors (ScalarMap 2,151, PolyMap 2,074, Scale 1,215, against Prod
-1,050 of 34k and Add 40 of 13.7k).  Sharing the factor alone removes 10.9%
-with no table.
-
-Trees are immutable after construction, but for use counts, which decide
-only what is stored, and evaluation is pure, so point batches may be
-processed from concurrent contexts.  Each slot is replaced as one tuple:
-concurrent callers always get correct values, but may recompute a value
-another caller has just stored.
+and their own derivatives, share one factor node, evaluated once per call,
+and one derivative cache.  Full hash-consing (one live node per structure,
+found in a global weak table) was measured and not adopted: it removed 14.6%
+of the node evaluations of a nine-scenario pass, but its key building and
+table traffic cost as much time as that saved, and almost all of its hits
+were these factors (ScalarMap 2,151, PolyMap 2,074, Scale 1,215, against
+Prod 1,050 of 34k and Add 40 of 13.7k).  Sharing the factor alone removes
+10.9% with no table.
 """
 
 from __future__ import annotations
@@ -177,56 +170,81 @@ def _prod_grades(ga: frozenset, gb: frozenset, kind: str) -> frozenset:
     return frozenset(out)
 
 
-# rows of a point set that FieldExpr.sample evaluates at once: every node's
-# value slot holds at most this many rows, whatever the point count
+# rows of a point set that FieldExpr.sample evaluates at once: every value
+# of a sample holds at most this many rows, whatever the point count
 SAMPLE_BLOCK = 4096
 
 
 class _Node:
-    """Base of field and matrix nodes: one value slot and the trees derived from the node."""
+    """Base of field and matrix nodes: the nodes it reads, the trees derived
+    from it, and, if it is kept, one value slot."""
 
-    __slots__ = ("_dcache", "_value", "_uses", "__weakref__")
+    __slots__ = ("_kids", "_dcache", "_value", "_uses", "__weakref__")
 
     def __init__(self, children: tuple = ()):  # the nodes whose values it reads
+        self._kids = children
         self._dcache: dict = {}
-        self._value: tuple = (None, None)
+        self._value = None  # (point-set key, value) once the node is kept
         self._uses = 0
         for child in children:
             child._uses += 1
-            if child._uses == 1:  # its one reader's slot covers it from now on
-                child._value = (None, None)
 
-    # subclasses implement _eval(xs, key) -> array
-
-    def _eval(self, xs: np.ndarray, key: bytes) -> np.ndarray:
-        raise NotImplementedError
-
-    def ev(self, xs: np.ndarray, key: bytes) -> np.ndarray:
-        """Values at the points xs, whose cache key (``xs.tobytes()``) is key."""
-        hit = self._value
-        if hit[0] == key:
-            return hit[1]
-        out = self._eval(xs, key)
-        out.flags.writeable = False
-        if self._uses != 1:
-            self._value = (key, out)
-        return out
+    # subclasses implement _eval(xs, *child_values) -> array
 
     def derived(self, key, build: Callable[[], "_Node"]) -> "_Node":
         """The tree ``build`` makes from this node, built once per key and owned
-        here; counted as shared unless this node has exactly one reader."""
+        here; kept when this node is kept."""
         hit = self._dcache.get(key)
         if hit is None:
             hit = self._dcache[key] = build()
-            if self._uses != 1:
-                _shared(hit)
+            if self._value is not None:
+                _keep(hit)
         return hit
 
 
-def _shared(node: _Node) -> _Node:
-    """``node``, counted as read by more than one parent, so that it keeps its value."""
-    node._uses += 2
+def _keep(node: _Node) -> _Node:
+    """``node``, marked to keep its value between evaluation calls."""
+    if node._value is None:
+        node._value = (None, None)
     return node
+
+
+_ROOT = object()  # the memo entry of a call root not yet evaluated
+
+
+def evaluate(roots, pts) -> list:
+    """The values of the trees ``roots`` at the (P, 4) points ``pts``, in one call.
+
+    A node read by more than one parent, or given as a root, is evaluated
+    once per call; a kept node is evaluated once per point set.
+    """
+    pts, _ = _as_coords(pts)
+    key = pts.tobytes()
+    memo = dict.fromkeys(roots, _ROOT)
+    get = memo.get
+
+    def value(node):
+        slot = node._value
+        if slot is None:  # not kept: the memo holds what this call reads again
+            got = get(node)
+            if got is not None and got is not _ROOT:
+                return got
+            out = node._eval(pts, *map(value, node._kids))
+            if got is _ROOT or node._uses != 1:
+                out.flags.writeable = False
+                memo[node] = out
+            return out
+        if slot[0] == key:
+            return slot[1]
+        out = node._eval(pts, *map(value, node._kids))
+        out.flags.writeable = False
+        node._value = (key, out)
+        return out
+
+    try:
+        return [value(root) for root in roots]
+    finally:
+        value = None  # the closure reads itself: drop it, so the memo is freed now
 
 
 class FieldExpr(_Node):
@@ -238,7 +256,7 @@ class FieldExpr(_Node):
         _Node.__init__(self, children)  # not super(): this runs for every node built
         self.grades = frozenset(grades)
 
-    # subclasses implement _eval(xs, key) -> (P, 16) and _build_deriv(a),
+    # subclasses implement _eval(xs, *child_values) -> (P, 16) and _build_deriv(a),
     # where a is a validated (16,) grade-1 direction; _build_deriv recurses
     # through _deriv, so a direction is checked once, at the public deriv
 
@@ -247,7 +265,7 @@ class FieldExpr(_Node):
 
     def deriv(self, a) -> "FieldExpr":
         """Structural derivative in the constant grade-1 direction a."""
-        return _shared(self._deriv(_as_direction(a)))
+        return _keep(self._deriv(_as_direction(a)))
 
     def _deriv(self, a: np.ndarray) -> "FieldExpr":
         return self.derived(a.tobytes(), lambda: self._build_deriv(a))
@@ -256,16 +274,14 @@ class FieldExpr(_Node):
         """(P, 16) values at the (P, 4) points xs, SAMPLE_BLOCK rows at a time."""
         pts, _ = _as_coords(xs)
         if pts.shape[0] <= SAMPLE_BLOCK:
-            return self.ev(pts, pts.tobytes())
+            return evaluate((self,), pts)[0]
         out = np.empty((pts.shape[0], DIM))
         for lo in range(0, pts.shape[0], SAMPLE_BLOCK):
-            block = pts[lo : lo + SAMPLE_BLOCK]
-            out[lo : lo + SAMPLE_BLOCK] = self.ev(block, block.tobytes())
+            out[lo : lo + SAMPLE_BLOCK] = evaluate((self,), pts[lo : lo + SAMPLE_BLOCK])[0]
         return out
 
     def at(self, x) -> Multivector:
-        pts = _one_point(x)
-        return Multivector(self.ev(pts, pts.tobytes())[0])
+        return Multivector(evaluate((self,), _one_point(x))[0][0])
 
     @property
     def is_zero(self) -> bool:
@@ -289,8 +305,9 @@ class Const(FieldExpr):
         super().__init__(value.grade_set())
         self.value = value
         self.is_zero = not np.any(value.comps)
+        _keep(self)
 
-    def _eval(self, xs, key):
+    def _eval(self, xs):
         # a stride-0 view of the constant; sta._prod keys its one-matrix path on the row stride
         c = self.value.comps
         return np.ndarray((xs.shape[0], DIM), c.dtype, c, 0, (0, c.itemsize))
@@ -316,8 +333,9 @@ class Position(FieldExpr):
 
     def __init__(self):
         super().__init__({1})
+        _keep(self)
 
-    def _eval(self, xs, key):
+    def _eval(self, xs):
         out = np.zeros((xs.shape[0], DIM))
         out[:, VECTOR_IDX] = xs
         return out
@@ -337,23 +355,23 @@ def position() -> FieldExpr:
 
 
 class Tabulated(FieldExpr):
-    """(P, 16) components, vanishing outside ``grades``, given at the point set
-    whose key is ``key``: a leaf that lets trees evaluate on values computed
+    """(P, 16) components, vanishing outside ``grades``, given at the (P, 4)
+    points ``pts``: a leaf that lets trees evaluate on values computed
     elsewhere.  Any other point set and any derivative raise ``ValueError``.
 
-    The key is the whole point set's, so a tree with this leaf is evaluated
-    with ``ev(xs, key)``; ``sample`` over more than ``SAMPLE_BLOCK`` points
-    keys each block on its own and raises."""
+    A tree with this leaf is evaluated on the whole point set with
+    ``evaluate([tree], pts)``; ``sample`` over more than ``SAMPLE_BLOCK``
+    points evaluates each block on its own and raises."""
 
-    __slots__ = ("comps", "key")
+    __slots__ = ("comps", "pts")
 
-    def __init__(self, comps: np.ndarray, grades: Iterable[int], key: bytes):
+    def __init__(self, comps: np.ndarray, grades: Iterable[int], pts: np.ndarray):
         super().__init__(grades)
         self.comps = comps
-        self.key = key
+        self.pts = pts
 
-    def _eval(self, xs, key):
-        if key != self.key:
+    def _eval(self, xs):
+        if not np.array_equal(xs, self.pts):
             raise ValueError("tabulated values exist only at the point set they were given on")
         return self.comps
 
@@ -374,8 +392,8 @@ class Add(FieldExpr):
         self.left = left
         self.right = right
 
-    def _eval(self, xs, key):
-        return self.left.ev(xs, key) + self.right.ev(xs, key)
+    def _eval(self, xs, left, right):
+        return left + right
 
     def _build_deriv(self, a):
         return add(self.left._deriv(a), self.right._deriv(a))
@@ -389,8 +407,8 @@ class Scale(FieldExpr):
         self.factor = float(factor)
         self.child = child
 
-    def _eval(self, xs, key):
-        return self.factor * self.child.ev(xs, key)
+    def _eval(self, xs, child):
+        return self.factor * child
 
     def _build_deriv(self, a):
         return scale(self.factor, self.child._deriv(a))
@@ -407,9 +425,7 @@ class Prod(FieldExpr):
         self.right = right
         self.kind = kind
 
-    def _eval(self, xs, key):
-        lv = self.left.ev(xs, key)
-        rv = self.right.ev(xs, key)
+    def _eval(self, xs, lv, rv):
         kind = self.kind
         if kind == "sp":
             out = np.zeros((xs.shape[0], DIM))
@@ -440,8 +456,8 @@ class Rev(FieldExpr):
         super().__init__(child.grades, (child,))
         self.child = child
 
-    def _eval(self, xs, key):
-        return self.child.ev(xs, key) * sta.REV_SIGNS
+    def _eval(self, xs, child):
+        return child * sta.REV_SIGNS
 
     def _build_deriv(self, a):
         return Rev(self.child._deriv(a))
@@ -457,8 +473,8 @@ class Graded(FieldExpr):
         self.keep = keep
         self.mask = sta.grade_mask(keep)
 
-    def _eval(self, xs, key):
-        return self.child.ev(xs, key) * self.mask
+    def _eval(self, xs, child):
+        return child * self.mask
 
     def _build_deriv(self, a):
         # projection commutes with the derivative; keep the original mask
@@ -488,10 +504,9 @@ class ScalarMap(FieldExpr):
         self.child = child
         self.kind = kind
 
-    def _eval(self, xs, key):
-        s = self.child.ev(xs, key)[:, 0]
+    def _eval(self, xs, child):
         out = np.zeros((xs.shape[0], DIM))
-        out[:, 0] = _SCALAR_FNS[self.kind](s)
+        out[:, 0] = _SCALAR_FNS[self.kind](child[:, 0])
         return out
 
     def _twin(self) -> "ScalarMap":
@@ -527,8 +542,8 @@ class PolyMap(FieldExpr):
         self.child = child
         self.coeffs = np.asarray(coeffs, dtype=float)
 
-    def _eval(self, xs, key):
-        s = self.child.ev(xs, key)[:, 0]
+    def _eval(self, xs, child):
+        s = child[:, 0]
         acc = np.zeros_like(s)
         for c in self.coeffs[::-1]:
             acc = acc * s + c
@@ -561,8 +576,8 @@ class BladeExp(FieldExpr):
         self.beta = float(beta)
         self.child = child
 
-    def _eval(self, xs, key):
-        s = self.child.ev(xs, key)[:, 0]
+    def _eval(self, xs, child):
+        s = child[:, 0]
         if self.beta < -1e-12:
             w = np.sqrt(-self.beta)
             c, k = np.cos(w * s), np.sin(w * s) / w
@@ -604,21 +619,19 @@ class DelExpr(FieldExpr):
 
     def __init__(self, child: FieldExpr, kind: str):
         _check_kind(kind)
-        # built before any evaluation, so that the readers they add are counted,
-        # and shared: every aggregate of child reads these same four partials
-        parts = tuple(_shared(child._deriv(g.comps)) for g in GAMMA)
+        # kept: every aggregate of child, and its derivatives, read these partials
+        parts = tuple(_keep(child._deriv(g.comps)) for g in GAMMA)
         super().__init__(_prod_grades(frozenset({1}), child.grades, kind), parts)
         self.child = child
         self.kind = kind
         self.parts = parts
 
-    def _eval(self, xs, key):
-        parts = self.parts
-        grades = frozenset().union(*(d.grades for d in parts))
+    def _eval(self, xs, *parts):
+        grades = frozenset().union(*(d.grades for d in self.parts))
         return sta._frame_sum(
             self.kind,
             grades,
-            lambda mu, blades: parts[mu].ev(xs, key)[:, blades],
+            lambda mu, blades: parts[mu][:, blades],
             np.zeros((xs.shape[0], DIM)),
         )
 
@@ -691,16 +704,12 @@ class MatExpr(_Node):
         self._outers: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
         self.entries = tuple(tuple(row) for row in rows)
 
-    def _eval(self, xs, key):
-        out = np.empty((xs.shape[0], 4, 4))
-        for i in range(4):
-            for j in range(4):
-                out[:, i, j] = self.entries[i][j].ev(xs, key)[:, 0]
-        return out
+    def _eval(self, xs, *entries):
+        return np.stack([e[:, 0] for e in entries], axis=-1).reshape(-1, 4, 4)
 
     def deriv(self, a) -> "MatExpr":
         """The entry-wise structural derivative in the constant grade-1 direction a."""
-        return _shared(self._deriv(_as_direction(a)))
+        return _keep(self._deriv(_as_direction(a)))
 
     def _deriv(self, a: np.ndarray) -> "MatExpr":
         return self.derived(
@@ -711,7 +720,7 @@ class MatExpr(_Node):
         """The one live outermorphism node of this matrix along ``tangents``."""
         outer = self._outers.get(tangents)
         if outer is None:
-            outer = self._outers[tangents] = _shared(Outermorphism(self, tangents))
+            outer = self._outers[tangents] = _keep(Outermorphism(self, tangents))
         return outer
 
     @property
@@ -730,10 +739,8 @@ class Outermorphism(_Node):
         self.mat = mat
         self.tangents = tangents
 
-    def _eval(self, xs, key):
-        m = self.mat.ev(xs, key)
-        if self.tangents:
-            ns = tuple(t.ev(xs, key) for t in self.tangents)
+    def _eval(self, xs, m, *ns):
+        if ns:
             return outermorphism_matrix_derivative(m, ns)
         return outermorphism_matrix(m)
 
@@ -767,11 +774,10 @@ class ExtApply(FieldExpr):
         self.adjoint = adjoint
         self.outer = outer
 
-    def _eval(self, xs, key):
-        big = self.outer.ev(xs, key)
+    def _eval(self, xs, child, big):
         if self.adjoint:
-            return SP_DIAG * np.einsum("pji,pj->pi", big, SP_DIAG * self.child.ev(xs, key))
-        return np.einsum("pij,pj->pi", big, self.child.ev(xs, key))
+            return SP_DIAG * np.einsum("pji,pj->pi", big, SP_DIAG * child)
+        return np.einsum("pij,pj->pi", big, child)
 
     def _build_deriv(self, a):
         def apply(child, tangents):
@@ -892,14 +898,12 @@ def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:
     (curl X, div Y), gp pairs both gradients; in every case the right side is
     the divergence of :func:`boundary_current_flat`.
     """
-    pts, _ = _as_coords(points)
-    key = pts.tobytes()
     dual = _check_kind(kind)
     dX, dY = del_expr_kind(X, kind), del_expr_kind(Y, dual)
     div = del_expr_kind(boundary_current_flat(X, Y, kind), "lc")
-    lhs = sta.sp(dX.ev(pts, key), Y.ev(pts, key)) + sta.sp(X.ev(pts, key), dY.ev(pts, key))
-    rhs = div.ev(pts, key)[:, 0]
-    return float(np.abs(np.atleast_1d(lhs - rhs)).max())
+    dXv, Yv, Xv, dYv, divv = evaluate((dX, Y, X, dY, div), points)
+    lhs = sta.sp(dXv, Yv) + sta.sp(Xv, dYv)
+    return float(np.abs(np.atleast_1d(lhs - divv[:, 0])).max())
 
 
 def gauss_check(

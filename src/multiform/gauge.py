@@ -45,9 +45,10 @@ from .fields import (
     _check_kind,
     _lift,
     _one_point,
-    _shared,
+    _keep,
     add,
     del_expr_kind,
+    evaluate,
     prod,
     scale,
     worst_of,
@@ -79,13 +80,13 @@ class _RecipDet(ScalarMap):
     def _twin(self) -> "_RecipDet":
         return _RecipDet(self.child)
 
-    def _eval(self, xs, key):
-        worst = np.abs(self.child.ev(xs, key)[:, 0]).min()
+    def _eval(self, xs, child):
+        worst = np.abs(child[:, 0]).min()
         if worst <= DET_GATE:
             raise SingularExtensorError(
                 f"extensor field is singular at a sample point (|det| = {worst:.3e})"
             )
-        return super()._eval(xs, key)
+        return super()._eval(xs, child)
 
 
 class ExtensorField:
@@ -94,10 +95,11 @@ class ExtensorField:
     Column mu of the matrix holds the components of h(g_mu); ``matrix()``
     gives that node, the one matrix node of the field.  Everything else is a
     tree derived on it, built once per extensor field and shared by every
-    tree that uses it, so each is evaluated once per point set.  h and its
-    adjoint apply one outermorphism per tangent set, the adjoint as its
-    transpose under the scalar product; det h is the pseudoscalar image of
-    that outermorphism, with a gated reciprocal.  No matrix is inverted: the
+    tree that uses it; the matrix node and these trees are kept, so each is
+    evaluated once per point set however many evaluation calls read it.  h
+    and its adjoint apply one outermorphism per tangent set, the adjoint as
+    its transpose under the scalar product; det h is the pseudoscalar image
+    of that outermorphism, with a gated reciprocal.  No matrix is inverted: the
     inverse and the gauge star are the duals
 
         h^-1(X) = adj h(X I) I^-1 / det h,    h*(X) = h(X I) I^-1 / det h,
@@ -106,7 +108,7 @@ class ExtensorField:
     """
 
     def __init__(self, entries):
-        self._mat = MatExpr([[_lift(e) for e in row] for row in entries])
+        self._mat = _keep(MatExpr([[_lift(e) for e in row] for row in entries]))
         # det, 1/det and the star basis: trees over the matrix node, kept
         # here rather than on it, since each of them points at it
         self._trees: dict = {}
@@ -114,7 +116,7 @@ class ExtensorField:
     def _tree(self, key, build):
         hit = self._trees.get(key)
         if hit is None:
-            hit = self._trees[key] = _shared(build())
+            hit = self._trees[key] = _keep(build())
         return hit
 
     @classmethod
@@ -165,8 +167,7 @@ class ExtensorField:
 
     def at(self, x, variant: str = "direct") -> Extensor11:
         """variant(h) at one point by matrix inversion, an oracle for the dual formulas."""
-        pts = _one_point(x)
-        t = Extensor11(self._mat.ev(pts, pts.tobytes())[0])
+        t = Extensor11(evaluate((self._mat,), _one_point(x))[0][0])
         if variant == "direct":
             return t
         if variant == "adjoint":
@@ -357,8 +358,9 @@ def gauge_del_expr(
     """Covariant aggregate sum_mu h*(g^mu) * D_{g_mu} X as a differentiable field.
 
     ``kind`` is the product *: lc (divergence), op (curl) or gp (gradient).
-    Each call builds a new tree over X; a caller that evaluates it more than
-    once keeps it.
+    Each call builds a new tree over X, which keeps no value between
+    evaluation calls: a caller evaluates it with the trees it is compared
+    with, in one ``evaluate`` call.
     """
     _check_kind(kind)
     construction = bg.pick_construction(construction)
@@ -425,17 +427,14 @@ def check_identity_gauge(
     applied to Y and the right side is det(h^-1) times the flat divergence of
     the det(h)-weighted gauge current.
     """
-    pts, _ = _as_coords(points)
     dual = _check_kind(kind)
-    key = pts.tobytes()
     dx = gauge_del_expr(X, kind, bg, construction)
     dy = gauge_del_expr(Y, dual, bg, construction)
-    div = _current_divergence(X, Y, kind, bg)  # every tree built before any evaluation
-    lhs = sta.sp(dx.ev(pts, key), Y.ev(pts, key)) + sta.sp(
-        X.ev(pts, key), dy.ev(pts, key)
-    )
-    rhs = div.ev(pts, key)[:, 0] / bg.h.det_expr().ev(pts, key)[:, 0]
-    return float(np.abs(np.atleast_1d(lhs - rhs)).max())
+    div = _current_divergence(X, Y, kind, bg)
+    # one call, so that the trees share the background's values and X's and Y's
+    dxv, Yv, Xv, dyv, divv, det = evaluate((dx, Y, X, dy, div, bg.h.det_expr()), points)
+    lhs = sta.sp(dxv, Yv) + sta.sp(Xv, dyv)
+    return float(np.abs(np.atleast_1d(lhs - divv[:, 0] / det[:, 0])).max())
 
 
 def check_identity_spinor(
@@ -456,20 +455,8 @@ def check_identity_spinor(
     """
     require_even(psi, _PROBE[0])
     require_even(phi, _PROBE[0])
-    pts, _ = _as_coords(points)
-    key = pts.tobytes()
-    ds_psi = spinor_grad_expr(psi, bg)
-    ds_phi = spinor_grad_expr(phi, bg)
-    d_psi = gauge_del_expr(psi, "gp", bg, "omega")
-    d_phi = gauge_del_expr(phi, "gp", bg, "omega")
-    div = _current_divergence(psi, phi, "gp", bg) if bg.compatible else None
-    lhs = sta.sp(ds_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
-        psi.ev(pts, key), ds_phi.ev(pts, key)
-    )
-    rhs = sta.sp(d_psi.ev(pts, key), phi.ev(pts, key)) + sta.sp(
-        psi.ev(pts, key), d_phi.ev(pts, key)
-    )
-    out = float(np.abs(np.atleast_1d(lhs - rhs)).max())
+    trees = [spinor_grad_expr(psi, bg), phi, psi, spinor_grad_expr(phi, bg)]
+    trees += [gauge_del_expr(Z, "gp", bg, "omega") for Z in (psi, phi)]
     # the cancellation mechanism behind the identity: the symmetrized
     # correction phi Omega(a) psi~ + psi Omega(a) phi~ is pure grade 2,
     # so its pairing against the 1-form h*(g^mu) vanishes
@@ -478,13 +465,21 @@ def check_identity_spinor(
             prod(prod(phi, bg.omega.column(mu), "gp"), Rev(psi), "gp"),
             prod(prod(psi, bg.omega.column(mu), "gp"), Rev(phi), "gp"),
         )
-        wv = w.ev(pts, key)
+        trees += [w, bg.h.star_basis(mu, upper=True)]
+    if bg.compatible:
+        trees += [_current_divergence(psi, phi, "gp", bg), bg.h.det_expr()]
+    ds_psi, phiv, psiv, ds_phi, d_psi, d_phi, *rest = evaluate(trees, points)
+    lhs = sta.sp(ds_psi, phiv) + sta.sp(psiv, ds_phi)
+    rhs = sta.sp(d_psi, phiv) + sta.sp(psiv, d_phi)
+    out = float(np.abs(np.atleast_1d(lhs - rhs)).max())
+    for wv, star in zip(rest[0:8:2], rest[1:8:2]):
         nong2 = wv * (1.0 - sta.grade_mask({2}))
         out = worst_of(out, float(np.abs(nong2).max()))
-        pairing = sta.sp(bg.h.star_basis(mu, upper=True).ev(pts, key), wv)
+        pairing = sta.sp(star, wv)
         out = worst_of(out, float(np.abs(np.atleast_1d(pairing)).max()))
-    if div is not None:
-        rhs = div.ev(pts, key)[:, 0] / bg.h.det_expr().ev(pts, key)[:, 0]
+    if bg.compatible:
+        div, det = rest[8:]
+        rhs = div[:, 0] / det[:, 0]
         out = worst_of(out, float(np.abs(np.atleast_1d(lhs - rhs)).max()))
     return out
 
@@ -493,12 +488,11 @@ def check_pushforward_vs_omega(
     X: FieldExpr, bg: GaugeBackground, points
 ) -> float:
     """Max disagreement between the two covariant-aggregate constructions."""
-    pts, _ = _as_coords(points)
-    key = pts.tobytes()
+    kinds = ("lc", "op", "gp")
+    trees = [gauge_del_expr(X, k, bg, c) for k in kinds for c in ("omega", "pushforward")]
+    values = evaluate(trees, points)
     worst = 0.0
-    for kind in ("lc", "op", "gp"):
-        via_omega = gauge_del_expr(X, kind, bg, "omega").ev(pts, key)
-        via_push = gauge_del_expr(X, kind, bg, "pushforward").ev(pts, key)
+    for via_omega, via_push in zip(values[0::2], values[1::2]):
         worst = worst_of(worst, float(np.abs(via_omega - via_push).max()))
     return worst
 
@@ -510,8 +504,6 @@ def check_spinor_gradient_split(
     if bg.omega is None:
         raise ValueError("the gradient split needs a connection field")
     require_even(psi, _PROBE[0])
-    pts, _ = _as_coords(points)
-    key = pts.tobytes()
     correction: FieldExpr = ZERO
     for mu in range(4):
         term = prod(
@@ -520,7 +512,7 @@ def check_spinor_gradient_split(
             "gp",
         )
         correction = add(correction, term)
-    d_psi = gauge_del_expr(psi, "gp", bg, "omega").ev(pts, key)
-    ds_psi = spinor_grad_expr(psi, bg).ev(pts, key)
-    corr = correction.ev(pts, key)
+    d_psi, ds_psi, corr = evaluate(
+        (gauge_del_expr(psi, "gp", bg, "omega"), spinor_grad_expr(psi, bg), correction), points
+    )
     return float(np.abs(d_psi - ds_psi + 0.5 * corr).max())

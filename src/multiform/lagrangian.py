@@ -61,6 +61,7 @@ from .fields import (
     add,
     del_expr_kind,
     boundary_current_flat,
+    evaluate,
     multivector_derivative,
     prod,
     scalar_derivative_at_zero,
@@ -173,13 +174,13 @@ def _plan(
     }
 
 
-def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray, key: bytes):
+def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray):
     """The density weight at each point: det(h) for weighted modes, else 1."""
     if not L.mode.weighted:
         return 1.0
     if bg is None:
         raise ValueError("weighted Lagrangians need a gauge background")
-    return bg.h.det_expr().ev(pts, key)[:, 0]
+    return evaluate((bg.h.det_expr(),), pts)[0][:, 0]
 
 
 def blade_gradient(L: LagrangianSpec, slots: tuple, xs: np.ndarray, k: int) -> np.ndarray:
@@ -236,23 +237,17 @@ def variation(
     """
     pts, single = _as_coords(x)
     # only the aggregates are needed: a plan would also build the slot gradients
-    d_expr = _aggregate(L, X, L.mode.star, bg, construction)
-    out = _variation(L, X, d_expr, A, pts, bg, construction)
+    dX, dA = (_aggregate(L, Y, L.mode.star, bg, construction) for Y in (X, A))
+    out = _variation(L, X, A, evaluate((X, dX, A, dA), pts), _weights(L, bg, pts), pts)
     return float(out[0]) if single else out
 
 
 def _variation(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    d_expr: FieldExpr,
-    A: FieldExpr,
-    pts: np.ndarray,
-    bg: GaugeBackground | None,
-    construction: str | None,
+    L: LagrangianSpec, X: FieldExpr, A: FieldExpr, values, w, pts: np.ndarray
 ) -> np.ndarray:
-    """The variation at the (P, 4) points, given d_expr, the aggregate of X."""
-    key = pts.tobytes()
-    Av = A.ev(pts, key)
+    """The variation at the (P, 4) points from the values of X, its aggregate,
+    A and its aggregate there, and the density weights w."""
+    Xv, dX, Av, dA = values
     if not A.grades <= X.grades:
         actual = Multivector(np.abs(Av).max(axis=0)).grade_set(1e-14)
         if not actual <= X.grades:
@@ -260,10 +255,6 @@ def _variation(
                 f"variation direction carries grades {sorted(actual)} outside the "
                 f"field's grade set {sorted(X.grades)}"
             )
-    dX = d_expr.ev(pts, key)
-    dA = _aggregate(L, A, L.mode.star, bg, construction).ev(pts, key)
-    Xv = X.ev(pts, key)
-    w = _weights(L, bg, pts, key)
     return scalar_derivative_at_zero(
         lambda lam: w * L.density(Xv + lam * Av, dX + lam * dA, pts), L.poly_degree
     )
@@ -274,18 +265,26 @@ def _variation(
 # ---------------------------------------------------------------------------
 
 
-def _residual(L: LagrangianSpec, X: FieldExpr, x, plan: dict):
+def _residual_trees(X: FieldExpr, plan: dict) -> tuple:
+    """The trees :func:`_residual` reads: grad_X l, or X and d for its
+    stencils, then the dual aggregate of grad_d l when it is closed."""
+    trees = (X, plan["d"]) if plan["gx"] is None else (plan["gx"],)
+    return trees if plan["dual_gd"] is None else trees + (plan["dual_gd"],)
+
+
+def _residual(L: LagrangianSpec, X: FieldExpr, pts: np.ndarray, plan: dict, values: dict):
+    """The (P, 16) residual at the points, from ``values``, which maps each
+    of the :func:`_residual_trees` to its value there."""
+    gx, dual_gd = plan["gx"], plan["dual_gd"]
+    t1 = blade_gradient(L, (values[X], values[plan["d"]]), pts, 0) if gx is None else values[gx]
+    t2 = _dual_of_numeric_slot_gradient(L, X, pts, plan) if dual_gd is None else values[dual_gd]
+    return sta.restrict(t1 - t2, L.field_grades)
+
+
+def _ele_residual(L: LagrangianSpec, X: FieldExpr, x, plan: dict):
     pts, single = _as_coords(x)
-    key = pts.tobytes()
-    if plan["gx"] is not None:
-        t1 = plan["gx"].ev(pts, key)
-    else:
-        t1 = blade_gradient(L, (X.ev(pts, key), plan["d"].ev(pts, key)), pts, 0)
-    if plan["dual_gd"] is not None:
-        t2 = plan["dual_gd"].ev(pts, key)
-    else:
-        t2 = _dual_of_numeric_slot_gradient(L, X, pts, plan)
-    res = sta.restrict(t1 - t2, L.field_grades)
+    trees = _residual_trees(X, plan)
+    res = _residual(L, X, pts, plan, dict(zip(trees, evaluate(trees, pts))))
     return Multivector(res[0]) if single else res
 
 
@@ -317,12 +316,10 @@ def _point_gradients(L: LagrangianSpec, slots: tuple, pts: np.ndarray, k: int) -
     return out
 
 
-def _numeric_slot_gradients(
-    L: LagrangianSpec, X: FieldExpr, pts: np.ndarray, plan: dict
-) -> np.ndarray:
-    """grad_d l at each of the (P, 4) points, per row and blade from the density itself."""
-    d = sta.restrict(plan["d"].sample(pts), L.d_grades())
-    return _point_gradients(L, (X.sample(pts), d), pts, 1)
+def _numeric_slot_gradients(L: LagrangianSpec, Xv, dv, pts: np.ndarray) -> np.ndarray:
+    """grad_d l at each of the (P, 4) points, per row and blade from the density
+    itself, given the values of the field and of its aggregate there."""
+    return _point_gradients(L, (Xv, sta.restrict(dv, L.d_grades())), pts, 1)
 
 
 def _dual_of_numeric_slot_gradient(
@@ -345,7 +342,8 @@ def _dual_of_numeric_slot_gradient(
     stencil = np.repeat(pts, 16, axis=0).reshape(-1, 4, 4, 4)
     for mu in range(4):
         stencil[:, mu, :, mu] += _RICHARDSON_OFFSETS
-    grads = _numeric_slot_gradients(L, X, stencil.reshape(-1, 4), plan)
+    stencil = stencil.reshape(-1, 4)
+    grads = _numeric_slot_gradients(L, *evaluate((X, plan["d"]), stencil), stencil)
     grads = grads.reshape(-1, 4, 4, DIM)
     kernel = sta.PRODUCT_KERNELS[L.mode.dual]
     out = np.zeros((len(pts), DIM))
@@ -359,7 +357,7 @@ def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x):
     """grad_X l - (dual flat derivative) grad_d l at x, grade-restricted."""
     if L.mode.family != "flat":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not flat")
-    return _residual(L, X, x, _plan(L, X, None, None))
+    return _ele_residual(L, X, x, _plan(L, X, None, None))
 
 
 def ele_residual_gauge(
@@ -372,7 +370,7 @@ def ele_residual_gauge(
     """grad_X l - (dual covariant derivative) grad_d l at x."""
     if L.mode.family != "gauge":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not gauge")
-    return _residual(L, X, x, _plan(L, X, bg, construction))
+    return _ele_residual(L, X, x, _plan(L, X, bg, construction))
 
 
 def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackground):
@@ -380,7 +378,7 @@ def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackgroun
     if L.mode is not DerivMode.SPINOR:
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not spinor")
     require_even(psi, x)
-    return _residual(L, psi, x, _plan(L, psi, bg, None))
+    return _ele_residual(L, psi, x, _plan(L, psi, bg, None))
 
 
 def ele_residual_reference(
@@ -401,20 +399,21 @@ def ele_residual_reference(
     gives a :class:`Multivector`, a (P, 4) batch gives (P, 16) components.
     """
     pts, single = _as_coords(x)
-    key = pts.tobytes()
     plan = _plan(L, X, bg, construction)
-    t1 = _point_gradients(L, (X.ev(pts, key), plan["d"].ev(pts, key)), pts, 0)
-    if L.mode.family == "flat":
+    flat = L.mode.family == "flat"
+    if not flat and plan["gd"] is None:
+        raise ValueError("gauge/spinor reference path needs closed slot gradients")
+    values = evaluate((X, plan["d"]) if flat else (X, plan["d"], plan["gd"], plan["dual_gd"]), pts)
+    t1 = _point_gradients(L, values[:2], pts, 0)
+    if flat:
         t2 = _dual_of_numeric_slot_gradient(L, X, pts, plan)
     else:
-        if plan["gd"] is None:
-            raise ValueError("gauge/spinor reference path needs closed slot gradients")
         # cross-check the closed gradient against the per-blade one first
-        per_blade = _numeric_slot_gradients(L, X, pts, plan)
-        for closed, blades in zip(plan["gd"].ev(pts, key), per_blade):
+        per_blade = _numeric_slot_gradients(L, *values[:2], pts)
+        for closed, blades in zip(values[2], per_blade):
             if np.linalg.norm(closed - blades) > 1e-6 * max(1.0, np.linalg.norm(blades)):
                 raise AssertionError("closed-form slot gradient disagrees with per-blade values")
-        t2 = plan["dual_gd"].ev(pts, key)
+        t2 = values[3]
     res = sta.restrict(t1 - t2, L.field_grades)
     return Multivector(res[0]) if single else res
 
@@ -444,18 +443,20 @@ def decomposition_check(
     plan = _plan(L, X, bg, construction)
     if plan["gd"] is None:
         raise ValueError("decomposition check needs a closed-form grad_d")
-    delta = _variation(L, X, plan["d"], A, pts, bg, construction)
-    if L.mode is DerivMode.SPINOR:
-        require_even(X, pts)
-    res = _residual(L, X, pts, plan)
-    key = pts.tobytes()
-    w = _weights(L, bg, pts, key)
     if L.mode.family == "flat":
         current = boundary_current_flat(A, plan["gd"], L.mode.star)
     else:
         current = boundary_current_gauge(A, plan["gd"], L.mode.star, bg)
-    div = del_expr_kind(current, "lc").ev(pts, key)[:, 0]
-    out = np.abs(delta - w * sta.sp(A.ev(pts, key), res) - div)
+    varied = (X, plan["d"], A, _aggregate(L, A, L.mode.star, bg, construction))
+    div = del_expr_kind(current, "lc")
+    trees = varied + (div,) + _residual_trees(X, plan)
+    values = dict(zip(trees, evaluate(trees, pts)))
+    w = _weights(L, bg, pts)
+    delta = _variation(L, X, A, [values[t] for t in varied], w, pts)
+    if L.mode is DerivMode.SPINOR:
+        require_even(X, pts)
+    res = _residual(L, X, pts, plan, values)
+    out = np.abs(delta - w * sta.sp(values[A], res) - values[div][:, 0])
     return float(out[0]) if single else out
 
 

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import sta
-from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, worst_of
+from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, evaluate, worst_of
 from .lagrangian import LagrangianSpec, blade_gradient
 from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
@@ -359,11 +359,11 @@ def _slot_gradients(
     aggregate ``d`` of F compact on the blades of ``L.d_grades()``.
 
     Sites are taken ``SAMPLE_BLOCK`` rows at a time, as ``FieldExpr.sample``
-    takes points, so no node's value slot holds more than a block.  Per
+    takes points, so no value of an evaluation holds more than a block.  Per
     block, the spec's closed slot-gradient trees are built on two leaves
     that hold the block's values of F and of its aggregate d, widened to 16
-    components, under the block's coordinate key; a slot without a closed
-    form takes the per-blade stencils of :func:`blade_gradient`.
+    components, at the block's coordinates; a slot without a closed form
+    takes the per-blade stencils of :func:`blade_gradient`.
     """
     xs = F.lattice.coords().reshape(-1, 4)
     comps, d = F.comps.reshape(-1, DIM), d.reshape(d.shape[0], -1)
@@ -372,14 +372,12 @@ def _slot_gradients(
     for lo in range(0, len(xs), SAMPLE_BLOCK):
         rows = slice(lo, lo + SAMPLE_BLOCK)
         pts, block = xs[rows], (comps[rows], _widen(d[:, rows], L.d_grades()))
-        key = pts.tobytes()
-        leaves = (Tabulated(block[0], F.grades, key), Tabulated(block[1], L.d_grades(), key))
+        leaves = (Tabulated(block[0], F.grades, pts), Tabulated(block[1], L.d_grades(), pts))
         for k, build in enumerate((L.grad_x, L.grad_d)):
-            value = (
-                blade_gradient(L, block, pts, k) if build is None else build(*leaves).ev(pts, key)
-            )
+            tree = None if build is None else build(*leaves)
+            value = blade_gradient(L, block, pts, k) if tree is None else evaluate([tree], pts)[0]
             grads[k][:, rows] = value.T[masks[k]]
-        del block, leaves, value  # freed before the next block's are made
+        del block, leaves, tree, value  # freed before the next block's are made
     return tuple(g.reshape((len(g),) + F.lattice.shape) for g in grads)
 
 

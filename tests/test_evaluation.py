@@ -256,7 +256,7 @@ def test_reciprocal_det_factor_keeps_the_gate():
     bad[3, 0] = 0.0
     with pytest.raises(SingularExtensorError):
         tree.sample(bad)
-    assert recip._value == (None, None)  # the twin raised before 1/det h was read
+    assert recip._value == (None, None)  # kept, and empty: the twin raised before 1/det h was read
     factor = recip.deriv(GAMMA[0]).left
     with pytest.raises(SingularExtensorError):
         factor.sample(bad)

@@ -322,12 +322,12 @@ def test_gauss_check_working_set_is_bounded():
 
 
 def test_tabulated_tree_samples_within_one_block_only():
-    """The leaf is keyed to its whole point set; ev with that key is its entry point."""
+    """The leaf holds its whole point set; one evaluate call over that set is its entry point."""
     pts = random_points(np.random.default_rng(41), f.SAMPLE_BLOCK + 1)
     comps = np.zeros((pts.shape[0], 16))
     comps[:, 1] = pts[:, 0]
-    tree = prod(Tabulated(comps, {1}, pts.tobytes()), Const(GAMMA[2]), "op")
-    assert np.array_equal(tree.ev(pts, pts.tobytes()), sta.op(comps, GAMMA[2].comps))
+    tree = prod(Tabulated(comps, {1}, pts), Const(GAMMA[2]), "op")
+    assert np.array_equal(f.evaluate([tree], pts)[0], sta.op(comps, GAMMA[2].comps))
     with pytest.raises(ValueError, match="tabulated values exist only"):
         tree.sample(pts)
 
@@ -336,7 +336,7 @@ def test_tabulated_leaf_lives_on_its_point_set_only():
     pts = random_points(np.random.default_rng(40), 3)
     comps = np.zeros((3, 16))
     comps[:, 1] = [1.0, 2.0, 3.0]
-    leaf = Tabulated(comps, {1}, pts.tobytes())
+    leaf = Tabulated(comps, {1}, pts)
     assert leaf.grades == {1}
     tree = prod(leaf, Const(GAMMA[2]), "op")
     assert np.array_equal(tree.sample(pts), sta.op(comps, GAMMA[2].comps))
@@ -424,16 +424,7 @@ def test_shared_factors_equal_the_per_direction_formula_bit_for_bit(name):
             assert np.array_equal(X.deriv(a).deriv(b).sample(pts), want), (name, a, b)
 
 
-def test_double_gradient_evaluates_each_factor_once_per_point_set(monkeypatch):
-    evals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-    ev = f._Node.ev
-
-    def counting_ev(node, xs, key):
-        if node._value[0] != key:
-            evals[node] = evals.get(node, 0) + 1
-        return ev(node, xs, key)
-
-    monkeypatch.setattr(f._Node, "ev", counting_ev)
+def test_double_gradient_evaluates_each_factor_once_per_point_set(evaluated):
     grad = del_expr_kind(ScalarMap(coordinate(K), "sin"), "gp")
     hess = del_expr_kind(grad, "gp")
     rng = np.random.default_rng(50)
@@ -441,56 +432,47 @@ def test_double_gradient_evaluates_each_factor_once_per_point_set(monkeypatch):
         pts = random_points(rng, 4)
         grad.sample(pts)
         hess.sample(pts)
-        maps = Counter()
-        for node, count in evals.items():
-            if isinstance(node, ScalarMap):
-                maps[node.kind] += count
+        maps = Counter(node.kind for node in evaluated if isinstance(node, ScalarMap))
         # cos s in the four first partials, -sin s in the sixteen second ones
         assert maps == {"cos": n, "sin": n}
 
 
-def test_a_node_read_by_one_parent_keeps_no_value(monkeypatch):
-    """Only roots and nodes read by more than one parent keep a value slot: a
-    node with one parent is re-read only through its parent's slot.  That
-    holds for a derivative built inside a tree too: X has one reader, so each
-    partial of X, read only by the matching partial of 2 X, keeps nothing."""
-    evaluated = []
-    ev = f._Node.ev
+def _kept(node) -> bool:
+    return node._value is not None
 
-    def recording_ev(node, xs, key):
-        evaluated.append(node)
-        return ev(node, xs, key)
 
-    monkeypatch.setattr(f._Node, "ev", recording_ev)
+def test_a_node_read_by_one_parent_keeps_no_value(evaluated):
+    """Only kept nodes keep a value between calls: the leaves and the trees
+    handed out for reuse, here the four partials of Y that its aggregate
+    reads.  A root the caller built, and every node under it, keeps nothing;
+    so does a derivative built inside a tree from a node that is not kept:
+    each partial of X, read only by the matching partial of Y = 2 X."""
     X = random_field(np.random.default_rng(52), {1, 2})
     X.sample(random_points(np.random.default_rng(53), 3))
-    assert X._value[0] is not None  # a root keeps its value ...
+    assert evaluated and not _kept(X)  # a root keeps no value after its call ...
     Y = scale(2.0, X)
-    assert X._uses == 1 and X._value == (None, None)  # ... until a parent reads it
+    assert X._uses == 1 and not _kept(X)  # ... and none once a parent reads it
     root = del_expr_kind(Y, "gp")
     pts = random_points(np.random.default_rng(54), 5)
+    evaluated.clear()
     got = root.sample(pts)
-    single = [node for node in evaluated if node._uses == 1]
-    assert len(single) > 20
-    assert all(node._value == (None, None) for node in single)
-    assert root._value[0] == pts.tobytes() and root._value[1] is got
+    partials = [Y.deriv(g) for g in GAMMA]
+    assert all(d._value[0] == pts.tobytes() and d in evaluated for d in partials)
+    plain = [
+        node for node in evaluated
+        if not isinstance(node, (Const, f.Position)) and all(node is not d for d in partials)
+    ]
+    assert len(plain) > 20
+    assert all(not _kept(node) for node in plain)
+    assert not _kept(root) and not got.flags.writeable
     internal = [X._deriv(g.comps) for g in GAMMA]
-    assert all(d in evaluated and d._uses == 1 and d._value == (None, None) for d in internal)
+    assert all(d in evaluated and d._uses == 1 and not _kept(d) for d in internal)
 
 
-def test_a_partial_shared_by_two_aggregates_is_evaluated_once_per_point_set(monkeypatch):
-    """The lc and op aggregates of one X read the same four partials; a derived
-    tree counts as shared, so a partial read by one aggregate keeps its value
-    for a caller that asks for it again."""
-    evals: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-    ev = f._Node.ev
-
-    def counting_ev(node, xs, key):
-        if node._value[0] != key:
-            evals[node] = evals.get(node, 0) + 1
-        return ev(node, xs, key)
-
-    monkeypatch.setattr(f._Node, "ev", counting_ev)
+def test_a_partial_shared_by_two_aggregates_is_evaluated_once_per_point_set(evaluated):
+    """The lc and op aggregates of one X read the same four partials; the
+    partials are kept, so a partial read by one aggregate keeps its value
+    for a caller that asks for it again in another call."""
     X, Y = (random_field(np.random.default_rng(seed), {1}) for seed in (55, 57))
     div, curl, grad = del_expr_kind(X, "lc"), del_expr_kind(X, "op"), del_expr_kind(Y, "gp")
     partials = [Z.deriv(g) for Z in (X, Y) for g in GAMMA]
@@ -499,7 +481,27 @@ def test_a_partial_shared_by_two_aggregates_is_evaluated_once_per_point_set(monk
         pts = random_points(rng, 4)
         for tree in [div, curl, grad] + partials:
             tree.sample(pts)
-        assert [evals[d] for d in partials] == [n] * 8
+        assert [sum(node is d for node in evaluated) for d in partials] == [n] * 8
+
+
+def test_a_late_second_reader_shares_one_evaluation_in_one_call(evaluated):
+    """A node that gains its second reader after it was evaluated is evaluated
+    once when both readers are roots of one call; when the call returns, no
+    value of it is left but the roots' and the kept nodes'."""
+    rng = np.random.default_rng(58)
+    X = random_field(rng, {1, 2})
+    first = scale(2.0, X)
+    pts = random_points(rng, 4)
+    want = first.sample(pts)
+    second = prod(X, Const(GAMMA[1]), "gp")  # X's second reader, built after an evaluation
+    evaluated.clear()
+    a, b = f.evaluate([first, second], pts)
+    assert sum(node is X for node in evaluated) == 1
+    assert np.array_equal(a, want)
+    assert np.array_equal(b, sta.gp(X.sample(pts), GAMMA[1].comps))
+    live = {id(node) for node, ref in zip(evaluated, evaluated.values) if ref() is not None}
+    kept = {id(node) for node in evaluated if _kept(node)}
+    assert len(evaluated) > 20 and live == {id(first), id(second)} | kept
 
 
 def test_constant_leaf_is_a_read_only_stride_zero_view():

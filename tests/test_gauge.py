@@ -15,6 +15,7 @@ from multiform.fields import (
     ScalarMap,
     coordinate,
     del_expr_kind,
+    evaluate,
     position,
     prod,
     add,
@@ -139,7 +140,7 @@ def _outermorphism_oracle(h, X, variant):
     4x4 matrix of h, inverted and adjoined as the variant needs."""
 
     def at(pts):
-        m = h.matrix().ev(pts, pts.tobytes())
+        m = evaluate([h.matrix()], pts)[0]
         if variant in ("inverse", "star"):
             m = np.linalg.inv(m)
         if variant in ("adjoint", "star"):

@@ -298,7 +298,7 @@ def test_values_vanish_outside_the_grade_set(root, seed):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_blocked_sample_equals_one_whole_set_evaluation(root, seed):
-    """sample over 2.5 blocks of rows gives the bits of one ev over the whole set.
+    """sample over 2.5 blocks of rows gives the bits of one evaluate call over the whole set.
 
     The block is cut to 64 rows here: a whole-set evaluation of an extensor
     tree holds hundreds of (P, 16) values, about 50 kB a row.  The module's
@@ -308,7 +308,7 @@ def test_blocked_sample_equals_one_whole_set_evaluation(root, seed):
     tree = _tree(rng, int(rng.integers(1, 4)), root)
     with mock.patch.object(fields, "SAMPLE_BLOCK", 64):
         pts = random_points(rng, 160)
-        whole = tree.ev(pts, pts.tobytes())
+        whole = fields.evaluate([tree], pts)[0]
         assert np.array_equal(tree.sample(pts), whole)
 
 
@@ -316,7 +316,7 @@ def test_blocked_sample_at_the_module_block():
     rng = np.random.default_rng(17)
     pts = random_points(rng, 5 * fields.SAMPLE_BLOCK // 2)
     for tree in (random_field(rng, ALL_GRADES), DelExpr(random_field(rng, {1}), "lc")):
-        whole = tree.ev(pts, pts.tobytes())
+        whole = fields.evaluate([tree], pts)[0]
         assert np.array_equal(tree.sample(pts), whole)
 
 

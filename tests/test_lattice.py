@@ -810,27 +810,41 @@ def test_lattice_maxwell_at_n16_peaks_below_five_wide_fields():
     assert peak <= 5 * 16**4 * 16 * 8
 
 
-def test_lattice_slot_gradients_keep_the_sample_block_bound(monkeypatch):
-    """With a source on a 12^4 lattice (20,736 sites), no node evaluated for the
-    slot gradients, the source tree and the shared position leaf included,
-    keeps a value of more than SAMPLE_BLOCK rows."""
-    seen = []
-    ev = fields._Node.ev
-
-    def recording_ev(node, xs, key):
-        seen.append(node)
-        return ev(node, xs, key)
-
-    monkeypatch.setattr(fields._Node, "ev", recording_ev)
+def _sourced_residual_on_12_sites(evaluated):
+    """The source tree of a sourced discrete_ele_residual on a 12^4 lattice
+    (20,736 sites), after the residual ran; ``evaluated`` holds what it evaluated."""
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 12, "periodic")
     j_expr = prod(Const(GAMMA[2]), ScalarMap(coordinate(GAMMA[1]), "cos"), "gp")
     L = make_builtin("maxwell_flat", sources={"J": j_expr})
     F = discretize(j_expr, lat, {1})
-    seen.clear()
+    evaluated.clear()
     discrete_ele_residual(L, F)
-    assert any(node is position() for node in seen)
-    rows = [len(node._value[1]) for node in seen if node._value[0] is not None]
+    return j_expr
+
+
+def test_lattice_slot_gradients_keep_the_sample_block_bound(evaluated):
+    """No node evaluated for the slot gradients of a sourced residual, the
+    source tree and the shared position leaf included, keeps a value of more
+    than SAMPLE_BLOCK rows."""
+    _sourced_residual_on_12_sites(evaluated)
+    assert any(node is position() for node in evaluated)
+    rows = [len(node._value[1]) for node in evaluated if node._value and node._value[0]]
     assert rows and max(rows) <= fields.SAMPLE_BLOCK
+
+
+def test_sourced_residual_leaves_no_value_in_the_source_tree(evaluated):
+    """The slot-gradient trees are built anew per block on the source tree,
+    which is not kept: after the residual, no node of it but a constant or
+    the position leaf holds a value."""
+    j_expr = _sourced_residual_on_12_sites(evaluated)
+    nodes, stack = [], [j_expr]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node._kids)
+    assert position() in nodes and j_expr in evaluated
+    held = [node for node in nodes if node._value is not None and node._value[0] is not None]
+    assert all(isinstance(node, (Const, fields.Position)) for node in held)
 
 
 def test_returned_fields_equal_the_public_constructor_and_own_their_arrays():
