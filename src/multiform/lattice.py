@@ -20,11 +20,11 @@ N, N) over the blades of one grade set.  A stencil along an axis is one
 matmul on a reshaped view, and each +-1 entry of g^mu * . is one signed add
 of a stencilled blade, in mu order; the results equal those of 16-wide
 site-major arrays under np.tensordot stencils bit for bit (up to the sign
-of a zero; the oracle is in tests/test_kernel_oracle.py).  Site-major
-16-wide arrays appear only where fields leave or enter: LatticeField.comps,
-allocated once where a field leaves this module, and the density and
-slot-gradient trees, which evaluate 16 components SAMPLE_BLOCK sites at a
-time.
+of a zero; the oracle is in tests/test_kernel_oracle.py).  A LatticeField
+stores one such array.  Site-major 16-wide arrays appear only where values
+leave or enter: each read of LatticeField.comps, the public constructor's
+argument, pair and discrete_action, and the density and slot-gradient trees,
+which evaluate 16 components SAMPLE_BLOCK sites at a time.
 
 The stationary Maxwell operator is that residual for the source-free flat
 Maxwell density.  Its system is symmetric indefinite once signed by the
@@ -86,7 +86,6 @@ class Lattice:
             raise ValueError("extents must be positive")
         if self.bc not in _BCS:
             raise ValueError(f"bc must be one of {_BCS}")
-        self._coords: np.ndarray | None = None
 
     def _key(self) -> tuple:
         return (tuple(self.origin.tolist()), tuple(self.extent.tolist()), self.sites, self.bc)
@@ -115,16 +114,17 @@ class Lattice:
     def n_sites(self) -> int:
         return self.sites**4
 
+    def _axes(self) -> list[np.ndarray]:
+        return [self.origin[k] + (np.arange(self.sites) + 0.5) * self.spacing[k] for k in range(4)]
+
     def coords(self) -> np.ndarray:
-        """Site-center coordinates, shape (N, N, N, N, 4)."""
-        if self._coords is None:
-            n = self.sites
-            axes = [
-                self.origin[k] + (np.arange(n) + 0.5) * self.spacing[k]
-                for k in range(4)
-            ]
-            self._coords = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        return self._coords
+        """Site-center coordinates, a new array of shape (N, N, N, N, 4)."""
+        return np.stack(np.meshgrid(*self._axes(), indexing="ij"), axis=-1)
+
+    def _block_coords(self, lo: int) -> np.ndarray:
+        """The (rows, 4) coords() rows of the SAMPLE_BLOCK sites from row-major index lo."""
+        index = np.unravel_index(np.arange(lo, min(lo + SAMPLE_BLOCK, self.n_sites)), self.shape)
+        return np.stack([axis[i] for axis, i in zip(self._axes(), index)], axis=-1)
 
     def interior_mask(self) -> np.ndarray:
         """Boolean site mask; under dirichlet the outer shell is frozen."""
@@ -139,22 +139,29 @@ class Lattice:
         return mask
 
 
-@dataclass(eq=False)
 class LatticeField:
     """Per-site multivector values restricted to a declared grade set.
 
-    Fields compare by value (lattice, grades, components) and are unhashable.
+    The constructor takes site-major (N, N, N, N, 16) ``comps`` and stores the
+    blades of ``grades`` only, compact (n_blades, N, N, N, N); one outside them
+    above 1e-12 or NaN raises ``GradeError``.  ``comps`` is a new read-only
+    16-wide array at each read.  Fields compare by value and are unhashable.
     """
 
-    lattice: Lattice
-    grades: frozenset
-    comps: np.ndarray
+    __slots__ = ("lattice", "grades", "_blades")
+    __hash__ = None
 
-    def __post_init__(self):
-        self.grades = frozenset(self.grades)
-        self.comps = _on_grades(
-            np.asarray(self.comps, dtype=float).reshape(self.lattice.shape + (DIM,)), self.grades
-        )
+    def __init__(self, lattice: Lattice, grades, comps):
+        self.lattice, self.grades = lattice, frozenset(grades)
+        comps = np.asarray(comps, dtype=float).reshape(lattice.shape + (DIM,))
+        _guard([comps], self.grades)
+        self._blades = _compact(comps, self.grades)
+
+    @property
+    def comps(self) -> np.ndarray:
+        out = _widen(self._blades, self.grades)
+        out.flags.writeable = False
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, LatticeField):
@@ -162,10 +169,8 @@ class LatticeField:
         return (
             self.lattice == other.lattice
             and self.grades == other.grades
-            and np.array_equal(self.comps, other.comps)
+            and np.array_equal(self._blades, other._blades)
         )
-
-    __hash__ = None
 
     @classmethod
     def zeros(cls, lattice: Lattice, grades) -> "LatticeField":
@@ -176,18 +181,17 @@ class LatticeField:
         return float((self.comps * SP_DIAG * other.comps).sum())
 
 
-def _on_grades(comps: np.ndarray, grades: frozenset, out: np.ndarray | None = None) -> np.ndarray:
-    """``comps * grade_mask(grades)``, into ``out`` when given; ``GradeError``
-    when a component outside the grades is larger than 1e-12 or NaN."""
-    mask = sta.grade_mask(grades)
+def _guard(blocks, grades: frozenset) -> None:
+    """``GradeError`` naming the largest component outside ``grades`` of the
+    site-major arrays ``blocks``, iterated once, if it is above 1e-12 or NaN."""
+    off = [m for m in range(DIM) if GRADES[m] not in grades]
     # selected, not masked: NaN * 0 is NaN, and a NaN is never small;
     # one blade at a time, so the check copies no more than one blade
-    outside = worst_of(0.0, *(np.abs(comps[..., m]).max() for m in np.flatnonzero(mask == 0.0)))
+    outside = worst_of(0.0, *(np.abs(block[..., m]).max() for block in blocks for m in off))
     if not outside <= 1e-12:
         raise GradeError(
             f"field has components of size {outside:.3e} outside grades {sorted(grades)}"
         )
-    return np.multiply(comps, mask, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +253,9 @@ def _widen(arr: np.ndarray, grades) -> np.ndarray:
 
 
 def _field(lat: Lattice, grades, arr: np.ndarray) -> LatticeField:
-    """The field holding the compact ``arr``, in its one 16-wide allocation.
-
-    No copy and no grade check: ``_widen`` writes exact zeros off the
-    grades, so the public constructor's guard and its ``comps * mask``
-    would only copy the same bits."""
+    """The field holding the C-contiguous compact ``arr`` itself: no copy, no check."""
     F = LatticeField.__new__(LatticeField)
-    F.lattice, F.grades, F.comps = lat, frozenset(grades), _widen(arr, grades)
+    F.lattice, F.grades, F._blades = lat, frozenset(grades), arr
     return F
 
 
@@ -321,16 +321,21 @@ def _zero_boundary(lat: Lattice, arr: np.ndarray) -> np.ndarray:
 
 
 def discretize(X: FieldExpr, lat: Lattice, grades) -> LatticeField:
-    """Sample a field expression at the site centers; values outside ``grades``
-    raise ``GradeError`` from the :class:`LatticeField` guard."""
-    vals = X.sample(lat.coords().reshape(-1, 4)).reshape(lat.shape + (DIM,))
-    if not vals.flags.writeable:  # at most one block, a value a tree slot may hold
-        vals = vals.copy()
-    # masked in place, so that the field holds the one 16-wide array
-    F = LatticeField.__new__(LatticeField)
-    F.lattice, F.grades = lat, frozenset(grades)
-    F.comps = _on_grades(vals, F.grades, out=vals)
-    return F
+    """Sample a field expression at the site centers SAMPLE_BLOCK sites at a time
+    into the field's compact array; values outside ``grades`` raise the guard's
+    ``GradeError`` of :class:`LatticeField`, with the largest on the lattice."""
+    grades = frozenset(grades)
+    blades = _blade_masks(grades)
+    arr = np.empty((len(blades), lat.n_sites))
+
+    def blocks():  # each block's blades go into arr as the guard reads the block
+        for lo in range(0, lat.n_sites, SAMPLE_BLOCK):
+            vals = X.sample(lat._block_coords(lo))
+            arr[:, lo : lo + SAMPLE_BLOCK] = vals[:, blades].T
+            yield vals
+
+    _guard(blocks(), grades)
+    return _field(lat, grades, arr.reshape((len(blades),) + lat.shape))
 
 
 def _require_operands(L: LagrangianSpec, F: LatticeField) -> None:
@@ -343,12 +348,12 @@ def _require_operands(L: LagrangianSpec, F: LatticeField) -> None:
         raise GradeError(f"field grades {sorted(F.grades)} outside {sorted(L.field_grades)}")
 
 
-def _aggregate(lat: Lattice, kind: str, comps: np.ndarray, grades, out_grades) -> np.ndarray:
-    """The discrete derivative aggregate sum_mu g^mu * D_mu comps at every site,
-    for site-major comps that vanish outside grades, compact on the blades of
+def _aggregate(lat: Lattice, kind: str, arr: np.ndarray, grades, out_grades) -> np.ndarray:
+    """The discrete derivative aggregate sum_mu g^mu * D_mu arr at every site,
+    for arr compact on the blades of grades, compact on the blades of
     ``out_grades``, which hold the aggregate's grades."""
     d = np.zeros((len(_blade_masks(out_grades)),) + lat.shape)
-    return _frame_sum(kind, _compact(comps, grades), grades, d, out_grades, _stencils(lat))
+    return _frame_sum(kind, arr, grades, d, out_grades, _stencils(lat))
 
 
 def _slot_gradients(
@@ -365,27 +370,27 @@ def _slot_gradients(
     components, at the block's coordinates; a slot without a closed form
     takes the per-blade stencils of :func:`blade_gradient`.
     """
-    xs = F.lattice.coords().reshape(-1, 4)
-    comps, d = F.comps.reshape(-1, DIM), d.reshape(d.shape[0], -1)
+    lat = F.lattice
+    arr, d = F._blades.reshape(-1, lat.n_sites), d.reshape(-1, lat.n_sites)
     masks = (_blade_masks(L.field_grades), _blade_masks(L.d_grades()))
-    grads = tuple(np.empty((len(m), len(xs))) for m in masks)
-    for lo in range(0, len(xs), SAMPLE_BLOCK):
-        rows = slice(lo, lo + SAMPLE_BLOCK)
-        pts, block = xs[rows], (comps[rows], _widen(d[:, rows], L.d_grades()))
+    grads = tuple(np.empty((len(m), lat.n_sites)) for m in masks)
+    for lo in range(0, lat.n_sites, SAMPLE_BLOCK):
+        rows, pts = slice(lo, lo + SAMPLE_BLOCK), lat._block_coords(lo)
+        block = (_widen(arr[:, rows], F.grades), _widen(d[:, rows], L.d_grades()))
         leaves = (Tabulated(block[0], F.grades, pts), Tabulated(block[1], L.d_grades(), pts))
         for k, build in enumerate((L.grad_x, L.grad_d)):
             tree = None if build is None else build(*leaves)
             value = blade_gradient(L, block, pts, k) if tree is None else evaluate([tree], pts)[0]
             grads[k][:, rows] = value.T[masks[k]]
         del block, leaves, tree, value  # freed before the next block's are made
-    return tuple(g.reshape((len(g),) + F.lattice.shape) for g in grads)
+    return tuple(g.reshape((len(g),) + lat.shape) for g in grads)
 
 
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
     """Sum over sites of the density times the cell volume."""
     _require_operands(L, F)
     dg = L.d_grades()
-    d = _widen(_aggregate(F.lattice, L.mode.star, F.comps, F.grades, dg), dg)
+    d = _widen(_aggregate(F.lattice, L.mode.star, F._blades, F.grades, dg), dg)
     xs = F.lattice.coords().reshape(-1, 4)
     dens = L.density(F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
     return float(dens.sum() * F.lattice.cell_volume)
@@ -398,7 +403,7 @@ def _residual(L: LagrangianSpec, F: LatticeField) -> np.ndarray:
     _require_operands(L, F)
     lat = F.lattice
     gx, gd = _slot_gradients(
-        L, F, _aggregate(lat, L.mode.star, F.comps, F.grades, L.d_grades())
+        L, F, _aggregate(lat, L.mode.star, F._blades, F.grades, L.d_grades())
     )
     _frame_sum(L.mode.dual, gd, L.d_grades(), gx, L.field_grades, _stencils(lat, transpose=True))
     return _zero_boundary(lat, gx)
@@ -438,16 +443,13 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
     if not v.grades <= {1}:
         raise GradeError("the divergence theorem check takes 1-form fields")
     lat = v.lattice
-    vol = 0.0
+    arr = v._blades if v.grades else np.zeros((4,) + lat.shape)  # g_mu is blade mu
+    vol = flux = 0.0
     for mu, d in enumerate(_stencils(lat)):
         # summed in tensordot's (axis mu first) layout, the order the check reports
-        vol += np.tensordot(d, v.comps[..., 1 << mu], axes=([1], [mu])).sum()
-    flux = 0.0
-    for mu, d in enumerate(_stencils(lat)):
-        weights = d.sum(axis=0)
-        shape = [1, 1, 1, 1]
-        shape[mu] = lat.sites
-        flux += (v.comps[..., 1 << mu] * weights.reshape(shape)).sum()
+        vol += np.tensordot(d, arr[mu], axes=([1], [mu])).sum()
+        weights = d.sum(axis=0).reshape([lat.sites if k == mu else 1 for k in range(4)])
+        flux += (arr[mu] * weights).sum()
     return vol * lat.cell_volume, flux * lat.cell_volume
 
 
@@ -566,7 +568,7 @@ def solve_maxwell(
     if J.lattice is not lat and J.lattice != lat:
         raise ValueError("current lives on a different lattice")
 
-    rhs = _zero_boundary(lat, _compact(J.comps, {1}))
+    rhs = _zero_boundary(lat, J._blades)
     if not np.isfinite(rhs).all():
         raise ValueError("the current has non-finite components")
     if not rhs.any():
@@ -587,7 +589,7 @@ def solve_maxwell(
         if info != 0:
             raise SolverError(f"MINRES did not converge (info={info})")
         a = u.reshape(lat.shape + (4,))
-    a = _zero_boundary(lat, np.moveaxis(a, -1, 0))
+    a = np.ascontiguousarray(_zero_boundary(lat, np.moveaxis(a, -1, 0)))
 
     rel = np.linalg.norm(_maxwell(lat, a) - rhs) / np.linalg.norm(rhs)
     if not rel <= tol:
@@ -607,7 +609,7 @@ def export_field(F: LatticeField, basepath: str) -> tuple[str, str]:
     """Write <basepath>.bin (little-endian float64, site-major, component-minor)
     and the <basepath>.txt sidecar header."""
     blades = _blade_masks(F.grades)
-    data = F.comps[..., blades].astype("<f8")
+    data = np.ascontiguousarray(np.moveaxis(F._blades, 0, -1), dtype="<f8")
     bin_path = basepath + ".bin"
     txt_path = basepath + ".txt"
     data.tofile(bin_path)
@@ -666,6 +668,4 @@ def load_field(basepath: str) -> LatticeField:
     if raw.size != n:
         raise ValueError(f"{basepath}.bin holds {raw.size} floats, the sidecar implies {n}")
     data = raw.reshape(lat.shape + (len(blades),))
-    comps = np.zeros(lat.shape + (DIM,))
-    comps[..., blades] = data
-    return LatticeField(lat, grades, comps)
+    return _field(lat, grades, np.ascontiguousarray(np.moveaxis(data, -1, 0)))

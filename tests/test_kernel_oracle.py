@@ -463,8 +463,10 @@ def oracle_dirichlet_potential(lat, jc, tol):
 
 
 def _aggregate(lat, kind, comps, grades):
-    """lattice's compact aggregate on the blades of every grade, returned 16 wide."""
-    return lattice._widen(lattice._aggregate(lat, kind, comps, grades, ALL_GRADES), ALL_GRADES)
+    """lattice's aggregate of the 16-wide comps, compacted first, on the blades
+    of every grade, returned 16 wide."""
+    arr = lattice._compact(comps, grades)
+    return lattice._widen(lattice._aggregate(lat, kind, arr, grades, ALL_GRADES), ALL_GRADES)
 
 
 def _scatter(lat, kind, arr, grades, acc, out_grades, transpose, sign):

@@ -2,9 +2,11 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +111,41 @@ def test_lattice_field_equality_is_by_value():
     assert F != "field" and F != None  # noqa: E711
     with pytest.raises(TypeError):
         hash(F)
+
+
+def test_lattice_field_stores_only_the_blades_of_its_grades():
+    """A field holds one compact (n_blades, N, N, N, N) array.  Each read of
+    comps is a new read-only 16-wide array, bit for bit the input times the
+    grade mask, a 1e-14 off-grade value read as exact 0; pair keeps the bits
+    of the 16-wide formula."""
+    lat = Lattice(np.zeros(4), np.ones(4), 5, "periodic")
+    rng = np.random.default_rng(61)
+    grades = frozenset({1, 2})
+    mask = sta.grade_mask(grades)
+    given = np.where(mask == 1.0, rng.uniform(-1, 1, lat.shape + (16,)), 0.0)
+    given[..., 0] = 1e-14
+    F = LatticeField(lat, grades, given)
+    assert F._blades.shape == (10,) + lat.shape and F._blades.flags.c_contiguous
+    got = F.comps
+    assert got.shape == lat.shape + (16,) and got.tobytes() == (given * mask).tobytes()
+    assert not got.flags.writeable and not np.shares_memory(got, F.comps)
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0, 0, 0, 1] = 1.0
+    with pytest.raises(AttributeError):
+        F.comps = given * mask
+    bad = given.copy()
+    bad[1, 2, 3, 4, 0] = np.nan
+    with pytest.raises(GradeError, match="nan"):
+        LatticeField(lat, grades, bad)
+    assert F == LatticeField(lat, grades, given * mask) == LatticeField(lat, grades, got)
+    G = LatticeField(lat, grades, rng.uniform(-1, 1, lat.shape + (16,)) * mask)
+    assert F.pair(G) == float(((given * mask) * sta.SP_DIAG * G.comps).sum())
+    # a field on no grades stores no blade, and every operation reads it as 0
+    E = LatticeField.zeros(lat, [])
+    assert E._blades.shape == (0,) + lat.shape
+    assert E == LatticeField(lat, [], np.zeros(lat.shape + (16,)))
+    assert not discrete_ele_residual(make_builtin("maxwell_flat"), E).comps.any()
+    assert discrete_gauss(E) == (0.0, 0.0) and E.pair(E) == 0.0
 
 
 def test_discretize_constant_and_linear():
@@ -539,7 +576,7 @@ def test_solver_arguments_are_checked_before_any_work(bc, kwargs, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solve_maxwell worked before checking its arguments")
 
-    monkeypatch.setattr(lattice, "_compact", refuse)
+    monkeypatch.setattr(lattice, "_zero_boundary", refuse)
     name = next(iter(kwargs))
     with pytest.raises(ValueError, match=name):
         solve_maxwell(lat, J, **kwargs)
@@ -715,33 +752,36 @@ def test_grade_guards_reject_nan_outside_the_grades():
         discretize(nan_scalar, lat, {1})
 
 
-def test_discretize_keeps_the_sampled_array_when_it_owns_it(monkeypatch):
-    """Above SAMPLE_BLOCK sites sample returns an array of its own, and the
-    field holds that array, masked in place, not a second 16-wide copy; it
-    equals the public constructor's field, and the grade guard still raises.
-    At or below SAMPLE_BLOCK the sample is a read-only slot value and is
-    copied."""
-    returned = []
+def test_discretize_holds_one_compact_array(monkeypatch):
+    """discretize samples SAMPLE_BLOCK sites at a time and writes their blades
+    into the one compact array the field holds; the field equals the public
+    constructor's, and the grade guard reports the largest component outside
+    the grades over the whole lattice."""
+    rows = []
     sample = fields.FieldExpr.sample
 
     def recording_sample(expr, xs):
-        returned.append(sample(expr, xs))
-        return returned[-1]
+        rows.append(len(xs))
+        return sample(expr, xs)
 
     monkeypatch.setattr(fields.FieldExpr, "sample", recording_sample)
-    # a scalar far below the guard's 1e-12 is masked to exact zeros
+    # a scalar far below the guard's 1e-12 is dropped
     wave = add(
         prod(Const(GAMMA[2]), ScalarMap(coordinate(GAMMA[1]), "cos"), "gp"),
         Const(Multivector.scalar(1e-14)),
     )
-    for n, owned in [(9, True), (8, False)]:  # 6561 and 4096 sites
+    for n in (9, 8):  # 6561 sites in two blocks, 4096 in one
         lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, "periodic")
-        returned.clear()
+        rows.clear()
         F = discretize(wave, lat, {1})
-        (vals,) = returned
-        assert np.shares_memory(F.comps, vals) == owned, n
-        want = LatticeField(lat, frozenset({1}), wave.sample(lat.coords().reshape(-1, 4)))
+        assert max(rows) <= fields.SAMPLE_BLOCK and sum(rows) == lat.n_sites
+        assert F._blades.shape == (4,) + lat.shape and F._blades.flags.c_contiguous
+        want = LatticeField(lat, frozenset({1}), sample(wave, lat.coords().reshape(-1, 4)))
         assert F == want and not np.any(F.comps[..., 0])
+        # the scalar x^0 is largest at the last site, in the last block
+        largest = float(lat.coords()[..., 0].max())
+        with pytest.raises(GradeError, match=re.escape(f"size {largest:.3e} outside")):
+            discretize(add(coordinate(GAMMA[0]), position()), lat, {1})
         nan_scalar = add(Const(Multivector.scalar(np.nan)), position())
         with pytest.raises(GradeError):
             discretize(nan_scalar, lat, {1})
@@ -757,7 +797,7 @@ def test_maxwell_slot_gradients_are_the_closed_form(bc, n, with_j):
     L = make_builtin("maxwell_flat", sources={"J": J})
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
     F = random_grade1_field(lat, rng)
-    d = lattice._aggregate(lat, "op", F.comps, F.grades, L.d_grades())
+    d = lattice._aggregate(lat, "op", F._blades, F.grades, L.d_grades())
     gx, gd = lattice._slot_gradients(L, F, d)
     xs = lat.coords().reshape(-1, 4)
     want_x = -sta.restrict(J.sample(xs), {1}).reshape(F.comps.shape)
@@ -774,7 +814,7 @@ def test_dirac_closed_slot_gradients_match_the_blade_stencils(bc, n):
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
     comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask(L.field_grades)
     F = LatticeField(lat, L.field_grades, comps)
-    d = lattice._aggregate(lat, "gp", F.comps, F.grades, L.d_grades())
+    d = lattice._aggregate(lat, "gp", F._blades, F.grades, L.d_grades())
     for closed, blades in zip(lattice._slot_gradients(L, F, d), lattice._slot_gradients(generic, F, d)):
         assert np.abs(closed - blades).max() <= 1e-13 * max(1.0, np.abs(blades).max())
     for op in (action_gradient, discrete_ele_residual):
@@ -792,10 +832,19 @@ def test_dirac_closed_slot_gradients_match_the_blade_stencils(bc, n):
     assert seen == [({0, 2, 4}, {1, 3})]
 
 
+# a 16-wide N=16 field is 8 MiB and its grade-1 blades 2 MiB; 26 MiB is about
+# 13% over the 22.9 MiB read at seed 1 with fields that store only their
+# blades (22.1 MiB after the scenario bound tests, as CI runs it), and under
+# the 28.9 MiB (28.1 MiB) of 16-wide fields
+LATTICE_N16_PEAK_BOUND_MIB = 26.0
+
+
+@pytest.mark.filterwarnings("default:tracemalloc peak")
 def test_lattice_maxwell_at_n16_peaks_below_five_wide_fields():
-    """Five 16-wide N=16 fields are 40 MiB: the scenario allocates each returned
-    field once and forms its check differences in place (it peaked at 50.6 MiB
-    with a copy per field and a fresh array per difference)."""
+    """Below five 16-wide N=16 fields (40 MiB), and below 26 MiB: each field
+    stores its blades only and the scenario forms its check differences in
+    place (it peaked at 50.6 MiB with a 16-wide copy per field and a fresh
+    array per difference)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -803,11 +852,13 @@ def test_lattice_maxwell_at_n16_peaks_below_five_wide_fields():
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         assert run_scenario(ScenarioConfig("lattice-maxwell", seed=1, lattice_n=16)).passed
-        peak = tracemalloc.get_traced_memory()[1] - base
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 5 * 16**4 * 16 * 8
+    bound = LATTICE_N16_PEAK_BOUND_MIB
+    warnings.warn(f"tracemalloc peak of lattice-maxwell at N=16: {peak:.1f} MiB (bound {bound} MiB)")
+    assert peak <= bound
 
 
 def _sourced_residual_on_12_sites(evaluated):
