@@ -906,6 +906,13 @@ def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:
     return float(np.abs(np.atleast_1d(lhs - divv[:, 0])).max())
 
 
+def _grid_block(axes: list[np.ndarray], lo: int) -> np.ndarray:
+    """The (rows, 4) points, SAMPLE_BLOCK at most, of the "ij" grid on ``axes`` from ``lo``."""
+    shape = tuple(len(axis) for axis in axes)
+    index = np.unravel_index(np.arange(lo, min(lo + SAMPLE_BLOCK, math.prod(shape))), shape)
+    return np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+
+
 def gauss_check(
     v: FieldExpr, box: tuple, n: int
 ) -> tuple[float, float]:
@@ -929,9 +936,7 @@ def gauss_check(
     axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
     div, div_vals = del_expr_kind(v, "lc"), np.empty(n**4)
     for start in range(0, n**4, SAMPLE_BLOCK):  # the grid in row-major order, a block at a time
-        index = np.unravel_index(np.arange(start, min(start + SAMPLE_BLOCK, n**4)), (n,) * 4)
-        block = np.stack([axes[k][i] for k, i in enumerate(index)], axis=-1)
-        div_vals[start : start + SAMPLE_BLOCK] = div.sample(block)[:, 0]
+        div_vals[start : start + SAMPLE_BLOCK] = div.sample(_grid_block(axes, start))[:, 0]
     volume = float(div_vals.sum() * np.prod(h))
 
     flux = 0.0

@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import sta
-from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, evaluate, worst_of
+from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, _grid_block, evaluate, worst_of
 from .lagrangian import LagrangianSpec, blade_gradient
 from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
@@ -121,11 +121,6 @@ class Lattice:
         """Site-center coordinates, a new array of shape (N, N, N, N, 4)."""
         return np.stack(np.meshgrid(*self._axes(), indexing="ij"), axis=-1)
 
-    def _block_coords(self, lo: int) -> np.ndarray:
-        """The (rows, 4) coords() rows of the SAMPLE_BLOCK sites from row-major index lo."""
-        index = np.unravel_index(np.arange(lo, min(lo + SAMPLE_BLOCK, self.n_sites)), self.shape)
-        return np.stack([axis[i] for axis, i in zip(self._axes(), index)], axis=-1)
-
     def interior_mask(self) -> np.ndarray:
         """Boolean site mask; under dirichlet the outer shell is frozen."""
         mask = np.ones(self.shape, dtype=bool)
@@ -154,7 +149,7 @@ class LatticeField:
     def __init__(self, lattice: Lattice, grades, comps):
         self.lattice, self.grades = lattice, frozenset(grades)
         comps = np.asarray(comps, dtype=float).reshape(lattice.shape + (DIM,))
-        _guard([comps], self.grades)
+        _guard(_off_grade(comps, self.grades), self.grades)
         self._blades = _compact(comps, self.grades)
 
     @property
@@ -181,13 +176,16 @@ class LatticeField:
         return float((self.comps * SP_DIAG * other.comps).sum())
 
 
-def _guard(blocks, grades: frozenset) -> None:
-    """``GradeError`` naming the largest component outside ``grades`` of the
-    site-major arrays ``blocks``, iterated once, if it is above 1e-12 or NaN."""
-    off = [m for m in range(DIM) if GRADES[m] not in grades]
+def _off_grade(comps: np.ndarray, grades: frozenset) -> float:
+    """The largest component outside ``grades`` of the site-major ``comps``, NaN over all."""
     # selected, not masked: NaN * 0 is NaN, and a NaN is never small;
     # one blade at a time, so the check copies no more than one blade
-    outside = worst_of(0.0, *(np.abs(block[..., m]).max() for block in blocks for m in off))
+    off = (m for m in range(DIM) if GRADES[m] not in grades)
+    return worst_of(0.0, *(np.abs(comps[..., m]).max() for m in off))
+
+
+def _guard(outside: float, grades: frozenset) -> None:
+    """``GradeError`` if ``outside``, a largest off-grade component, is above 1e-12 or NaN."""
     if not outside <= 1e-12:
         raise GradeError(
             f"field has components of size {outside:.3e} outside grades {sorted(grades)}"
@@ -326,15 +324,12 @@ def discretize(X: FieldExpr, lat: Lattice, grades) -> LatticeField:
     ``GradeError`` of :class:`LatticeField`, with the largest on the lattice."""
     grades = frozenset(grades)
     blades = _blade_masks(grades)
-    arr = np.empty((len(blades), lat.n_sites))
-
-    def blocks():  # each block's blades go into arr as the guard reads the block
-        for lo in range(0, lat.n_sites, SAMPLE_BLOCK):
-            vals = X.sample(lat._block_coords(lo))
-            arr[:, lo : lo + SAMPLE_BLOCK] = vals[:, blades].T
-            yield vals
-
-    _guard(blocks(), grades)
+    arr, axes, outside = np.empty((len(blades), lat.n_sites)), lat._axes(), 0.0
+    for lo in range(0, lat.n_sites, SAMPLE_BLOCK):
+        vals = X.sample(_grid_block(axes, lo))
+        arr[:, lo : lo + SAMPLE_BLOCK] = vals[:, blades].T
+        outside = worst_of(outside, _off_grade(vals, grades))
+    _guard(outside, grades)
     return _field(lat, grades, arr.reshape((len(blades),) + lat.shape))
 
 
@@ -373,9 +368,9 @@ def _slot_gradients(
     lat = F.lattice
     arr, d = F._blades.reshape(-1, lat.n_sites), d.reshape(-1, lat.n_sites)
     masks = (_blade_masks(L.field_grades), _blade_masks(L.d_grades()))
-    grads = tuple(np.empty((len(m), lat.n_sites)) for m in masks)
+    grads, axes = tuple(np.empty((len(m), lat.n_sites)) for m in masks), lat._axes()
     for lo in range(0, lat.n_sites, SAMPLE_BLOCK):
-        rows, pts = slice(lo, lo + SAMPLE_BLOCK), lat._block_coords(lo)
+        rows, pts = slice(lo, lo + SAMPLE_BLOCK), _grid_block(axes, lo)
         block = (_widen(arr[:, rows], F.grades), _widen(d[:, rows], L.d_grades()))
         leaves = (Tabulated(block[0], F.grades, pts), Tabulated(block[1], L.d_grades(), pts))
         for k, build in enumerate((L.grad_x, L.grad_d)):

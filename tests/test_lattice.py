@@ -902,20 +902,20 @@ def test_returned_fields_equal_the_public_constructor_and_own_their_arrays():
     """solve_maxwell (both boundary conditions), action_gradient and
     discrete_ele_residual build their field from the compact result, with no
     copy and no grade check: it is the field the public constructor makes,
-    and it shares memory with none of its inputs."""
+    and its stored array shares memory with none of its inputs' nor with
+    another returned field's."""
     rng = np.random.default_rng(23)
     periodic = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 6, "periodic")
     L = make_builtin("maxwell_flat", sources={"J": random_field(rng, {1})})
     F = random_grade1_field(periodic, rng)
-    cases = [
-        (op(L, F), (F.comps, periodic.coords()))
-        for op in (action_gradient, discrete_ele_residual)
-    ]
+    cases = [(op(L, F), (F._blades,)) for op in (action_gradient, discrete_ele_residual)]
     for lat in (periodic, Lattice(np.zeros(4), np.ones(4), 5, "dirichlet")):
         J = _smooth_current(lat)
-        cases.append((solve_maxwell(lat, J), (J.comps, lat.coords())))
+        cases.append((solve_maxwell(lat, J), (J._blades,)))
     for G, inputs in cases:
         assert G == LatticeField(G.lattice, G.grades, G.comps.copy())
-        assert not any(np.shares_memory(G.comps, arr) for arr in inputs)
+        assert not any(np.shares_memory(G._blades, arr) for arr in inputs)
+    for i, (G, _) in enumerate(cases):
+        assert not any(np.shares_memory(G._blades, H._blades) for H, _ in cases[i + 1 :])
     zero = LatticeField.zeros(periodic, [2])
     assert zero == LatticeField(periodic, frozenset({2}), np.zeros(periodic.shape + (16,)))
