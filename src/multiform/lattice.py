@@ -456,8 +456,11 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
 def _maxwell(lat: Lattice, a: np.ndarray) -> np.ndarray:
     """div(curl a) on compact grade-1 arrays (4, N, N, N, N): the dual
     aggregate -sum_mu g^mu . D_mu^T of curl a, 0 on the dirichlet shell."""
-    curl = _frame_sum("op", a, {1}, np.zeros((6,) + lat.shape), {2}, _stencils(lat))
+    # allocated before curl and the stencil buffers, so that once those are
+    # freed they leave one free block above it, where the 16-wide result of
+    # maxwell_operator then fits
     out = np.zeros((4,) + lat.shape)
+    curl = _frame_sum("op", a, {1}, np.zeros((6,) + lat.shape), {2}, _stencils(lat))
     _frame_sum("lc", curl, {2}, out, {1}, _stencils(lat, transpose=True), sign=-1.0)
     return _zero_boundary(lat, out)
 
@@ -510,27 +513,51 @@ def _fft_solve(lat: Lattice, rhs: np.ndarray) -> np.ndarray:
     turn FFT noise into the operator's lightlike kernel modes; s = 0 gives 0.
     A current outside the range, whose block residuals exceed 1e-9 of it in
     norm (a constant current reads 1), raises ``ValueError``.
+
+    ``rhs`` and the result are compact (4, N, N, N, N).  Two complex
+    (N, N, N, N // 2 + 1, 4) buffers are live: rfftn's passes run in numpy's
+    order into j, and the blocks are solved into a, in place, with the null
+    blocks assigned by index.  ||j|| is taken before the range-gate residual
+    is formed in j's buffer.  j is then freed, the inverse c2c passes run in
+    place on a over axes 0, 1, 2 (irfftn's order), and the last irfft
+    writes into the compact result.
     """
     eta = SP_DIAG[VECTOR_IDX]
-    axes = (0, 1, 2, 3)
-    j = np.fft.rfftn(rhs, axes=axes)
     s = _wavenumbers(lat)
+    j = np.empty(s.shape, dtype=complex)
+    np.fft.rfftn(np.moveaxis(rhs, 0, -1), axes=(0, 1, 2, 3), out=j)
     ss = (eta * s * s).sum(axis=-1, keepdims=True)
     s2 = (s * s).sum(axis=-1, keepdims=True)
     regular = np.abs(ss) > 1e-12 * s2
-    ss = np.where(regular, ss, 0.0)  # a null block is exactly rank one
-    s2_safe = np.where(s2 > 0.0, s2, 1.0)
-    pj = (eta * s * j).sum(axis=-1, keepdims=True) / s2_safe  # (eta s . j) / |s|^2
-    # the null-block solution s pj / |s|^2 is 0 where s = 0
-    a = np.where(regular, -(j - eta * s * pj) / np.where(regular, ss, 1.0), s * pj / s2_safe)
-    resid = -ss * a + eta * s * (s * a).sum(axis=-1, keepdims=True) - j
-    incompatible = np.linalg.norm(resid) / np.linalg.norm(j)
+    ss[~regular] = 0.0  # a null block is exactly rank one
+    s2[s2 == 0.0] = 1.0  # s = 0 only; s2 is a sum of squares
+    es = eta * s
+    a = es * j
+    pj = a.sum(axis=-1, keepdims=True)
+    pj /= s2  # (eta s . j) / |s|^2
+    np.multiply(es, pj, out=a)
+    np.subtract(j, a, out=a)
+    np.negative(a, out=a)
+    a /= np.where(regular, ss, 1.0)
+    # the null-block solution s pj / |s|^2, 0 where s = 0
+    null = ~regular[..., 0]
+    a[null] = s[null] * pj[null] / s2[null]
+    norm_j = np.linalg.norm(j)
+    sa = sum(s[..., k] * a[..., k] for k in range(4))
+    for k in range(4):  # -ss a + eta s (s . a) - j, one component at a time
+        j[..., k] = -ss[..., 0] * a[..., k] + es[..., k] * sa - j[..., k]
+    incompatible = np.linalg.norm(j) / norm_j
     if not incompatible <= 1e-9:
         raise ValueError(
             f"periodic solve needs a compatible current (relative residual "
             f"{incompatible:.3e} outside the operator's range)"
         )
-    return np.fft.irfftn(a, s=lat.shape, axes=axes)
+    del j, s, es, sa
+    for axis in (0, 1, 2):
+        np.fft.ifft(a, axis=axis, out=a)
+    out = np.empty((4,) + lat.shape)
+    np.fft.irfft(a, lat.sites, axis=3, out=np.moveaxis(out, 0, -1))
+    return out
 
 
 def solve_maxwell(
@@ -547,9 +574,12 @@ def solve_maxwell(
     40 N^2 when ``None``) on the signed component system with the boundary
     sites masked on input as on output.  Either way the potential is
     certified against :func:`maxwell_operator` at the relative residual
-    ``tol``.  A ``tol`` that is not finite and positive, a ``maxiter`` that
-    is neither ``None`` nor a positive integer, and a current that is not
-    finite raise ``ValueError`` before any solve.
+    ``tol``.  Both work on J's stored blades and return a compact
+    (4, N, N, N, N) potential, which the last inverse FFT writes directly;
+    the certificate's difference is formed in place in the operator's
+    output, so no 16-wide array is made.  A ``tol`` that is not finite and
+    positive, a ``maxiter`` that is neither ``None`` nor a positive integer,
+    and a current that is not finite raise ``ValueError`` before any solve.
     """
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0):
@@ -569,12 +599,12 @@ def solve_maxwell(
     if not rhs.any():
         return LatticeField.zeros(lat, {1})
 
-    # the FFT and MINRES take site-major vectors, four components per site
     if lat.bc == "periodic":
-        a = _fft_solve(lat, np.moveaxis(rhs, 0, -1))
+        a = _fft_solve(lat, rhs)
     else:
         import scipy.sparse.linalg as spla  # the only use of scipy; see the module docstring
 
+        # MINRES takes site-major vectors, four components per site
         nvec = 4 * lat.n_sites
         linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat))
         b = (np.moveaxis(rhs, 0, -1) * SP_DIAG[VECTOR_IDX]).reshape(-1)
@@ -584,9 +614,10 @@ def solve_maxwell(
         if info != 0:
             raise SolverError(f"MINRES did not converge (info={info})")
         a = u.reshape(lat.shape + (4,))
-    a = np.ascontiguousarray(_zero_boundary(lat, np.moveaxis(a, -1, 0)))
+        a = np.ascontiguousarray(_zero_boundary(lat, np.moveaxis(a, -1, 0)))
 
-    rel = np.linalg.norm(_maxwell(lat, a) - rhs) / np.linalg.norm(rhs)
+    res = _maxwell(lat, a)
+    rel = np.linalg.norm(np.subtract(res, rhs, out=res)) / np.linalg.norm(rhs)
     if not rel <= tol:
         raise SolverError(f"solution residual {rel:.3e} exceeds tolerance {tol:g}")
     return _field(lat, {1}, a)

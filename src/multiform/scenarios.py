@@ -700,15 +700,18 @@ def _scenario_lattice_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
     J = LatticeField(lat, frozenset({1}), op(manufactured()))
     A = solve_maxwell(lat, J, tol=1e-8)
     astar = manufactured()  # built again, so that the solver runs without it
-    # each difference is formed in a buffer the run no longer needs: at N=16
-    # every 16-wide array is 8 MiB
+    # each difference is formed in a buffer the run no longer needs, and at
+    # most two 16-wide arrays (8 MiB each at N=16) are alive at once
     scale = np.linalg.norm(astar)
     rel = float(np.linalg.norm(np.subtract(A.comps, astar, out=astar)) / scale)
     del astar
     run.check("manufactured-solution", [rel], 1e-6)
-    res = op(A.comps)
+    norm_j = np.linalg.norm(J.comps)
+    comps = A.comps
     del A
-    op_res = float(np.linalg.norm(np.subtract(res, J.comps, out=res)) / np.linalg.norm(J.comps))
+    res = op(comps)
+    del comps
+    op_res = float(np.linalg.norm(np.subtract(res, J.comps, out=res)) / norm_j)
     del J, res  # the last three checks need none of them
     run.check("solver-relative-residual", [op_res], 1e-8)
 

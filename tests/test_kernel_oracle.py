@@ -16,6 +16,7 @@ so there the fast paths may place NaN differently, but a check must still
 fail.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -527,6 +528,60 @@ def test_compact_lattice_frame_sums_equal_the_16_wide_path(n, bc):
             assert np.array_equal(got, adjoint)
     a = _arr(rng, lat.shape + (DIM,)) * sta.grade_mask({1})
     assert np.array_equal(lattice.maxwell_operator(lat)(a), oracle_maxwell(lat, a))
+
+
+def oracle_fft_solve(lat, rhs):
+    """The periodic solve on whole arrays: rfftn and irfftn with fresh
+    outputs, both block solutions formed everywhere and chosen by np.where.
+    ``rhs`` and the result are site-major (N, N, N, N, 4)."""
+    eta = sta.SP_DIAG[sta.VECTOR_IDX]
+    axes = (0, 1, 2, 3)
+    j = np.fft.rfftn(rhs, axes=axes)
+    s = lattice._wavenumbers(lat)
+    ss = (eta * s * s).sum(axis=-1, keepdims=True)
+    s2 = (s * s).sum(axis=-1, keepdims=True)
+    regular = np.abs(ss) > 1e-12 * s2
+    ss = np.where(regular, ss, 0.0)
+    s2_safe = np.where(s2 > 0.0, s2, 1.0)
+    pj = (eta * s * j).sum(axis=-1, keepdims=True) / s2_safe
+    a = np.where(regular, -(j - eta * s * pj) / np.where(regular, ss, 1.0), s * pj / s2_safe)
+    resid = -ss * a + eta * s * (s * a).sum(axis=-1, keepdims=True) - j
+    incompatible = np.linalg.norm(resid) / np.linalg.norm(j)
+    if not incompatible <= 1e-9:
+        raise ValueError(
+            f"periodic solve needs a compatible current (relative residual "
+            f"{incompatible:.3e} outside the operator's range)"
+        )
+    return np.fft.irfftn(a, s=lat.shape, axes=axes)
+
+
+def _periodic_currents(lat):
+    """Currents of the cos(x1) g2 potential and of two random potentials, compact."""
+    astar = np.zeros(lat.shape + (DIM,))
+    astar[..., 4] = np.cos(lat.coords()[..., 1])
+    yield lattice._compact(lattice.maxwell_operator(lat)(astar), {1})
+    rng = np.random.default_rng(lat.sites)
+    for _ in range(2):
+        astar = rng.standard_normal(lat.shape + (DIM,)) * sta.grade_mask({1})
+        yield lattice._compact(lattice.maxwell_operator(lat)(astar), {1})
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_in_place_fft_solve_equals_the_whole_array_solve(n):
+    """Bit for bit, signs of zeros included; odd N checks irfft's length."""
+    for extent in (2 * np.pi * np.ones(4), np.array([1.0, 2.0, 1.5, 2 * np.pi])):
+        lat = lattice.Lattice(np.zeros(4), extent, n, "periodic")
+        for rhs in _periodic_currents(lat):
+            got = lattice._fft_solve(lat, rhs)
+            assert got.shape == (4,) + lat.shape and got.flags.c_contiguous
+            want = oracle_fft_solve(lat, np.moveaxis(rhs, 0, -1))
+            want = np.ascontiguousarray(np.moveaxis(want, -1, 0))
+            assert got.tobytes() == want.tobytes()
+        rhs = np.ones((4,) + lat.shape)  # a constant current is outside the range
+        with pytest.raises(ValueError) as want:
+            oracle_fft_solve(lat, np.moveaxis(rhs, 0, -1))
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            lattice._fft_solve(lat, rhs)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
