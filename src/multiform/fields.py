@@ -43,9 +43,10 @@ it): the leaves ``Const`` and ``position()``, the trees handed out for reuse
 (a ``deriv`` result, the four partials of an aggregate, an extensor field's
 matrix and trees, an outermorphism) and every tree ``derived`` builds from a
 kept node.  So the extensor field of a gauge background is evaluated once
-per point set.  A nine-scenario pass at seed 3 makes 72,418 evaluations and
-keeps 11,717 values between calls (70,050 and 26,122 when roots and nodes of
-several readers kept their last value).  Returned and kept values are
+per point set.  A nine-scenario pass at seed 3 makes 69,517 evaluations and
+keeps 11,297 values between calls (72,418 and 11,717 while the spinor check
+also evaluated its identically-zero pairing, against 70,050 and 26,122 when
+roots and nodes of several readers kept their last value).  Returned and kept values are
 read-only.  Trees are immutable after construction, but for reader counts
 and kept slots; each call has its own memo and a slot is replaced as one
 tuple, so point batches may be evaluated from concurrent contexts, which may

@@ -224,7 +224,7 @@ def _stencils(lat: Lattice, transpose: bool = False) -> list[np.ndarray]:
 
 
 def _apply_stencil(arr: np.ndarray, d: np.ndarray, mu: int) -> np.ndarray:
-    """d applied along site axis mu of a compact (n_blades, N, N, N, N) array.
+    """d applied along site axis mu of one (N, N, N, N) blade.
 
     A matmul on a reshaped view, with no transposed copy: ``d @`` the
     (rest, N, rest) view for the leading axes, ``@ d.T`` for the last.  Each
@@ -287,22 +287,19 @@ def _frame_sum(
 
     ``arr`` and ``acc`` are compact, on the blades of ``grades`` and of
     ``out_grades``; terms that land on other blades are dropped.  g^mu * .
-    has one +-1 per column, so each of its entries is one signed add of a
-    stencilled blade, done in mu order: every output blade sees the
-    additions of the 16-wide frame sum in the same order, so the result has
-    its bits, up to the sign of a zero.
+    has one +-1 per column, so each of its entries is one signed add of one
+    blade of arr stencilled along axis mu, done in mu order: only the blades
+    it reads are stencilled, and every output blade sees the additions of
+    the 16-wide frame sum in the same order, so the result has its bits, up
+    to the sign of a zero.
     """
-    arr = np.ascontiguousarray(arr)
     for mu, pairs in enumerate(_frame_pairs(kind, frozenset(grades), frozenset(out_grades))):
-        if not pairs:
-            continue
-        x = _apply_stencil(arr, mats[mu], mu)
         for i, o, s in pairs:
+            x = _apply_stencil(arr[i], mats[mu], mu)
             if s * sign > 0:
-                acc[o] += x[i]
+                acc[o] += x
             else:
-                acc[o] -= x[i]
-        del x  # freed before the next axis's is made
+                acc[o] -= x
     return acc
 
 
@@ -456,7 +453,7 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
 def _maxwell(lat: Lattice, a: np.ndarray) -> np.ndarray:
     """div(curl a) on compact grade-1 arrays (4, N, N, N, N): the dual
     aggregate -sum_mu g^mu . D_mu^T of curl a, 0 on the dirichlet shell."""
-    # allocated before curl and the stencil buffers, so that once those are
+    # allocated before curl and the stencilled blades, so that once those are
     # freed they leave one free block above it, where the 16-wide result of
     # maxwell_operator then fits
     out = np.zeros((4,) + lat.shape)

@@ -417,6 +417,50 @@ def test_spinor_identity_constant_equal_spinors():
     assert worst <= 1e-13
 
 
+def test_spinor_identity_needs_a_connection():
+    rng = np.random.default_rng(13)
+    bg = GaugeBackground(random_invertible_h(rng), None, compatible=False)
+    psi, phi = random_even_field(rng), random_even_field(rng)
+    with pytest.raises(ValueError, match="spinor derivatives need a connection field"):
+        check_identity_spinor(psi, phi, bg, random_points(rng, 5))
+
+
+@pytest.mark.parametrize("singular_first", [True, False])
+def test_spinor_identity_fails_on_a_spinor_that_is_not_finite(singular_first):
+    """Omega = 0 prunes every connection term, so no residual term reads psi
+    or phi; a spinor that is infinite at one point must still fail."""
+    rng = np.random.default_rng(14)
+    pts = random_points(rng, 10)
+    pts[3, 0] = 0.0
+    singular = prod(ScalarMap(coordinate(GAMMA[0]), "recip"), random_even_field(rng), "gp")
+    pair = (singular, random_even_field(rng))
+    psi, phi = pair if singular_first else pair[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residual = check_identity_spinor(psi, phi, identity_background(), pts)
+    assert not residual <= 1e-7
+
+
+def test_spinor_gradient_pairings_with_an_even_field_are_zero():
+    """Why check_identity_spinor compares no aggregate pairing: D^s psi and
+    D psi have grades {1, 3}, an even phi has {0, 2, 4}, and sta.sp pairs
+    each blade with itself, so both pairings are exactly 0.0 at every point,
+    on a rotor background and on an incompatible one."""
+    rng = np.random.default_rng(15)
+    pts = random_points(rng, 20)
+    for bg in (
+        rotor_gauge(random_rotor(rng)),
+        GaugeBackground(random_invertible_h(rng), random_omega(rng), False),
+    ):
+        for _ in range(2):
+            psi, phi = random_even_field(rng), random_even_field(rng)
+            ds_psi, d_psi, phiv = evaluate(
+                (spinor_grad_expr(psi, bg), gauge_del_expr(psi, "gp", bg, "omega"), phi), pts
+            )
+            for grad in (ds_psi, d_psi):
+                assert np.abs(grad).max() > 0.1  # zero by grade, not by value
+                assert np.all(sta.sp(grad, phiv) == 0.0)
+
+
 def test_spinor_gradient_split_identity():
     rng = np.random.default_rng(11)
     pts = random_points(rng, 25)

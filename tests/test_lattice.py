@@ -891,6 +891,24 @@ def test_periodic_solve_at_n16_peaks_below_the_whole_array_solve():
     assert peak <= bound
 
 
+# one operator application at N=16 holds its 2 MiB grade-1 result, the 3 MiB
+# curl and at most two 0.5 MiB stencilled blades: 6.0 MiB.  7.0 MiB is under
+# the 8.0 MiB read when every blade of each operand was stencilled per axis
+MAXWELL_N16_PEAK_BOUND_MIB = 7.0
+
+
+@pytest.mark.filterwarnings("default:tracemalloc peak")
+def test_maxwell_operator_at_n16_peaks_below_whole_operand_stencils():
+    """One compact div(curl(.)) application to a random N=16 potential
+    stencils only the blades its frame sums read, and stays below 7 MiB."""
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 16, "periodic")
+    a = np.random.default_rng(16).standard_normal((4,) + lat.shape)
+    peak = _traced_peak_mib(lambda: lattice._maxwell(lat, a))
+    bound = MAXWELL_N16_PEAK_BOUND_MIB
+    warnings.warn(f"tracemalloc peak of one maxwell operator at N=16: {peak:.1f} MiB (bound {bound} MiB)")
+    assert peak <= bound
+
+
 def _sourced_residual_on_12_sites(evaluated):
     """The source tree of a sourced discrete_ele_residual on a 12^4 lattice
     (20,736 sites), after the residual ran; ``evaluated`` holds what it evaluated."""

@@ -172,16 +172,18 @@ def test_worst_of_ranks_nan_above_everything():
 
 # node evaluations at the CLI defaults, seed 3, with about 20% headroom over
 # the counts of 7,380 / 10,178 / 13,076 / 17,227 / 15,484 when every root kept
-# its last value between calls (7,380 / 11,146 / 13,987 / 18,003 / 15,484 now):
+# its last value between calls (7,380 / 11,146 / 13,987 / 15,102 / 15,484 now):
 # the oracles sample each stencil as one batch, and per-point oracles
 # (18,105 / 39,398 / 18,819 evaluations) would exceed the first three; the
 # identity scenarios evaluate the gauge background's kept trees once per
-# point set, and without them identities-gauge made 42,295
+# point set, and without them identities-gauge made 42,295.  identities-gauge's
+# bound is 15% over 15,102, under the 18,003 read while the spinor check also
+# evaluated its identically-zero aggregate pairing
 NODE_EVALUATION_BOUNDS = {
     "derivatives": 8900,
     "maxwell-flat": 11900,
     "maxwell-gauge": 15500,
-    "identities-gauge": 20700,
+    "identities-gauge": 17400,
     "identities-flat": 18600,
 }
 
