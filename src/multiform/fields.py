@@ -43,14 +43,16 @@ it): the leaves ``Const`` and ``position()``, the trees handed out for reuse
 (a ``deriv`` result, the four partials of an aggregate, an extensor field's
 matrix and trees, an outermorphism) and every tree ``derived`` builds from a
 kept node.  So the extensor field of a gauge background is evaluated once
-per point set.  A nine-scenario pass at seed 3 makes 69,517 evaluations and
-keeps 11,297 values between calls (72,418 and 11,717 while the spinor check
-also evaluated its identically-zero pairing, against 70,050 and 26,122 when
-roots and nodes of several readers kept their last value).  Returned and kept values are
-read-only.  Trees are immutable after construction, but for reader counts
-and kept slots; each call has its own memo and a slot is replaced as one
-tuple, so point batches may be evaluated from concurrent contexts, which may
-recompute a value another has just kept.  A slot lives as long as its node.
+per point set.  A nine-scenario pass at seed 3 makes 68,494 evaluations and
+keeps 11,287 values between calls (69,517 and 11,297 while each two-path
+residual check evaluated its field twice, 72,418 and 11,717 while the spinor
+check also evaluated its identically-zero pairing, 70,050 and 26,122 when
+roots and nodes of several readers kept their last value).  Returned and
+kept values are read-only.  Trees are immutable after construction, but for
+reader counts and kept slots; each call has its own memo and a slot is
+replaced as one tuple, so point batches may be evaluated from concurrent
+contexts, which may recompute a value another has just kept.  A slot lives
+as long as its node.
 A node owns its derivatives and chain-rule factors; aggregates and residual
 plans are built per call and owned by their caller.  Every tree is acyclic:
 nothing a node owns points back at it, so reference counting frees a field
@@ -810,8 +812,12 @@ class ExtApply(FieldExpr):
 
 
 # central-difference step of scalar_derivative_at_zero for a function of no
-# declared degree; lagrangian builds its Richardson offsets from it
+# declared degree, and the points at which it samples: h and h / 2 either side
+# of zero
 RICHARDSON_STEP = 1e-3
+_RICHARDSON_OFFSETS = (
+    RICHARDSON_STEP, -RICHARDSON_STEP, RICHARDSON_STEP / 2.0, -RICHARDSON_STEP / 2.0
+)
 
 
 def scalar_derivative_at_zero(
@@ -831,6 +837,11 @@ def scalar_derivative_at_zero(
     d1 = (g(h) - g(-h)) / (2.0 * h)
     d2 = (g(h / 2.0) - g(-h / 2.0)) / h
     return (4.0 * d2 - d1) / 3.0
+
+
+def _richardson(values) -> np.ndarray:
+    """scalar_derivative_at_zero of g from g's values at _RICHARDSON_OFFSETS, in that order."""
+    return scalar_derivative_at_zero(dict(zip(_RICHARDSON_OFFSETS, values)).__getitem__)
 
 
 def multivector_derivative(

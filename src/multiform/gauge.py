@@ -219,18 +219,20 @@ class OmegaField:
 class RotorField:
     """Even field R with R R~ = 1, generator of compatible backgrounds."""
 
+    _TOL = 1e-10  # the largest deviation of R R~ from 1 that validate accepts
+
     def __init__(self, expr: FieldExpr):
         if not expr.grades <= EVEN_GRADES:
             raise GradeError("a rotor field must be even-grade")
         self.expr = expr
 
-    def validate(self, points, tol: float = 1e-10) -> float:
+    def validate(self, points) -> float:
         pts, _ = _as_coords(points)
         vals = self.expr.sample(pts)
         resid = sta.gp(vals, sta.rev(vals)) - sta.ONE.comps
         worst = float(np.abs(resid).max())
-        if not worst <= tol:  # a NaN deviation fails too
-            raise RotorError(f"R R~ deviates from 1 by {worst:.3e} (> {tol:g})")
+        if not worst <= self._TOL:  # a NaN deviation fails too
+            raise RotorError(f"R R~ deviates from 1 by {worst:.3e} (> {self._TOL:g})")
         return worst
 
 
@@ -275,10 +277,10 @@ _PROBE = np.array(
 )
 
 
-def rotor_gauge(R, points=None) -> GaugeBackground:
+def rotor_gauge(R) -> GaugeBackground:
     """Background induced by a unit rotor: h(a) = R a R~, Omega(a) = -2 (a.dR) R~."""
     rotor = R if isinstance(R, RotorField) else RotorField(_lift(R))
-    rotor.validate(_PROBE if points is None else points)
+    rotor.validate(_PROBE)
     expr = rotor.expr
     rev_r = Rev(expr)
     entries = [

@@ -29,11 +29,10 @@ built-ins do).  Without ``grad_x``, :func:`blade_gradient` differentiates
 the density per blade over the whole batch with degree-exact stencils; the
 lattice uses it for either slot.  Without ``grad_d``, flat residuals take
 the dual derivative of the pointwise slot gradient along coordinate lines.
-:func:`ele_residual_reference`, the independent cross-check, takes a point
-or a batch as well.  These oracle paths also evaluate their trees once per
-call, over the point set or over all its coordinate-stencil points; only
-the density differentiation, :func:`multivector_derivative` per blade,
-runs row by row.
+:func:`ele_residual_two_paths` returns a residual with its independent
+cross-check from one plan and one evaluation of both paths' trees (the flat
+cross-check samples its coordinate stencils once more); only the density
+differentiation, :func:`multivector_derivative` per blade, runs row by row.
 """
 
 from __future__ import annotations
@@ -53,11 +52,12 @@ from .fields import (
     FieldExpr,
     GradeError,
     Graded,
-    RICHARDSON_STEP,
     ZERO,
+    _RICHARDSON_OFFSETS,
     _as_coords,
     _lift,
     _prod_grades,
+    _richardson,
     add,
     del_expr_kind,
     boundary_current_flat,
@@ -208,19 +208,6 @@ def blade_gradient(L: LagrangianSpec, slots: tuple, xs: np.ndarray, k: int) -> n
     return out
 
 
-def _point_gradient(L: LagrangianSpec, slots: tuple, xc: np.ndarray, k: int) -> Multivector:
-    """The density's gradient in slot k at one point from (16,) slot components,
-    per blade with :func:`multivector_derivative`, independent of :func:`blade_gradient`."""
-
-    def at(W: Multivector) -> float:
-        moved = [v.reshape(1, DIM) for v in slots]
-        moved[k] = W.comps.reshape(1, DIM)
-        return float(L.density(*moved, xc.reshape(1, 4))[0])
-
-    grades = L.field_grades if k == 0 else L.d_grades()
-    return multivector_derivative(at, Multivector(slots[k]), grades, L.poly_degree)
-
-
 def variation(
     L: LagrangianSpec,
     X: FieldExpr,
@@ -296,30 +283,23 @@ def residual_norms(res) -> list[float]:
     return [float(np.linalg.norm(row)) for row in res]
 
 
-# the points at which scalar_derivative_at_zero samples a function of no
-# declared degree: h and h / 2 either side of zero
-_RICHARDSON_OFFSETS = (
-    RICHARDSON_STEP, -RICHARDSON_STEP, RICHARDSON_STEP / 2.0, -RICHARDSON_STEP / 2.0
-)
-
-
-def _richardson(values) -> np.ndarray:
-    """scalar_derivative_at_zero of g from g's values at _RICHARDSON_OFFSETS, in that order."""
-    return scalar_derivative_at_zero(dict(zip(_RICHARDSON_OFFSETS, values)).__getitem__)
-
-
 def _point_gradients(L: LagrangianSpec, slots: tuple, pts: np.ndarray, k: int) -> np.ndarray:
-    """:func:`_point_gradient` at each row of the (P, 16) slots and (P, 4) points."""
+    """The density's gradient in slot k at each row of the (P, 16) slots and
+    (P, 4) points, per row and blade with :func:`multivector_derivative`,
+    independent of :func:`blade_gradient`; slot 1 is restricted to its grades."""
+    grades = L.field_grades if k == 0 else L.d_grades()
+    if k == 1:
+        slots = (slots[0], sta.restrict(slots[1], grades))
     out = np.empty((len(pts), DIM))
-    for row, xv, dv, xc in zip(out, *slots, pts):
-        row[:] = _point_gradient(L, (xv, dv), xc, k).comps
+    for row, *vals, xc in zip(out, *slots, pts):
+
+        def at(W: Multivector) -> float:
+            moved = [v.reshape(1, DIM) for v in vals]
+            moved[k] = W.comps.reshape(1, DIM)
+            return float(L.density(*moved, xc.reshape(1, 4))[0])
+
+        row[:] = multivector_derivative(at, Multivector(vals[k]), grades, L.poly_degree).comps
     return out
-
-
-def _numeric_slot_gradients(L: LagrangianSpec, Xv, dv, pts: np.ndarray) -> np.ndarray:
-    """grad_d l at each of the (P, 4) points, per row and blade from the density
-    itself, given the values of the field and of its aggregate there."""
-    return _point_gradients(L, (Xv, sta.restrict(dv, L.d_grades())), pts, 1)
 
 
 def _dual_of_numeric_slot_gradient(
@@ -343,7 +323,7 @@ def _dual_of_numeric_slot_gradient(
     for mu in range(4):
         stencil[:, mu, :, mu] += _RICHARDSON_OFFSETS
     stencil = stencil.reshape(-1, 4)
-    grads = _numeric_slot_gradients(L, *evaluate((X, plan["d"]), stencil), stencil)
+    grads = _point_gradients(L, evaluate((X, plan["d"]), stencil), stencil, 1)
     grads = grads.reshape(-1, 4, 4, DIM)
     kernel = sta.PRODUCT_KERNELS[L.mode.dual]
     out = np.zeros((len(pts), DIM))
@@ -381,41 +361,45 @@ def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackgroun
     return _ele_residual(L, psi, x, _plan(L, psi, bg, None))
 
 
-def ele_residual_reference(
+def ele_residual_two_paths(
     L: LagrangianSpec,
     X: FieldExpr,
     x,
     bg: GaugeBackground | None = None,
     construction: str | None = None,
 ):
-    """Residual via per-blade numeric slot gradients: the independent path.
+    """``(closed, reference)``: the residual at x by closed slot gradients and
+    by the independent path, from one plan and one evaluation at the points.
 
-    For gauge and spinor modes the dual derivative is still applied to the
-    closed slot-gradient field, but the grad_X term is recomputed per blade
-    from the density, so the two code paths share no gradient formulas for
-    that term; flat modes recompute both terms numerically.  The field trees
-    are evaluated once over the point set (and once over all its stencil
-    points); only the density differentiation runs row by row.  One point
-    gives a :class:`Multivector`, a (P, 4) batch gives (P, 16) components.
+    ``closed`` is what ``ele_residual_flat/gauge/spinor`` returns for the
+    family of L, with the same checks.  ``reference`` recomputes grad_X l per
+    blade from the density; gauge and spinor modes check the closed grad_d
+    against per-blade values and apply their dual derivative to it, and flat
+    modes recompute both terms numerically.  A point gives two Multivectors.
     """
     pts, single = _as_coords(x)
+    if L.mode is DerivMode.SPINOR:
+        require_even(X, x)
     plan = _plan(L, X, bg, construction)
     flat = L.mode.family == "flat"
     if not flat and plan["gd"] is None:
         raise ValueError("gauge/spinor reference path needs closed slot gradients")
-    values = evaluate((X, plan["d"]) if flat else (X, plan["d"], plan["gd"], plan["dual_gd"]), pts)
-    t1 = _point_gradients(L, values[:2], pts, 0)
+    reference_trees = (X, plan["d"]) if flat else (X, plan["d"], plan["gd"], plan["dual_gd"])
+    trees = tuple(dict.fromkeys(_residual_trees(X, plan) + reference_trees))
+    values = dict(zip(trees, evaluate(trees, pts)))
+    slots = values[X], values[plan["d"]]
+    t1 = _point_gradients(L, slots, pts, 0)
     if flat:
         t2 = _dual_of_numeric_slot_gradient(L, X, pts, plan)
     else:
         # cross-check the closed gradient against the per-blade one first
-        per_blade = _numeric_slot_gradients(L, *values[:2], pts)
-        for closed, blades in zip(values[2], per_blade):
+        per_blade = _point_gradients(L, slots, pts, 1)
+        for closed, blades in zip(values[plan["gd"]], per_blade):
             if np.linalg.norm(closed - blades) > 1e-6 * max(1.0, np.linalg.norm(blades)):
                 raise AssertionError("closed-form slot gradient disagrees with per-blade values")
-        t2 = values[3]
-    res = sta.restrict(t1 - t2, L.field_grades)
-    return Multivector(res[0]) if single else res
+        t2 = values[plan["dual_gd"]]
+    out = _residual(L, X, pts, plan, values), sta.restrict(t1 - t2, L.field_grades)
+    return tuple(Multivector(res[0]) for res in out) if single else out
 
 
 # ---------------------------------------------------------------------------

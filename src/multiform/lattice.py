@@ -172,7 +172,9 @@ class LatticeField:
         return _field(lattice, grades, np.zeros((len(_blade_masks(grades)),) + lattice.shape))
 
     def pair(self, other: "LatticeField") -> float:
-        """Sum over sites of the algebra scalar product of the two values."""
+        """Sum over sites of the algebra scalar product of two fields on equal lattices."""
+        if other.lattice is not self.lattice and other.lattice != self.lattice:
+            raise ValueError("the fields live on different lattices")
         return float((self.comps * SP_DIAG * other.comps).sum())
 
 

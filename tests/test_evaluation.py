@@ -39,8 +39,8 @@ from multiform.lagrangian import (
     decomposition_check,
     ele_residual_flat,
     ele_residual_gauge,
-    ele_residual_reference,
     ele_residual_spinor,
+    ele_residual_two_paths,
     make_builtin,
 )
 from multiform.sampling import (
@@ -221,7 +221,7 @@ def test_checks_free_fields_without_a_collection(gc_disabled):
     check_identity_spinor(psi, phi, bg, pts)
     ele_residual_spinor(make_builtin("dirac_gauge"), psi, pts, bg)
     ele_residual_flat(make_builtin("maxwell_flat"), X, pts)
-    ele_residual_reference(make_builtin("dirac_flat"), psi, pts[0])
+    ele_residual_two_paths(make_builtin("dirac_flat"), psi, pts[0])
     for tree in (E, R, B, inverse):
         del_expr_kind(del_expr_kind(tree, "gp"), "gp").sample(pts + 2.0)
     del tree

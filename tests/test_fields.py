@@ -196,6 +196,18 @@ def test_multivector_derivative_grade_mismatch():
         multivector_derivative(lambda W: W.sp(W), GAMMA[0] + ONE, {1})
 
 
+def test_richardson_offsets_are_the_derivative_step():
+    """_richardson finds its values by offset, so its offsets must be the
+    points scalar_derivative_at_zero samples; a second copy of the step that
+    drifted would raise KeyError here."""
+
+    def g(lam):
+        return np.array([np.sin(3.0 * lam), np.exp(lam), lam**3 - 2.0 * lam])
+
+    got = f._richardson([g(lam) for lam in f._RICHARDSON_OFFSETS])
+    assert np.array_equal(got, f.scalar_derivative_at_zero(g))
+
+
 def test_boundary_current_trivial_cases():
     pts = random_points(np.random.default_rng(4), 10)
     # a . scalar = 0 for every direction

@@ -27,8 +27,8 @@ from multiform.lagrangian import (
     decomposition_check,
     ele_residual_flat,
     ele_residual_gauge,
-    ele_residual_reference,
     ele_residual_spinor,
+    ele_residual_two_paths,
     make_builtin,
     residual_norms,
     variation,
@@ -260,8 +260,7 @@ def test_residual_two_code_paths_agree():
     for _ in range(5):
         A = random_field(rng, {1})
         x = rng.uniform(-1, 1, 4)
-        r1 = ele_residual_flat(L, A, x)
-        r2 = ele_residual_reference(L, A, x)
+        r1, r2 = ele_residual_two_paths(L, A, x)
         assert (r1 - r2).norm() <= 1e-7 * max(1.0, r1.norm())
 
 
@@ -342,8 +341,7 @@ def test_gauge_maxwell_two_paths():
     for _ in range(3):
         A = random_field(rng, {1})
         x = rng.uniform(-1, 1, 4)
-        r1 = ele_residual_gauge(L, A, x, bg)
-        r2 = ele_residual_reference(L, A, x, bg)
+        r1, r2 = ele_residual_two_paths(L, A, x, bg)
         assert (r1 - r2).norm() <= 1e-8 * max(1.0, r1.norm())
 
 
@@ -358,8 +356,7 @@ def test_spinor_residual_constant_field_constant_connection():
     psi0 = Multivector(rng.uniform(-1, 1, 16)).restrict({0, 2, 4})
     psi = Const(psi0)
     x = rng.uniform(-1, 1, 4)
-    got = ele_residual_spinor(L, psi, x, bg)
-    ref = ele_residual_reference(L, psi, x, bg)
+    got, ref = ele_residual_two_paths(L, psi, x, bg)
     assert (got - ref).norm() <= 1e-8 * max(1.0, got.norm())
 
 
@@ -481,7 +478,7 @@ def test_divergence_mode_gauge_residual():
             - gauge_del_expr(scale(2.0, d_expr), "op", bg).at(x)
         ).restrict({1})
         assert (res - want).norm() <= 1e-10
-        ref = ele_residual_reference(L, X, x, bg)
+        ref = ele_residual_two_paths(L, X, x, bg)[1]
         assert (res - ref).norm() <= 1e-7 * max(1.0, res.norm())
         assert decomposition_check(L, X, random_field(rng, {1}), x, bg) <= 1e-7
 
@@ -493,8 +490,7 @@ def test_maxwell_with_current_source():
     for _ in range(4):
         A = random_field(rng, {1})
         x = rng.uniform(-1, 1, 4)
-        r1 = ele_residual_flat(L, A, x)
-        r2 = ele_residual_reference(L, A, x)
+        r1, r2 = ele_residual_two_paths(L, A, x)
         assert (r1 - r2).norm() <= 1e-7 * max(1.0, r1.norm())
         # residual = -J + div(curl A)/mu0
         indep = del_expr_kind(del_expr_kind(A, "op"), "lc").at(x) * (1 / 1.7) - j_expr.at(x)
@@ -513,8 +509,7 @@ def test_dirac_with_external_potential():
     for _ in range(4):
         psi = random_even_field(rng)
         x = rng.uniform(-1, 1, 4)
-        r1 = ele_residual_flat(L, psi, x)
-        r2 = ele_residual_reference(L, psi, x)
+        r1, r2 = ele_residual_two_paths(L, psi, x)
         assert (r1 - r2).norm() <= 1e-7 * max(1.0, r1.norm())
         assert decomposition_check(L, psi, random_even_field(rng), x) <= 1e-7
 
@@ -649,7 +644,7 @@ def _reference_case(name, seed):
 def test_reference_batch_matches_single_points(name, construction, residual):
     """The reference residual of a (P, 4) batch equals P single-point calls bit for bit."""
     L, X, bg, pts = _reference_case(name, 28)
-    ref = lambda x: ele_residual_reference(L, X, x, bg, construction)
+    ref = lambda x: ele_residual_two_paths(L, X, x, bg, construction)[1]
     batch = ref(pts)
     assert batch.shape == (3, 16)
     assert isinstance(ref(pts[0]), Multivector)
@@ -663,7 +658,7 @@ def test_reference_batch_stays_independent(name, monkeypatch):
     """The batched reference path reads neither the per-blade batch gradient
     nor a closed grad_x (nor, for flat modes, a closed grad_d)."""
     L, X, bg, pts = _reference_case(name, 30)
-    want = ele_residual_reference(L, X, pts, bg)
+    want = ele_residual_two_paths(L, X, pts, bg)[1]
 
     def refuse(*args):
         raise AssertionError("blade_gradient on the reference path")
@@ -673,16 +668,33 @@ def test_reference_batch_stays_independent(name, monkeypatch):
     if L.mode.family == "flat":
         poisoned["grad_d"] = lambda Xe, de: scale(np.nan, de)
     L = dataclasses.replace(L, **poisoned)
-    assert np.array_equal(ele_residual_reference(L, X, pts, bg), want)
+    assert np.array_equal(ele_residual_two_paths(L, X, pts, bg)[1], want)
 
 
-def test_richardson_offsets_are_the_derivative_step():
-    """_richardson finds its values by offset, so its offsets must be the
-    points scalar_derivative_at_zero samples; a second copy of the step that
-    drifted would raise KeyError here."""
+@pytest.mark.parametrize("name, construction, residual", _RESIDUAL_CASES)
+def test_two_paths_closed_residual_is_the_family_residual(
+    name, construction, residual, monkeypatch
+):
+    """The closed half of ele_residual_two_paths is its family's residual
+    operator bit for bit, at one point and at a batch, and one call builds
+    one plan for both paths."""
+    L, X, bg, pts = _reference_case(name, 29)
+    want = residual(L, X, pts, bg)
+    want_single = residual(L, X, pts[0], bg)
+    plan, plans = lagrangian._plan, []
 
-    def g(lam):
-        return np.array([np.sin(3.0 * lam), np.exp(lam), lam**3 - 2.0 * lam])
+    def counted(*args):
+        plans.append(args)
+        return plan(*args)
 
-    got = lagrangian._richardson([g(lam) for lam in lagrangian._RICHARDSON_OFFSETS])
-    assert np.array_equal(got, f.scalar_derivative_at_zero(g))
+    monkeypatch.setattr(lagrangian, "_plan", counted)
+    assert np.array_equal(ele_residual_two_paths(L, X, pts, bg, construction)[0], want)
+    assert len(plans) == 1
+    closed, reference = ele_residual_two_paths(L, X, pts[0], bg, construction)
+    assert len(plans) == 2
+    assert isinstance(reference, Multivector)
+    assert np.array_equal(closed.comps, want_single.comps)
+    if L.mode is DerivMode.SPINOR:
+        # the spinor family's even-grade check holds on both paths
+        with pytest.raises(GradeError, match="even-grade"):
+            ele_residual_two_paths(L, Const(GAMMA[1]), pts, bg)

@@ -113,6 +113,25 @@ def test_lattice_field_equality_is_by_value():
         hash(F)
 
 
+def test_pair_refuses_a_field_on_another_lattice():
+    """Fields pair on equal lattices only: with equal site counts the sum
+    would be a number, and with unequal ones numpy's broadcast error."""
+    lat = Lattice(np.zeros(4), np.ones(4), 4, "periodic")
+    F = random_grade1_field(lat, np.random.default_rng(49))
+    twin = Lattice([0.0] * 4, [1.0] * 4, 4, "periodic")
+    assert F.pair(LatticeField(twin, {1}, F.comps)) == F.pair(F)
+    for other in (
+        Lattice(np.zeros(4), 2 * np.ones(4), 4, "dirichlet"),
+        Lattice(np.zeros(4), np.ones(4), 5, "periodic"),
+    ):
+        rng = np.random.default_rng(50)
+        for G in (LatticeField.zeros(other, {1}), random_grade1_field(other, rng)):
+            with pytest.raises(ValueError, match="different lattices"):
+                F.pair(G)
+            with pytest.raises(ValueError, match="different lattices"):
+                G.pair(F)
+
+
 def test_lattice_field_stores_only_the_blades_of_its_grades():
     """A field holds one compact (n_blades, N, N, N, N) array.  Each read of
     comps is a new read-only 16-wide array, bit for bit the input times the
