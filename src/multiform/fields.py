@@ -41,18 +41,15 @@ the call returns.  Only kept nodes keep a value between calls, in a slot
 coordinates (an equal array built anew hits it, one changed in place misses
 it): the leaves ``Const`` and ``position()``, the trees handed out for reuse
 (a ``deriv`` result, the four partials of an aggregate, an extensor field's
-matrix and trees, an outermorphism) and every tree ``derived`` builds from a
-kept node.  So the extensor field of a gauge background is evaluated once
-per point set.  A nine-scenario pass at seed 3 makes 68,494 evaluations and
-keeps 11,287 values between calls (69,517 and 11,297 while each two-path
-residual check evaluated its field twice, 72,418 and 11,717 while the spinor
-check also evaluated its identically-zero pairing, 70,050 and 26,122 when
-roots and nodes of several readers kept their last value).  Returned and
-kept values are read-only.  Trees are immutable after construction, but for
-reader counts and kept slots; each call has its own memo and a slot is
-replaced as one tuple, so point batches may be evaluated from concurrent
-contexts, which may recompute a value another has just kept.  A slot lives
-as long as its node.
+matrix and trees, a connection's columns, an outermorphism) and every tree
+``derived`` builds from a kept node.  So the extensor field and connection
+of a gauge background are evaluated once per point set.  A nine-scenario
+pass at seed 3 makes 63,833 evaluations and keeps 10,771 values between
+calls.  Returned and kept values are read-only.  Trees are immutable after
+construction, but for reader counts and kept slots; each call has its own
+memo and a slot is replaced as one tuple, so point batches may be evaluated
+from concurrent contexts, which may recompute a value another has just
+kept.  A slot lives as long as its node.
 A node owns its derivatives and chain-rule factors; aggregates and residual
 plans are built per call and owned by their caller.  Every tree is acyclic:
 nothing a node owns points back at it, so reference counting frees a field

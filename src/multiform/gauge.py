@@ -185,7 +185,8 @@ class OmegaField:
     """Bivector-valued connection: columns are Omega(g_mu) as field expressions.
 
     Columns are grade-2 projected on construction, which makes the purity
-    invariant hold identically.
+    invariant hold identically, and kept, as an extensor field's trees are,
+    so each is evaluated once per point set however many calls read it.
     """
 
     def __init__(self, columns):
@@ -193,7 +194,7 @@ class OmegaField:
         if len(cols) != 4:
             raise ValueError("need one bivector column per basis direction")
         self._columns = tuple(
-            ZERO if c.is_zero else Graded(c, {2}) for c in cols
+            ZERO if c.is_zero else _keep(Graded(c, {2})) for c in cols
         )
 
     @classmethod

@@ -11,18 +11,18 @@ equations
 
 with slot gradients grade-restricted to the field's grade set, so a field is
 a solution exactly when the residual vanishes.  ``decomposition_check``
-verifies pointwise that the variation splits into the residual pairing plus
-the divergence of the matching boundary current, which is the mechanism the
-stationarity proofs rest on.
+returns the variation with its pointwise distance from the residual pairing
+plus the divergence of the matching boundary current, the split the
+stationarity proofs rest on, from one evaluation of the trees of both.
 
 Points are batched: the residual operators, ``variation`` and
 ``decomposition_check`` take one point or a (P, 4) array.  Each call
 plans the field once: a plan holds the aggregate d and the closed slot
 gradients, including the dual aggregate of grad_d, as expression trees, a
 point set is one evaluation of those trees, and the plan is freed when the
-call returns.  A single point gives a :class:`Multivector` (or a float), a
-batch gives (P, 16) components (or (P,) values), equal row for row to the
-single point results.
+call returns.  A single point gives a :class:`Multivector` (or a float;
+``decomposition_check`` gives two), a batch gives (P, 16) components (or
+one (P,) array per float), equal row for row to the single point results.
 
 Slot gradients use closed forms when the LagrangianSpec provides them (all
 built-ins do).  Without ``grad_x``, :func:`blade_gradient` differentiates
@@ -223,6 +223,8 @@ def variation(
     Returns a float for one point and a (P,) array for a (P, 4) batch.
     """
     pts, single = _as_coords(x)
+    if L.mode is DerivMode.SPINOR:
+        require_even(X, x)
     # only the aggregates are needed: a plan would also build the slot gradients
     dX, dA = (_aggregate(L, Y, L.mode.star, bg, construction) for Y in (X, A))
     out = _variation(L, X, A, evaluate((X, dX, A, dA), pts), _weights(L, bg, pts), pts)
@@ -374,8 +376,11 @@ def ele_residual_two_paths(
     ``closed`` is what ``ele_residual_flat/gauge/spinor`` returns for the
     family of L, with the same checks.  ``reference`` recomputes grad_X l per
     blade from the density; gauge and spinor modes check the closed grad_d
-    against per-blade values and apply their dual derivative to it, and flat
-    modes recompute both terms numerically.  A point gives two Multivectors.
+    against per-blade values and apply the closed path's own dual aggregate
+    of it, so for a source-free ``maxwell_gauge``, whose grad_X l is zero,
+    ``closed - reference`` is 0.0 bit for bit and only that cross-check tests
+    anything.  Flat modes recompute both terms numerically.  A point gives
+    two Multivectors.
     """
     pts, single = _as_coords(x)
     if L.mode is DerivMode.SPINOR:
@@ -415,15 +420,18 @@ def decomposition_check(
     bg: GaugeBackground | None = None,
     construction: str | None = None,
 ):
-    """|variation - weight A.residual - div(current)| at x.
+    """``(variation, residual)``: the variation of :func:`variation`, bit for
+    bit, and |variation - weight A.residual - div(current)|, at x.
 
     The current is the boundary current of the matching divergence-form
     identity, applied to the variation direction and the slot-gradient
     field; a vanishing residual is the pointwise content of the
-    stationarity argument.  Returns a float for one point and a (P,) array
-    for a (P, 4) batch.
+    stationarity argument.  Returns two floats for one point and two (P,)
+    arrays for a (P, 4) batch.
     """
     pts, single = _as_coords(x)
+    if L.mode is DerivMode.SPINOR:
+        require_even(X, x)
     plan = _plan(L, X, bg, construction)
     if plan["gd"] is None:
         raise ValueError("decomposition check needs a closed-form grad_d")
@@ -437,11 +445,9 @@ def decomposition_check(
     values = dict(zip(trees, evaluate(trees, pts)))
     w = _weights(L, bg, pts)
     delta = _variation(L, X, A, [values[t] for t in varied], w, pts)
-    if L.mode is DerivMode.SPINOR:
-        require_even(X, pts)
     res = _residual(L, X, pts, plan, values)
-    out = np.abs(delta - w * sta.sp(values[A], res) - values[div][:, 0])
-    return float(out[0]) if single else out
+    out = delta, np.abs(delta - w * sta.sp(values[A], res) - values[div][:, 0])
+    return tuple(float(v[0]) for v in out) if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def test_criterion_7_decomposition_checks():
             A = random_field(rng, grades)
             for _ in range(2):
                 x = rng.uniform(-1, 1, 4)
-                worst = max(worst, decomposition_check(L, X, A, x, background))
+                worst = max(worst, decomposition_check(L, X, A, x, background)[1])
     _report(7, "variation decomposition", worst, 1e-7, time.perf_counter() - t0, 20.0)
 
 

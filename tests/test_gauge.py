@@ -192,6 +192,19 @@ def test_adjoint_shares_the_outermorphism_of_h():
     assert adjoint.deriv(a).left.outer is direct.deriv(a).left.outer
 
 
+def test_a_connection_column_is_evaluated_once_per_point_set(evaluated):
+    """The columns of Omega are kept, as h's trees are: two evaluation calls
+    at the same points, of two trees that read one column, evaluate it once."""
+    rng = np.random.default_rng(22)
+    bg = random_rotor_background(rng)
+    column, X = bg.omega.column(1), random_field(rng, {1})
+    assert not column.is_zero
+    pts = random_points(rng, 3)
+    for tree in (prod(column, X, "gp"), prod(X, column, "cross")):
+        tree.sample(pts)
+    assert sum(node is column for node in evaluated) == 1
+
+
 def test_singular_h_raises_without_warning():
     """h = diag(x^0, 1, 1, 1) at x^0 = 0: the pushforward aggregates and the
     inverse and star applications refuse the point before dividing by det h."""

@@ -386,6 +386,24 @@ def test_spinor_residual_rejects_odd_fields():
         ele_residual_spinor(L, position(), np.zeros(4), bg)
 
 
+def test_spinor_variation_rejects_odd_fields_before_building_a_tree(monkeypatch):
+    """variation and decomposition_check raise GradeError for an odd field in
+    spinor mode, as ele_residual_spinor does, before any aggregate is built."""
+    rng = np.random.default_rng(33)
+    bg = rotor_gauge(random_rotor(rng))
+    L = make_builtin("dirac_gauge")
+    psi, eta = random_field(rng, {1, 3}), random_field(rng, {1, 3})
+    pts = random_points(rng, 2)
+
+    def refuse(*args):
+        raise AssertionError("an aggregate built for an odd spinor")
+
+    monkeypatch.setattr(lagrangian, "_aggregate", refuse)
+    for check in (variation, decomposition_check):
+        with pytest.raises(GradeError, match="even-grade"):
+            check(L, psi, eta, pts, bg)
+
+
 # ---------------------------------------------------------------------------
 # decomposition checks
 # ---------------------------------------------------------------------------
@@ -395,7 +413,7 @@ def test_decomposition_zero_direction():
     L = make_builtin("maxwell_flat")
     rng = np.random.default_rng(16)
     A = random_field(rng, {1})
-    assert decomposition_check(L, A, f.ZERO, rng.uniform(-1, 1, 4)) <= 1e-15
+    assert decomposition_check(L, A, f.ZERO, rng.uniform(-1, 1, 4))[1] <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["maxwell_flat", "dirac_flat"])
@@ -409,7 +427,7 @@ def test_flat_decompositions(name):
         A = random_field(rng, grades)
         for _ in range(3):
             x = rng.uniform(-1, 1, 4)
-            worst = max(worst, decomposition_check(L, X, A, x))
+            worst = max(worst, decomposition_check(L, X, A, x)[1])
     assert worst <= 1e-7
 
 
@@ -425,7 +443,7 @@ def test_gauge_decompositions(name):
         A = random_field(rng, grades)
         for _ in range(2):
             x = rng.uniform(-1, 1, 4)
-            worst = max(worst, decomposition_check(L, X, A, x, bg))
+            worst = max(worst, decomposition_check(L, X, A, x, bg)[1])
     assert worst <= 1e-7
 
 
@@ -459,7 +477,7 @@ def test_divergence_mode_flat_residual():
         bare = dataclasses.replace(L, grad_x=None, grad_d=None)
         res2 = ele_residual_flat(bare, X, x)
         assert (res - res2).norm() <= 1e-7 * max(1.0, res.norm())
-        assert decomposition_check(L, X, random_field(rng, {1}), x) <= 1e-8
+        assert decomposition_check(L, X, random_field(rng, {1}), x)[1] <= 1e-8
 
 
 def test_divergence_mode_gauge_residual():
@@ -480,7 +498,7 @@ def test_divergence_mode_gauge_residual():
         assert (res - want).norm() <= 1e-10
         ref = ele_residual_two_paths(L, X, x, bg)[1]
         assert (res - ref).norm() <= 1e-7 * max(1.0, res.norm())
-        assert decomposition_check(L, X, random_field(rng, {1}), x, bg) <= 1e-7
+        assert decomposition_check(L, X, random_field(rng, {1}), x, bg)[1] <= 1e-7
 
 
 def test_maxwell_with_current_source():
@@ -495,7 +513,7 @@ def test_maxwell_with_current_source():
         # residual = -J + div(curl A)/mu0
         indep = del_expr_kind(del_expr_kind(A, "op"), "lc").at(x) * (1 / 1.7) - j_expr.at(x)
         assert (r1 - indep.restrict({1})).norm() <= 1e-11
-        assert decomposition_check(L, A, random_field(rng, {1}), x) <= 1e-8
+        assert decomposition_check(L, A, random_field(rng, {1}), x)[1] <= 1e-8
 
 
 def test_dirac_with_external_potential():
@@ -511,7 +529,7 @@ def test_dirac_with_external_potential():
         x = rng.uniform(-1, 1, 4)
         r1, r2 = ele_residual_two_paths(L, psi, x)
         assert (r1 - r2).norm() <= 1e-7 * max(1.0, r1.norm())
-        assert decomposition_check(L, psi, random_even_field(rng), x) <= 1e-7
+        assert decomposition_check(L, psi, random_even_field(rng), x)[1] <= 1e-7
 
 
 def test_nonpolynomial_density_paths():
@@ -592,7 +610,8 @@ _RESIDUAL_CASES = [
     ],
 )
 def test_batch_matches_single_points(name, construction, residual):
-    """One (P, 4) call equals P single-point calls bit for bit, NaN rows included.
+    """One (P, 4) call equals P single-point calls bit for bit, NaN rows
+    included, and the variation decomposition_check returns is variation's.
 
     The generic cases have no closed slot gradients: their residuals take the
     per-blade batch gradient and the coordinate stencils of the whole batch."""
@@ -617,14 +636,21 @@ def test_batch_matches_single_points(name, construction, residual):
             lambda x: variation(L, X, A, x, bg, construction),
         ]
         if not name.startswith("generic"):
-            ops.append(lambda x: decomposition_check(L, X, A, x, bg, construction))
+            # the (variation, residual) pair, one row per point
+            ops.append(lambda x: np.transpose(decomposition_check(L, X, A, x, bg, construction)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for op in ops:
-                batch = op(pts)
+            batches = [op(pts) for op in ops]
+            for op, batch in zip(ops, batches):
                 assert np.array_equal(batch, _single_values(op, pts), equal_nan=True)
+            if len(batches) == 3:
+                # decomposition_check's variation is variation's, bit for bit
+                assert np.array_equal(batches[2][:, 0], batches[1], equal_nan=True)
+                one = decomposition_check(L, X, A, pts[0], bg, construction)
+                assert [type(v) for v in one] == [float, float]
             norms = [residual(L, X, x, bg).norm() for x in pts]
-            assert np.array_equal(residual_norms(ops[0](pts)), norms, equal_nan=True)
+            assert np.array_equal(residual_norms(batches[0]), norms, equal_nan=True)
         assert np.isnan(norms).tolist() == [False, False, has_nan, False]
+        assert np.isnan(batches[1]).tolist() == [False, False, has_nan, False]
     if name.startswith("generic"):
         with pytest.raises(ValueError):
             decomposition_check(L, A, A, pts, bg, construction)

@@ -148,12 +148,15 @@ def test_unknown_scenario_rejected():
 
 
 def test_nan_after_finite_residual_fails_the_check(monkeypatch):
-    # the identity checks return one float per call, decomposition_check an array of rows
+    # the identity checks return one float per call, decomposition_check a
+    # (variation, residual) pair of arrays of rows
+    variations = np.array([0.5, 0.5, 0.5])
     cases = [
         ("identities-flat", "check_identity_flat", "identity-flat-lc", 1e-12, math.nan),
         ("identities-gauge", "check_identity_gauge", "identity-gauge-rotor-lc", 1e-12, math.nan),
         ("dirac-flat", "decomposition_check", "decomposition",
-         np.array([1e-12, 1e-12, 1e-12]), np.array([1e-12, math.nan, 1e-12])),
+         (variations, np.array([1e-12, 1e-12, 1e-12])),
+         (variations, np.array([1e-12, math.nan, 1e-12]))),
     ]
     for scenario, function, check, finite, nan in cases:
         residuals = iter([finite] + [nan] * 100)
@@ -170,24 +173,23 @@ def test_worst_of_ranks_nan_above_everything():
         assert math.isnan(worst_of(*values))
 
 
-# node evaluations at the CLI defaults, seed 3, with about 20% headroom over
-# the counts of 7,380 / 10,178 / 13,076 / 17,227 / 15,484 when every root kept
-# its last value between calls (7,380 / 10,949 / 13,161 / 15,102 / 15,484 now):
-# the oracles sample each stencil as one batch, and per-point oracles
-# (18,105 / 39,398 / 18,819 evaluations) would exceed the first three; the
-# identity scenarios evaluate the gauge background's kept trees once per
-# point set, and without them identities-gauge made 42,295.  identities-gauge's
-# bound is 15% over 15,102, under the 18,003 read while the spinor check also
-# evaluated its identically-zero aggregate pairing.  maxwell-flat's and
-# maxwell-gauge's bounds sit about 1.5% and 5% over their counts, under the
-# 11,146 and 13,987 read while residual-two-paths evaluated each field in two
-# library calls, each with its own plan
+# node evaluations at the CLI defaults, seed 3.  In the order below, the counts
+# are 4,854 / 10,378 / 12,433 / 14,326 / 15,484 / 3,193.  The oracles sample
+# each stencil as one batch; per-point oracles (18,105 / 39,398 / 18,819
+# evaluations) would exceed the first three bounds.  The identity scenarios
+# evaluate the gauge background's kept trees once per point set; without them
+# identities-gauge made 42,295.  identities-flat's bound keeps about 20%
+# headroom.  The others sit 1.5-5% over their counts, under the 7,380 /
+# 10,949 / 13,161 / 15,102 / 3,253 read while the derivative check evaluated
+# each tree in calls of its own, variation-vs-fd evaluated each field in two
+# library calls, and the columns of Omega kept no value between calls
 NODE_EVALUATION_BOUNDS = {
-    "derivatives": 8900,
-    "maxwell-flat": 11100,
-    "maxwell-gauge": 13800,
-    "identities-gauge": 17400,
+    "derivatives": 5100,
+    "maxwell-flat": 10600,
+    "maxwell-gauge": 12800,
+    "identities-gauge": 14900,
     "identities-flat": 18600,
+    "dirac-gauge": 3240,
 }
 
 
