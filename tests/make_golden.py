@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python tests/make_golden.py
 
-Runs every scenario at the CLI defaults for each seed in ``SEEDS`` and
-writes, per check, its name, ``max_residual``, tolerance and pass flag to
-``tests/golden_residuals.json``.  JSON floats round-trip exactly, so the
+Runs every scenario at the CLI defaults for each seed in ``SEEDS``, and
+``lattice-maxwell`` at ``--lattice 16`` for the same seeds, and writes, per
+check, its name, ``max_residual``, tolerance and pass flag to
+``tests/golden_residuals.json``; an N=16 record also carries its
+``lattice_n``.  JSON floats round-trip exactly, so the
 file pins each residual to the bit.  The stamp records what the bits may
 depend on: the numpy version, the BLAS build, the machine, the SIMD
 extensions numpy found on it, and the OpenBLAS thread count, since
@@ -27,6 +29,8 @@ import numpy as np
 from multiform.scenarios import SCENARIOS, ScenarioConfig, run_scenario
 
 SEEDS = (0, 1, 42)
+# (scenario, lattice_n) runs recorded after the CLI defaults, for each seed
+LARGE_LATTICE_RUNS = (("lattice-maxwell", 16),)
 GOLDEN_PATH = Path(__file__).with_name("golden_residuals.json")
 
 
@@ -60,20 +64,23 @@ def stamp() -> dict:
 
 
 def records() -> list[dict]:
-    """One record per check of every scenario and seed, in run order."""
+    """One record per check of every scenario and seed, then of every
+    ``LARGE_LATTICE_RUNS`` run and seed, in run order."""
+    runs = [(name, seed, {}) for seed in SEEDS for name in SCENARIOS]
+    runs += [(name, seed, {"lattice_n": n}) for name, n in LARGE_LATTICE_RUNS for seed in SEEDS]
     out = []
-    for seed in SEEDS:
-        for name in SCENARIOS:
-            report = run_scenario(ScenarioConfig(name, seed=seed))
-            for c in report.checks:
-                out.append({
-                    "scenario": name,
-                    "seed": seed,
-                    "name": c.name,
-                    "max_residual": float(c.max_residual),
-                    "tolerance": float(c.tolerance),
-                    "pass": bool(c.passed),
-                })
+    for name, seed, extra in runs:
+        report = run_scenario(ScenarioConfig(name, seed=seed, **extra))
+        for c in report.checks:
+            out.append({
+                "scenario": name,
+                "seed": seed,
+                **extra,
+                "name": c.name,
+                "max_residual": float(c.max_residual),
+                "tolerance": float(c.tolerance),
+                "pass": bool(c.passed),
+            })
     return out
 
 

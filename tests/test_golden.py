@@ -56,7 +56,7 @@ def test_residuals_match_golden_file():
         got = records()
 
     def key(r):
-        return r["scenario"], r["seed"], r["name"], r["tolerance"], r["pass"]
+        return r["scenario"], r["seed"], r.get("lattice_n"), r["name"], r["tolerance"], r["pass"]
 
     assert [key(r) for r in got] == [key(r) for r in want]
     moved = [
