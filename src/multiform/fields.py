@@ -13,7 +13,7 @@ coordinates and returns (P, 16) component arrays.  A point set larger than
 ``SAMPLE_BLOCK`` rows is evaluated one block of rows at a time into one
 output; no row's value depends on the rows evaluated with it, so the
 output equals one whole-set evaluation bit for bit, and no value holds more
-than a block of rows.  The lattice's slot gradients keep the same bound.
+than a block of rows.  So does every walk over a grid, via ``_grid_blocks``.
 ``expr.at(x)`` is the single-point form returning a :class:`Multivector`;
 it refuses a batch.
 Derivatives have no pointwise entry points of their own: ``X.deriv(a)``
@@ -915,11 +915,16 @@ def check_identity_flat(X: FieldExpr, Y: FieldExpr, kind: str, points) -> float:
     return float(np.abs(np.atleast_1d(lhs - divv[:, 0])).max())
 
 
-def _grid_block(axes: list[np.ndarray], lo: int) -> np.ndarray:
-    """The (rows, 4) points, SAMPLE_BLOCK at most, of the "ij" grid on ``axes`` from ``lo``."""
+def _grid_blocks(axes: list[np.ndarray]):
+    """Yield ``(rows, points)`` per SAMPLE_BLOCK slice of the "ij" grid on ``axes``,
+    in row-major order: a slice of the flat grid index and its (rows, 4) points."""
     shape = tuple(len(axis) for axis in axes)
-    index = np.unravel_index(np.arange(lo, min(lo + SAMPLE_BLOCK, math.prod(shape))), shape)
-    return np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+    size = math.prod(shape)
+    for lo in range(0, size, SAMPLE_BLOCK):
+        index = np.unravel_index(np.arange(lo, min(lo + SAMPLE_BLOCK, size)), shape)
+        points = np.stack([axis[i] for axis, i in zip(axes, index)], axis=-1)
+        del index  # not held while the caller works on the block
+        yield slice(lo, lo + SAMPLE_BLOCK), points
 
 
 def gauss_check(
@@ -943,22 +948,19 @@ def gauss_check(
         raise ValueError(f"box corners must be finite with hi > lo on every axis, got {box!r}")
     h = (hi - lo) / n
     axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
-    div, div_vals = del_expr_kind(v, "lc"), np.empty(n**4)
-    for start in range(0, n**4, SAMPLE_BLOCK):  # the grid in row-major order, a block at a time
-        div_vals[start : start + SAMPLE_BLOCK] = div.sample(_grid_block(axes, start))[:, 0]
-    volume = float(div_vals.sum() * np.prod(h))
 
+    def grid_sum(expr: FieldExpr, blade: int, grid: list[np.ndarray]):
+        """One blade of expr summed over the grid, assembled a block at a time."""
+        vals = np.empty(math.prod(len(axis) for axis in grid))
+        for rows, pts in _grid_blocks(grid):
+            vals[rows] = expr.sample(pts)[:, blade]
+        return vals.sum()
+
+    volume = float(grid_sum(del_expr_kind(v, "lc"), 0, axes) * np.prod(h))
     flux = 0.0
     for mu in range(4):
-        t_axes = [axes[k] for k in range(4) if k != mu]
-        tgrid = np.stack(np.meshgrid(*t_axes, indexing="ij"), axis=-1).reshape(-1, 3)
         area = float(np.prod([h[k] for k in range(4) if k != mu]))
         for side, sign in ((hi[mu], 1.0), (lo[mu], -1.0)):
-            pts = np.empty((tgrid.shape[0], 4))
-            pts[:, mu] = side
-            cols = [k for k in range(4) if k != mu]
-            for c, k in enumerate(cols):
-                pts[:, k] = tgrid[:, c]
-            vals = v.sample(pts)[:, 1 << mu]
-            flux += sign * float(vals.sum()) * area
+            face = axes[:mu] + [np.array([side])] + axes[mu + 1 :]  # one point on axis mu
+            flux += sign * float(grid_sum(v, 1 << mu, face)) * area
     return volume, flux

@@ -23,8 +23,8 @@ site-major arrays under np.tensordot stencils bit for bit (up to the sign
 of a zero; the oracle is in tests/test_kernel_oracle.py).  A LatticeField
 stores one such array.  Site-major 16-wide arrays appear only where values
 leave or enter: each read of LatticeField.comps, the public constructor's
-argument, pair and discrete_action, and the density and slot-gradient trees,
-which evaluate 16 components SAMPLE_BLOCK sites at a time.
+argument and pair, and the density and slot-gradient inputs, which hold one
+block of sites: every walk over the sites takes them from fields._grid_blocks.
 
 The stationary Maxwell operator is that residual for the source-free flat
 Maxwell density.  Its system is symmetric indefinite once signed by the
@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import sta
-from .fields import SAMPLE_BLOCK, FieldExpr, GradeError, Tabulated, _grid_block, evaluate, worst_of
+from .fields import FieldExpr, GradeError, Tabulated, _grid_blocks, evaluate, worst_of
 from .lagrangian import LagrangianSpec, blade_gradient
 from .sta import DIM, GRADES, SP_DIAG, VECTOR_IDX
 
@@ -318,15 +318,15 @@ def _zero_boundary(lat: Lattice, arr: np.ndarray) -> np.ndarray:
 
 
 def discretize(X: FieldExpr, lat: Lattice, grades) -> LatticeField:
-    """Sample a field expression at the site centers SAMPLE_BLOCK sites at a time
+    """Sample a field expression at the site centers a block of sites at a time
     into the field's compact array; values outside ``grades`` raise the guard's
     ``GradeError`` of :class:`LatticeField`, with the largest on the lattice."""
     grades = frozenset(grades)
     blades = _blade_masks(grades)
-    arr, axes, outside = np.empty((len(blades), lat.n_sites)), lat._axes(), 0.0
-    for lo in range(0, lat.n_sites, SAMPLE_BLOCK):
-        vals = X.sample(_grid_block(axes, lo))
-        arr[:, lo : lo + SAMPLE_BLOCK] = vals[:, blades].T
+    arr, outside = np.empty((len(blades), lat.n_sites)), 0.0
+    for rows, pts in _grid_blocks(lat._axes()):
+        vals = X.sample(pts)
+        arr[:, rows] = vals[:, blades].T
         outside = worst_of(outside, _off_grade(vals, grades))
     _guard(outside, grades)
     return _field(lat, grades, arr.reshape((len(blades),) + lat.shape))
@@ -350,27 +350,29 @@ def _aggregate(lat: Lattice, kind: str, arr: np.ndarray, grades, out_grades) -> 
     return _frame_sum(kind, arr, grades, d, out_grades, _stencils(lat))
 
 
-def _slot_gradients(
-    L: LagrangianSpec, F: LatticeField, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-site slot gradients (grad_X l, grad_d l) as compact arrays on the
-    blades of the field grades and of the aggregate grades, for the
-    aggregate ``d`` of F compact on the blades of ``L.d_grades()``.
+def _site_blocks(L: LagrangianSpec, F: LatticeField):
+    """Yield ``(rows, points, (f, d))`` per block of ``_grid_blocks``: the
+    block's values of F and of its aggregate d, widened to (rows, 16)."""
+    lat, dg = F.lattice, L.d_grades()
+    arr = F._blades.reshape(-1, lat.n_sites)
+    d = _aggregate(lat, L.mode.star, F._blades, F.grades, dg).reshape(-1, lat.n_sites)
+    for rows, pts in _grid_blocks(lat._axes()):
+        yield rows, pts, (_widen(arr[:, rows], F.grades), _widen(d[:, rows], dg))
 
-    Sites are taken ``SAMPLE_BLOCK`` rows at a time, as ``FieldExpr.sample``
-    takes points, so no value of an evaluation holds more than a block.  Per
-    block, the spec's closed slot-gradient trees are built on two leaves
-    that hold the block's values of F and of its aggregate d, widened to 16
-    components, at the block's coordinates; a slot without a closed form
-    takes the per-blade stencils of :func:`blade_gradient`.
+
+def _slot_gradients(L: LagrangianSpec, F: LatticeField) -> tuple[np.ndarray, np.ndarray]:
+    """Per-site slot gradients (grad_X l, grad_d l) as compact arrays on the
+    blades of the field grades and of the aggregate grades ``L.d_grades()``.
+
+    Per block of :func:`_site_blocks`, so that no value of an evaluation holds
+    more than a block, the spec's closed slot-gradient trees are built on two
+    leaves holding the block's F and aggregate at its coordinates; a slot
+    without a closed form takes the per-blade stencils of :func:`blade_gradient`.
     """
     lat = F.lattice
-    arr, d = F._blades.reshape(-1, lat.n_sites), d.reshape(-1, lat.n_sites)
     masks = (_blade_masks(L.field_grades), _blade_masks(L.d_grades()))
-    grads, axes = tuple(np.empty((len(m), lat.n_sites)) for m in masks), lat._axes()
-    for lo in range(0, lat.n_sites, SAMPLE_BLOCK):
-        rows, pts = slice(lo, lo + SAMPLE_BLOCK), _grid_block(axes, lo)
-        block = (_widen(arr[:, rows], F.grades), _widen(d[:, rows], L.d_grades()))
+    grads = tuple(np.empty((len(m), lat.n_sites)) for m in masks)
+    for rows, pts, block in _site_blocks(L, F):
         leaves = (Tabulated(block[0], F.grades, pts), Tabulated(block[1], L.d_grades(), pts))
         for k, build in enumerate((L.grad_x, L.grad_d)):
             tree = None if build is None else build(*leaves)
@@ -381,12 +383,11 @@ def _slot_gradients(
 
 
 def discrete_action(L: LagrangianSpec, F: LatticeField) -> float:
-    """Sum over sites of the density times the cell volume."""
+    """Sum over sites of the density, assembled a block at a time, times the cell volume."""
     _require_operands(L, F)
-    dg = L.d_grades()
-    d = _widen(_aggregate(F.lattice, L.mode.star, F._blades, F.grades, dg), dg)
-    xs = F.lattice.coords().reshape(-1, 4)
-    dens = L.density(F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
+    dens = np.empty(F.lattice.n_sites)
+    for rows, pts, (f, d) in _site_blocks(L, F):
+        dens[rows] = L.density(f, d, pts)
     return float(dens.sum() * F.lattice.cell_volume)
 
 
@@ -396,9 +397,7 @@ def _residual(L: LagrangianSpec, F: LatticeField) -> np.ndarray:
     transposed stencils."""
     _require_operands(L, F)
     lat = F.lattice
-    gx, gd = _slot_gradients(
-        L, F, _aggregate(lat, L.mode.star, F._blades, F.grades, L.d_grades())
-    )
+    gx, gd = _slot_gradients(L, F)
     _frame_sum(L.mode.dual, gd, L.d_grades(), gx, L.field_grades, _stencils(lat, transpose=True))
     return _zero_boundary(lat, gx)
 

@@ -299,25 +299,6 @@ def test_gauss_check_takes_a_numpy_integer_n():
     assert got == pytest.approx((4.0, 4.0), rel=1e-12)
 
 
-def _whole_grid_volume(v, box, n):
-    """The midpoint volume integral over the whole (n^4, 4) grid sampled at once."""
-    lo, hi = (np.asarray(c, dtype=float) for c in box)
-    h = (hi - lo) / n
-    axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    return float(del_expr_kind(v, "lc").sample(grid)[:, 0].sum() * np.prod(h))
-
-
-@pytest.mark.parametrize("n", [8, 9, 16])
-def test_streamed_gauss_volume_equals_the_whole_grid_bit_for_bit(n):
-    """gauss_check builds its midpoints a block at a time and keeps one column;
-    at n = 9 the 6,561 points end in a partial block."""
-    v = prod(Const(GAMMA[1]), ScalarMap(coordinate(GAMMA[1] + GAMMA[0]), "sin"), "gp")
-    v = add(v, prod(position(), PolyMap(coordinate(GAMMA[3]), [0.3, -1.1, 0.7]), "gp"))
-    box = (np.array([0.0, -0.5, 0.2, 1.0]), np.array([1.0, 0.5, 1.2, 3.0]))
-    assert gauss_check(v, box, n)[0] == _whole_grid_volume(v, box, n)
-
-
 def test_gauss_check_working_set_is_bounded():
     """65,536 sampled points in blocks: the peak is a few (P, 16) arrays, not
     one per tree node."""

@@ -40,8 +40,11 @@ from multiform.fields import (
     Rev,
     Scale,
     ScalarMap,
+    add,
     check_identity_flat,
     coordinate,
+    del_expr_kind,
+    gauss_check,
     position,
     prod,
     scalar_derivative_at_zero,
@@ -321,6 +324,40 @@ def test_blocked_sample_at_the_module_block():
         assert np.array_equal(tree.sample(pts), whole)
 
 
+def oracle_gauss_check(v, box, n):
+    """gauss_check over whole grids: the (n^4, 4) midpoint grid and each face's
+    (n^3, 4) points copied column by column from a meshgrid of its three
+    transverse axes."""
+    lo, hi = (np.asarray(c, dtype=float) for c in box)
+    h = (hi - lo) / n
+    axes = [lo[k] + (np.arange(n) + 0.5) * h[k] for k in range(4)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    volume = float(del_expr_kind(v, "lc").sample(grid)[:, 0].sum() * np.prod(h))
+    flux = 0.0
+    for mu in range(4):
+        cols = [k for k in range(4) if k != mu]
+        tgrid = np.stack(np.meshgrid(*[axes[k] for k in cols], indexing="ij"), axis=-1).reshape(-1, 3)
+        area = float(np.prod([h[k] for k in cols]))
+        for side, sign in ((hi[mu], 1.0), (lo[mu], -1.0)):
+            pts = np.empty((tgrid.shape[0], 4))
+            pts[:, mu] = side
+            for c, k in enumerate(cols):
+                pts[:, k] = tgrid[:, c]
+            flux += sign * float(v.sample(pts)[:, 1 << mu].sum()) * area
+    return volume, flux
+
+
+@pytest.mark.parametrize("n", [5, 8, 9, 16, 17])
+def test_blocked_gauss_check_equals_the_whole_grid_oracle(n):
+    """Bit for bit.  At n = 9 the volume's 6,561 points end in a partial
+    block, and at n = 17 so do each face's 4,913."""
+    v = prod(Const(GAMMA[1]), ScalarMap(coordinate(GAMMA[1] + GAMMA[0]), "sin"), "gp")
+    v = add(v, prod(position(), PolyMap(coordinate(GAMMA[3]), [0.3, -1.1, 0.7]), "gp"))
+    box = (np.array([0.0, -0.5, 0.2, 1.0]), np.array([1.0, 0.5, 1.2, 3.0]))
+    got, want = gauss_check(v, box, n), oracle_gauss_check(v, box, n)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 @pytest.mark.parametrize("root", range(len(ROOT_KINDS)), ids=ROOT_KINDS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -528,6 +565,35 @@ def test_compact_lattice_frame_sums_equal_the_16_wide_path(n, bc):
             assert np.array_equal(got, adjoint)
     a = _arr(rng, lat.shape + (DIM,)) * sta.grade_mask({1})
     assert np.array_equal(lattice.maxwell_operator(lat)(a), oracle_maxwell(lat, a))
+
+
+def oracle_discrete_action(L, F):
+    """The density over whole-lattice coordinates, F and aggregate, summed once."""
+    dg = L.d_grades()
+    d = lattice._widen(lattice._aggregate(F.lattice, L.mode.star, F._blades, F.grades, dg), dg)
+    xs = F.lattice.coords().reshape(-1, 4)
+    dens = L.density(F.comps.reshape(-1, DIM), d.reshape(-1, DIM), xs)
+    return float(dens.sum() * F.lattice.cell_volume)
+
+
+@pytest.mark.parametrize("n, block", [(9, None), (5, 64)], ids=["two-blocks", "block-64"])
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_blocked_discrete_action_equals_the_whole_lattice_sum(bc, n, block):
+    """Bit for bit, for a sourced maxwell_flat and for dirac_flat: at N=9 the
+    6,561 sites take two blocks, and with the block cut to 64 rows the 625
+    sites of N=5 end in a partial one."""
+    rng = np.random.default_rng(n)
+    lat = lattice.Lattice(np.zeros(4), np.array([1.0, 2.0, 1.5, 2 * np.pi]), n, bc)
+    specs = [
+        make_builtin("maxwell_flat", sources={"J": random_field(rng, {1})}),
+        make_builtin("dirac_flat", sources={"A_ext": random_field(rng, {1})}),
+    ]
+    for L in specs:
+        comps = rng.uniform(-1, 1, lat.shape + (DIM,)) * sta.grade_mask(L.field_grades)
+        F = lattice.LatticeField(lat, L.field_grades, comps)
+        with mock.patch.object(fields, "SAMPLE_BLOCK", block or fields.SAMPLE_BLOCK):
+            got = lattice.discrete_action(L, F)
+        assert got.hex() == oracle_discrete_action(L, F).hex()
 
 
 def oracle_fft_solve(lat, rhs):

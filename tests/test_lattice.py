@@ -817,7 +817,7 @@ def test_maxwell_slot_gradients_are_the_closed_form(bc, n, with_j):
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
     F = random_grade1_field(lat, rng)
     d = lattice._aggregate(lat, "op", F._blades, F.grades, L.d_grades())
-    gx, gd = lattice._slot_gradients(L, F, d)
+    gx, gd = lattice._slot_gradients(L, F)
     xs = lat.coords().reshape(-1, 4)
     want_x = -sta.restrict(J.sample(xs), {1}).reshape(F.comps.shape)
     assert np.array_equal(gx, lattice._compact(want_x, L.field_grades))
@@ -833,8 +833,7 @@ def test_dirac_closed_slot_gradients_match_the_blade_stencils(bc, n):
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, bc=bc)
     comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask(L.field_grades)
     F = LatticeField(lat, L.field_grades, comps)
-    d = lattice._aggregate(lat, "gp", F._blades, F.grades, L.d_grades())
-    for closed, blades in zip(lattice._slot_gradients(L, F, d), lattice._slot_gradients(generic, F, d)):
+    for closed, blades in zip(lattice._slot_gradients(L, F), lattice._slot_gradients(generic, F)):
         assert np.abs(closed - blades).max() <= 1e-13 * max(1.0, np.abs(blades).max())
     for op in (action_gradient, discrete_ele_residual):
         want = op(generic, F).comps
@@ -847,7 +846,7 @@ def test_dirac_closed_slot_gradients_match_the_blade_stencils(bc, n):
         seen.append((Xe.grades, de.grades))
         return L.grad_x(Xe, de)
 
-    lattice._slot_gradients(dataclasses.replace(L, grad_x=grad_x), F, d)
+    lattice._slot_gradients(dataclasses.replace(L, grad_x=grad_x), F)
     assert seen == [({0, 2, 4}, {1, 3})]
 
 
@@ -925,6 +924,28 @@ def test_maxwell_operator_at_n16_peaks_below_whole_operand_stencils():
     peak = _traced_peak_mib(lambda: lattice._maxwell(lat, a))
     bound = MAXWELL_N16_PEAK_BOUND_MIB
     warnings.warn(f"tracemalloc peak of one maxwell operator at N=16: {peak:.1f} MiB (bound {bound} MiB)")
+    assert peak <= bound
+
+
+# the density is taken a block of sites at a time: the 4 MiB compact aggregate,
+# one block's 16-wide F and aggregate and the products the density forms on
+# them.  18.0 MiB is about 20% over the 14.9 MiB read, and under the 170.6 MiB
+# of a density over whole-lattice coordinates, F and aggregate
+DIRAC_ACTION_N16_PEAK_BOUND_MIB = 18.0
+
+
+@pytest.mark.filterwarnings("default:tracemalloc peak")
+def test_dirac_discrete_action_at_n16_peaks_below_whole_lattice_arrays():
+    """discrete_action of a random even-grade field on an N=16 lattice under
+    dirac_flat stays below 18 MiB."""
+    lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 16, "periodic")
+    L = make_builtin("dirac_flat")
+    comps = np.random.default_rng(16).uniform(-1, 1, lat.shape + (16,))
+    F = LatticeField(lat, L.field_grades, comps * sta.grade_mask(L.field_grades))
+    del comps
+    peak = _traced_peak_mib(lambda: discrete_action(L, F))
+    bound = DIRAC_ACTION_N16_PEAK_BOUND_MIB
+    warnings.warn(f"tracemalloc peak of a dirac discrete_action at N=16: {peak:.1f} MiB (bound {bound} MiB)")
     assert peak <= bound
 
 

@@ -174,18 +174,19 @@ def test_worst_of_ranks_nan_above_everything():
 
 
 # node evaluations at the CLI defaults, seed 3.  In the order below, the counts
-# are 4,854 / 10,378 / 12,433 / 14,326 / 15,484 / 3,193.  The oracles sample
+# are 4,854 / 10,118 / 12,433 / 14,326 / 15,484 / 3,193.  The oracles sample
 # each stencil as one batch; per-point oracles (18,105 / 39,398 / 18,819
 # evaluations) would exceed the first three bounds.  The identity scenarios
 # evaluate the gauge background's kept trees once per point set; without them
 # identities-gauge made 42,295.  identities-flat's bound keeps about 20%
 # headroom.  The others sit 1.5-5% over their counts, under the 7,380 /
-# 10,949 / 13,161 / 15,102 / 3,253 read while the derivative check evaluated
-# each tree in calls of its own, variation-vs-fd evaluated each field in two
-# library calls, and the columns of Omega kept no value between calls
+# 10,378 / 13,161 / 15,102 / 3,253 read while the derivative check evaluated
+# each tree in calls of its own, variation-vs-fd's finite-difference oracle
+# sampled each perturbed field and its curl in calls of their own, and the
+# columns of Omega kept no value between calls
 NODE_EVALUATION_BOUNDS = {
     "derivatives": 5100,
-    "maxwell-flat": 10600,
+    "maxwell-flat": 10300,
     "maxwell-gauge": 12800,
     "identities-gauge": 14900,
     "identities-flat": 18600,
