@@ -44,7 +44,7 @@ it): the leaves ``Const`` and ``position()``, the trees handed out for reuse
 matrix and trees, a connection's columns, an outermorphism) and every tree
 ``derived`` builds from a kept node.  So the extensor field and connection
 of a gauge background are evaluated once per point set.  A nine-scenario
-pass at seed 3 makes 63,833 evaluations and keeps 10,771 values between
+pass at seed 3 makes 61,065 evaluations and keeps 10,771 values between
 calls.  Returned and kept values are read-only.  Trees are immutable after
 construction, but for reader counts and kept slots; each call has its own
 memo and a slot is replaced as one tuple, so point batches may be evaluated

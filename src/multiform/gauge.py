@@ -284,17 +284,9 @@ def rotor_gauge(R) -> GaugeBackground:
     rotor.validate(_PROBE)
     expr = rotor.expr
     rev_r = Rev(expr)
-    entries = [
-        [
-            prod(
-                GAMMA_UP_NODES[nu],
-                prod(prod(expr, GAMMA_NODES[mu], "gp"), rev_r, "gp"),
-                "sp",
-            )
-            for mu in range(4)
-        ]
-        for nu in range(4)
-    ]
+    # the frame R g_mu R~, one tree per mu that column mu's four entries share
+    frames = [prod(prod(expr, GAMMA_NODES[mu], "gp"), rev_r, "gp") for mu in range(4)]
+    entries = [[prod(GAMMA_UP_NODES[nu], frame, "sp") for frame in frames] for nu in range(4)]
     columns = [
         scale(-2.0, prod(expr.deriv(GAMMA[mu]), rev_r, "gp")) for mu in range(4)
     ]
@@ -457,11 +449,11 @@ def check_identity_spinor(
     require_even(phi, _PROBE[0])
     if bg.omega is None:
         raise ValueError("spinor derivatives need a connection field")
-    trees = [psi, phi]
+    trees, rev_psi, rev_phi = [psi, phi], Rev(psi), Rev(phi)
     for mu in range(4):
         w = add(
-            prod(prod(phi, bg.omega.column(mu), "gp"), Rev(psi), "gp"),
-            prod(prod(psi, bg.omega.column(mu), "gp"), Rev(phi), "gp"),
+            prod(prod(phi, bg.omega.column(mu), "gp"), rev_psi, "gp"),
+            prod(prod(psi, bg.omega.column(mu), "gp"), rev_phi, "gp"),
         )
         trees += [w, bg.h.star_basis(mu, upper=True)]
     psiv, phiv, *rest = evaluate(trees, points)

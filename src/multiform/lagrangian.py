@@ -330,8 +330,7 @@ def _dual_of_numeric_slot_gradient(
     kernel = sta.PRODUCT_KERNELS[L.mode.dual]
     out = np.zeros((len(pts), DIM))
     for mu in range(4):
-        for row, deriv in zip(out, _richardson(grads[:, mu].swapaxes(0, 1))):
-            row += kernel(GAMMA_UP[mu].comps, deriv)
+        out += kernel(GAMMA_UP[mu].comps, _richardson(grads[:, mu].swapaxes(0, 1)))
     return out
 
 

@@ -27,10 +27,11 @@ argument and pair, and the density and slot-gradient inputs, which hold one
 block of sites: every walk over the sites takes them from fields._grid_blocks.
 
 The stationary Maxwell operator is that residual for the source-free flat
-Maxwell density.  Its system is symmetric indefinite once signed by the
-metric, and singular: pure-gauge potentials lie in its kernel.  On a
-periodic lattice it is circulant, so a 4D FFT solves it directly, one 4x4
-block per wavevector, and returns the minimum-norm potential; on a
+Maxwell density: the residual's scatter of its slot gradient grad_d l =
+-curl A, with no grad_X l term.  Its system is symmetric indefinite once
+signed by the metric, and singular: pure-gauge potentials lie in its kernel.
+On a periodic lattice it is circulant, so a 4D FFT solves it directly, one
+4x4 block per wavevector, and returns the minimum-norm potential; on a
 Dirichlet lattice MINRES solves the masked system.  Either way the returned
 potential is certified against the true discrete operator.  scipy supplies
 MINRES and nothing else, so it is imported by the first Dirichlet solve with
@@ -283,9 +284,8 @@ def _frame_sum(
     acc: np.ndarray,
     out_grades,
     mats: list[np.ndarray],
-    sign: float = 1.0,
 ) -> np.ndarray:
-    """acc += sign * sum_mu g^mu * (mats[mu] along axis mu of arr), in place.
+    """acc += sum_mu g^mu * (mats[mu] along axis mu of arr), in place.
 
     ``arr`` and ``acc`` are compact, on the blades of ``grades`` and of
     ``out_grades``; terms that land on other blades are dropped.  g^mu * .
@@ -298,7 +298,7 @@ def _frame_sum(
     for mu, pairs in enumerate(_frame_pairs(kind, frozenset(grades), frozenset(out_grades))):
         for i, o, s in pairs:
             x = _apply_stencil(arr[i], mats[mu], mu)
-            if s * sign > 0:
+            if s > 0:
                 acc[o] += x
             else:
                 acc[o] -= x
@@ -350,6 +350,15 @@ def _aggregate(lat: Lattice, kind: str, arr: np.ndarray, grades, out_grades) -> 
     return _frame_sum(kind, arr, grades, d, out_grades, _stencils(lat))
 
 
+def _scatter(
+    lat: Lattice, kind: str, g: np.ndarray, grades, acc: np.ndarray, out_grades
+) -> np.ndarray:
+    """acc += sum_mu g^mu * D_mu^T g in place, g and acc compact on the blades
+    of ``grades`` and ``out_grades``; returned with the dirichlet shell at 0."""
+    acc = _frame_sum(kind, g, grades, acc, out_grades, _stencils(lat, transpose=True))
+    return _zero_boundary(lat, acc)
+
+
 def _site_blocks(L: LagrangianSpec, F: LatticeField):
     """Yield ``(rows, points, (f, d))`` per block of ``_grid_blocks``: the
     block's values of F and of its aggregate d, widened to (rows, 16)."""
@@ -396,10 +405,8 @@ def _residual(L: LagrangianSpec, F: LatticeField) -> np.ndarray:
     dirichlet shell, compact: the slot gradients scattered back through the
     transposed stencils."""
     _require_operands(L, F)
-    lat = F.lattice
     gx, gd = _slot_gradients(L, F)
-    _frame_sum(L.mode.dual, gd, L.d_grades(), gx, L.field_grades, _stencils(lat, transpose=True))
-    return _zero_boundary(lat, gx)
+    return _scatter(F.lattice, L.mode.dual, gd, L.d_grades(), gx, L.field_grades)
 
 
 def action_gradient(L: LagrangianSpec, F: LatticeField) -> LatticeField:
@@ -452,22 +459,23 @@ def discrete_gauss(v: LatticeField) -> tuple[float, float]:
 
 
 def _maxwell(lat: Lattice, a: np.ndarray) -> np.ndarray:
-    """div(curl a) on compact grade-1 arrays (4, N, N, N, N): the dual
-    aggregate -sum_mu g^mu . D_mu^T of curl a, 0 on the dirichlet shell."""
+    """div(curl a) on compact grade-1 arrays (4, N, N, N, N): the residual's
+    scatter of grad_d l = -curl a, 0 on the dirichlet shell."""
     # allocated before curl and the stencilled blades, so that once those are
     # freed they leave one free block above it, where the 16-wide result of
     # maxwell_operator then fits
     out = np.zeros((4,) + lat.shape)
-    curl = _frame_sum("op", a, {1}, np.zeros((6,) + lat.shape), {2}, _stencils(lat))
-    _frame_sum("lc", curl, {2}, out, {1}, _stencils(lat, transpose=True), sign=-1.0)
-    return _zero_boundary(lat, out)
+    grad_d = _aggregate(lat, "op", a, {1}, {2})
+    np.negative(grad_d, out=grad_d)  # in place: a copy would raise the N=16 peak
+    return _scatter(lat, "lc", grad_d, {2}, out, {1})
 
 
 def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     """The discrete div(curl(.)) map on grade-1 component arrays.
 
     This is the discrete Euler-Lagrange residual of the source-free flat
-    Maxwell density with mu0 = 1, whose d-slot gradient is -(curl A).
+    Maxwell density with mu0 = 1: the residual's scatter of the d-slot
+    gradient grad_d l = -(curl A) through the transposed stencils.
     """
 
     def apply(comps: np.ndarray) -> np.ndarray:

@@ -101,8 +101,6 @@ def _prod(x: np.ndarray, y: np.ndarray, flat: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.ndim == 1 or (x.shape == y.shape and x.size and not any(x.strides[:-1])):
         a = (x[(0,) * (x.ndim - 1)] @ flat).reshape(DIM, DIM)
-        if y.ndim == 1:
-            return (a * y[:, None]).sum(axis=0)
         return np.einsum("jk,...j->...k", a, y)
     a = (x.reshape(-1, DIM) @ flat).reshape(x.shape[:-1] + (DIM, DIM))
     return np.einsum("...jk,...j->...k", a, y)

@@ -12,6 +12,8 @@ from multiform.fields import (
     BladeExp,
     Const,
     GradeError,
+    Prod,
+    Rev,
     ScalarMap,
     coordinate,
     del_expr_kind,
@@ -203,6 +205,22 @@ def test_a_connection_column_is_evaluated_once_per_point_set(evaluated):
     for tree in (prod(column, X, "gp"), prod(X, column, "cross")):
         tree.sample(pts)
     assert sum(node is column for node in evaluated) == 1
+
+
+def test_rotor_frames_and_spinor_reversions_are_evaluated_once(evaluated):
+    """h's 16 entries g^nu . (R g_mu R~) read four frame trees, one per mu, and
+    the spinor identity reads one reversion of psi and one of phi."""
+    rng = np.random.default_rng(23)
+    R = random_rotor(rng)
+    bg, pts = rotor_gauge(R), random_points(rng, 3)
+    evaluate((bg.h.matrix(),), pts)
+    frames = [n for n in evaluated if isinstance(n, Prod) and isinstance(n.right, Rev)]
+    assert len(frames) == 4 and all(n.right.child is R for n in frames)
+    evaluated.clear()
+    psi, phi = random_even_field(rng), random_even_field(rng)
+    assert check_identity_spinor(psi, phi, bg, pts) <= 1e-7
+    for spinor in (psi, phi):
+        assert sum(isinstance(n, Rev) and n.child is spinor for n in evaluated) == 1
 
 
 def test_singular_h_raises_without_warning():

@@ -508,11 +508,12 @@ def _aggregate(lat, kind, comps, grades):
 
 
 def _scatter(lat, kind, arr, grades, acc, out_grades, transpose, sign):
-    """lattice's compact frame sum on 16-wide operands, returned 16 wide."""
+    """lattice's compact frame sum of sign * arr on 16-wide operands, returned
+    16 wide; negating arr is exact."""
     out = lattice._compact(acc, out_grades)
     lattice._frame_sum(
-        kind, lattice._compact(arr, grades), grades, out, out_grades,
-        lattice._stencils(lat, transpose), sign,
+        kind, sign * lattice._compact(arr, grades), grades, out, out_grades,
+        lattice._stencils(lat, transpose),
     )
     return lattice._widen(lattice._zero_boundary(lat, out), out_grades)
 

@@ -174,23 +174,24 @@ def test_worst_of_ranks_nan_above_everything():
 
 
 # node evaluations at the CLI defaults, seed 3.  In the order below, the counts
-# are 4,854 / 10,118 / 12,433 / 14,326 / 15,484 / 3,193.  The oracles sample
+# are 4,854 / 10,118 / 10,465 / 14,050 / 15,484 / 2,930.  The oracles sample
 # each stencil as one batch; per-point oracles (18,105 / 39,398 / 18,819
 # evaluations) would exceed the first three bounds.  The identity scenarios
 # evaluate the gauge background's kept trees once per point set; without them
 # identities-gauge made 42,295.  identities-flat's bound keeps about 20%
 # headroom.  The others sit 1.5-5% over their counts, under the 7,380 /
-# 10,378 / 13,161 / 15,102 / 3,253 read while the derivative check evaluated
+# 10,378 / 12,433 / 14,326 / 3,193 read while the derivative check evaluated
 # each tree in calls of its own, variation-vs-fd's finite-difference oracle
-# sampled each perturbed field and its curl in calls of their own, and the
-# columns of Omega kept no value between calls
+# sampled each perturbed field and its curl in calls of their own, and a
+# rotor background built R g_mu R~ once per entry of h (16 trees, not 4) and
+# the spinor identity built Rev(psi) and Rev(phi) once per mu
 NODE_EVALUATION_BOUNDS = {
     "derivatives": 5100,
     "maxwell-flat": 10300,
-    "maxwell-gauge": 12800,
-    "identities-gauge": 14900,
+    "maxwell-gauge": 10700,
+    "identities-gauge": 14300,
     "identities-flat": 18600,
-    "dirac-gauge": 3240,
+    "dirac-gauge": 3000,
 }
 
 
@@ -202,7 +203,11 @@ NODE_EVALUATION_BOUNDS = {
 # derivative kept its value and the lattice aggregate was 16-wide; 19.8 and
 # 23.3 MiB for the first two when every node kept its value).  lattice-maxwell
 # reads 6.1 MiB once each lattice field stores only the blades of its grades,
-# so its bound is 20% over that, under the 8.0 MiB of 16-wide fields
+# so its bound is 20% over that, under the 8.0 MiB of 16-wide fields.  Run
+# alone it reads 6.8 MiB: the shared position() leaf keeps its last value
+# between calls, and a run that starts with that slot empty counts the
+# 4096-row block it leaves there in its peak; filling the leaf with one
+# 4096-row sample before tracing turns the lone reading into 6.1 MiB
 PEAK_BOUNDS_MIB = {"identities-flat": 10.0, "identities-gauge": 12.0, "lattice-maxwell": 7.3}
 
 
