@@ -32,10 +32,11 @@ Maxwell density: the residual's scatter of its slot gradient grad_d l =
 signed by the metric, and singular: pure-gauge potentials lie in its kernel.
 On a periodic lattice it is circulant, so a 4D FFT solves it directly, one
 4x4 block per wavevector, and returns the minimum-norm potential; on a
-Dirichlet lattice MINRES solves the masked system.  Either way the returned
-potential is certified against the true discrete operator.  scipy supplies
-MINRES and nothing else, so it is imported by the first Dirichlet solve with
-a nonzero current, not with this module.
+Dirichlet lattice MINRES solves the masked system, its vectors the compact
+arrays flattened.  Either way the returned potential is certified against
+the true discrete operator.  scipy supplies MINRES and nothing else, so it
+is imported by the first Dirichlet solve with a nonzero current, not with
+this module.
 """
 
 from __future__ import annotations
@@ -484,15 +485,19 @@ def maxwell_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
+# metric signs of the four vector components, on axis 0 of a compact array
+_VECTOR_SIGNS = SP_DIAG[VECTOR_IDX].reshape(4, 1, 1, 1, 1)
+
+
 def _projected_operator(lat: Lattice) -> Callable[[np.ndarray], np.ndarray]:
     """The matvec MINRES solves with: the Maxwell operator with the boundary
     sites masked on input as on output, signed by the metric so that the
-    system is symmetric.  Vectors are site-major, four components per site."""
-    eps = SP_DIAG[VECTOR_IDX]  # metric signs of the four vector components
+    system is symmetric.  Vectors are compact (4, N, N, N, N) arrays,
+    flattened: component-major, as the operator stores them."""
 
     def matvec(u: np.ndarray) -> np.ndarray:
-        a = _zero_boundary(lat, np.moveaxis(u.reshape(lat.shape + (4,)), -1, 0))
-        return (np.moveaxis(_maxwell(lat, a), 0, -1) * eps).reshape(-1)
+        a = _zero_boundary(lat, u.reshape((4,) + lat.shape))
+        return (_maxwell(lat, a) * _VECTOR_SIGNS).reshape(-1)
 
     return matvec
 
@@ -578,14 +583,15 @@ def solve_maxwell(
     wavevector, returning the minimum-norm potential (see
     :func:`_fft_solve`).  Dirichlet: MINRES (``maxiter`` iterations at most,
     40 N^2 when ``None``) on the signed component system with the boundary
-    sites masked on input as on output.  Either way the potential is
-    certified against :func:`maxwell_operator` at the relative residual
-    ``tol``.  Both work on J's stored blades and return a compact
-    (4, N, N, N, N) potential, which the last inverse FFT writes directly;
-    the certificate's difference is formed in place in the operator's
-    output, so no 16-wide array is made.  A ``tol`` that is not finite and
-    positive, a ``maxiter`` that is neither ``None`` nor a positive integer,
-    and a current that is not finite raise ``ValueError`` before any solve.
+    sites masked on input as on output, its vectors compact (4, N, N, N, N)
+    arrays flattened.  Either way the potential is certified against
+    :func:`maxwell_operator` at the relative residual ``tol``.  Both work on
+    J's stored blades and return a compact (4, N, N, N, N) potential, which
+    the last inverse FFT writes directly; the certificate's difference is
+    formed in place in the operator's output, so no 16-wide array is made.
+    A ``tol`` that is not finite and positive, a ``maxiter`` that is neither
+    ``None`` nor a positive integer, and a current that is not finite raise
+    ``ValueError`` before any solve.
     """
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
     if not (real and math.isfinite(tol) and tol > 0):
@@ -610,17 +616,15 @@ def solve_maxwell(
     else:
         import scipy.sparse.linalg as spla  # the only use of scipy; see the module docstring
 
-        # MINRES takes site-major vectors, four components per site
         nvec = 4 * lat.n_sites
         linop = spla.LinearOperator((nvec, nvec), matvec=_projected_operator(lat))
-        b = (np.moveaxis(rhs, 0, -1) * SP_DIAG[VECTOR_IDX]).reshape(-1)
+        b = (rhs * _VECTOR_SIGNS).reshape(-1)
         if maxiter is None:
             maxiter = 40 * lat.sites**2
         u, info = spla.minres(linop, b, rtol=min(tol, 1e-12), maxiter=maxiter)
         if info != 0:
             raise SolverError(f"MINRES did not converge (info={info})")
-        a = u.reshape(lat.shape + (4,))
-        a = np.ascontiguousarray(_zero_boundary(lat, np.moveaxis(a, -1, 0)))
+        a = _zero_boundary(lat, u.reshape((4,) + lat.shape))
 
     res = _maxwell(lat, a)
     rel = np.linalg.norm(np.subtract(res, rhs, out=res)) / np.linalg.norm(rhs)

@@ -334,48 +334,43 @@ def _scenario_identities_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     pts = random_points(rng, cfg.points)
     all_grades = {0, 1, 2, 3, 4}
 
+    # each background is drawn when the loop reaches it, after the fields before it
     bg = random_rotor_background(rng)
-    pair_counts = {"lc": 6, "op": 6, "gp": 5}
-    for kind, npairs in pair_counts.items():
-        residuals = [
-            check_identity_gauge(
-                random_field(rng, all_grades), random_field(rng, all_grades), kind, bg, pts,
-                "omega",
-            )
-            for _ in range(npairs)
-        ]
-        run.check(f"identity-gauge-rotor-{kind}", residuals, 1e-7)
-
-    hbg = GaugeBackground(random_invertible_h(rng), None, compatible=False)
-    for kind in ("lc", "op", "gp"):
-        residuals = [
-            check_identity_gauge(
-                random_field(rng, all_grades), random_field(rng, all_grades), kind, hbg, pts,
-                "pushforward",
-            )
-            for _ in range(3)
-        ]
-        run.check(f"identity-gauge-pushforward-{kind}", residuals, 1e-7)
+    for label, draw, construction, counts in (
+        ("rotor", lambda: bg, "omega", (6, 6, 5)),
+        ("pushforward", lambda: GaugeBackground(random_invertible_h(rng)), "pushforward",
+         (3, 3, 3)),
+    ):
+        background = draw()
+        for kind, npairs in zip(("lc", "op", "gp"), counts):
+            residuals = [
+                check_identity_gauge(
+                    random_field(rng, all_grades), random_field(rng, all_grades), kind,
+                    background, pts, construction,
+                )
+                for _ in range(npairs)
+            ]
+            run.check(f"identity-gauge-{label}-{kind}", residuals, 1e-7)
 
     residuals = [
         check_pushforward_vs_omega(random_field(rng, all_grades), bg, pts) for _ in range(5)
     ]
     run.check("construction-agreement", residuals, 1e-7)
 
-    residuals = [
-        check_identity_spinor(random_even_field(rng), random_even_field(rng), bg, pts)
-        for _ in range(5)
-    ]
-    run.check("spinor-identities-rotor", residuals, 1e-7)
-
-    incompatible = GaugeBackground(random_invertible_h(rng), random_omega(rng), False)
-    residuals = [
-        check_identity_spinor(
-            random_even_field(rng), random_even_field(rng), incompatible, pts
-        )
-        for _ in range(5)
-    ]
-    run.check("spinor-identity-arbitrary-omega", residuals, 1e-7)
+    for name, draw in (
+        ("spinor-identities-rotor", lambda: bg),
+        (
+            "spinor-identity-arbitrary-omega",
+            lambda: GaugeBackground(random_invertible_h(rng), random_omega(rng)),
+        ),
+    ):
+        background = draw()
+        residuals = [
+            check_identity_spinor(random_even_field(rng), random_even_field(rng), background, pts)
+            for _ in range(5)
+        ]
+        run.check(name, residuals, 1e-7)
+    incompatible = background  # the last one drawn: an h with an arbitrary Omega
 
     residuals = [
         check_spinor_gradient_split(random_even_field(rng), background, pts)
@@ -468,9 +463,9 @@ def _scenario_derivatives(cfg: ScenarioConfig, run: _Runner) -> None:
     run.check("structural-vs-finite-difference", residuals, 1e-6)
 
 
-def _plane_wave_potential():
-    k = Multivector.vector([1.0, 1.0, 0.0, 0.0])
-    return prod(Const(GAMMA[2]), ScalarMap(coordinate(k), "cos"), "gp")
+def _cos_wave(k):
+    """cos(x.k) g_2 for the vector k, given by its four coordinates."""
+    return prod(Const(GAMMA[2]), ScalarMap(coordinate(Multivector.vector(k)), "cos"), "gp")
 
 
 def _free_spinor(m: float, c: float, hbar: float):
@@ -484,12 +479,35 @@ def _first_order_residuals(dpsi, psi, params) -> list[float]:
     return residual_norms(eq)
 
 
+def _decomposition(run: _Runner, rng, L, count: int, pts, *background) -> None:
+    """The variation decomposition at pts for count random fields of L's grades,
+    each with a random direction of the same grades."""
+    residuals = []
+    for _ in range(count):
+        X, A = random_field(rng, L.field_grades), random_field(rng, L.field_grades)
+        residuals.extend(decomposition_check(L, X, A, pts, *background)[1])
+    run.check("decomposition", residuals, 1e-7)
+
+
+def _flat_degeneration(run: _Runner, rng, L, Lflat, residual, pts) -> None:
+    """The gauge residual (ele_residual_gauge or ele_residual_spinor) of L on
+    the identity background against the flat residual of Lflat, for three
+    random fields of L's grades."""
+    idbg = identity_background()
+    residuals = []
+    for _ in range(3):
+        X = random_field(rng, L.field_grades)
+        rg = residual(L, X, pts, idbg)
+        residuals.extend(residual_norms(rg - ele_residual_flat(Lflat, X, pts)))
+    run.check("flat-degeneration", residuals, 1e-10)
+
+
 def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     rng = np.random.default_rng(cfg.seed)
     pts = random_points(rng, min(cfg.points, 40))
     L = make_builtin("maxwell_flat")
 
-    A = _plane_wave_potential()
+    A = _cos_wave([1.0, 1.0, 0.0, 0.0])
     run.check("plane-wave-residual", residual_norms(ele_residual_flat(L, A, pts)), 1e-9)
 
     residuals = []
@@ -532,12 +550,7 @@ def _scenario_dirac_flat(cfg: ScenarioConfig, run: _Runner) -> None:
 
     run.check("free-spinor-residual", residual_norms(ele_residual_flat(L, psi, pts)), 1e-8)
 
-    residuals = []
-    for _ in range(10):
-        psir = random_even_field(rng)
-        eta = random_even_field(rng)
-        residuals.extend(decomposition_check(L, psir, eta, pts[:3])[1])
-    run.check("decomposition", residuals, 1e-7)
+    _decomposition(run, rng, L, 10, pts[:3])
 
     one = Const(Multivector.scalar(1.0))
     dens = L.density(one.sample(pts[:1]), np.zeros((1, 16)), pts[:1])[0]
@@ -548,23 +561,15 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     rng = np.random.default_rng(cfg.seed)
     pts = random_points(rng, min(cfg.points, 20))
     L = make_builtin("maxwell_gauge")
-    Lflat = make_builtin("maxwell_flat")
     bg = random_rotor_background(rng)
 
-    A_g = bg.h.apply_expr(_plane_wave_potential(), "direct")
+    A_g = bg.h.apply_expr(_cos_wave([1.0, 1.0, 0.0, 0.0]), "direct")
     residuals = []
     for construction in ("omega", "pushforward"):
         residuals.extend(residual_norms(ele_residual_gauge(L, A_g, pts[:6], bg, construction)))
     run.check("transported-plane-wave-residual", residuals, 1e-6)
 
-    idbg = identity_background()
-    residuals = []
-    for _ in range(3):
-        Ar = random_field(rng, {1})
-        rg = ele_residual_gauge(L, Ar, pts[:3], idbg)
-        rf = ele_residual_flat(Lflat, Ar, pts[:3])
-        residuals.extend(residual_norms(rg - rf))
-    run.check("flat-degeneration", residuals, 1e-10)
+    _flat_degeneration(run, rng, L, make_builtin("maxwell_flat"), ele_residual_gauge, pts[:3])
 
     # each point set once: the background's shared nodes keep one value each
     potentials = [random_field(rng, {1}) for _ in range(3)]
@@ -576,12 +581,7 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
     ]
     run.check("residual-two-paths", residuals, 1e-8)
 
-    residuals = []
-    for _ in range(5):
-        Ar = random_field(rng, {1})
-        Av = random_field(rng, {1})
-        residuals.extend(decomposition_check(L, Ar, Av, pts[:2], bg)[1])
-    run.check("decomposition", residuals, 1e-7)
+    _decomposition(run, rng, L, 5, pts[:2], bg)
 
 
 def _scenario_dirac_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
@@ -610,33 +610,23 @@ def _scenario_dirac_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
         1e-9,
     )
 
-    idbg = identity_background()
-    residuals = []
-    for _ in range(3):
-        psir = random_even_field(rng)
-        rg = ele_residual_spinor(L, psir, pts[:2], idbg)
-        rf = ele_residual_flat(Lflat, psir, pts[:2])
-        residuals.extend(residual_norms(rg - rf))
-    run.check("flat-degeneration", residuals, 1e-10)
-
-    residuals = []
-    for _ in range(4):
-        psir = random_even_field(rng)
-        eta = random_even_field(rng)
-        residuals.extend(decomposition_check(L, psir, eta, pts[:2], bg)[1])
-    run.check("decomposition", residuals, 1e-7)
+    _flat_degeneration(run, rng, L, Lflat, ele_residual_spinor, pts[:2])
+    _decomposition(run, rng, L, 4, pts[:2], bg)
 
 
 def _scenario_lattice_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
     rng = np.random.default_rng(cfg.seed)
     L = make_builtin("maxwell_flat")
 
+    def one_form(lat: Lattice) -> LatticeField:
+        comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask({1})
+        return LatticeField(lat, frozenset({1}), comps)
+
     # gradient-residual duality, both boundary conditions
     residuals = []
     for bc in ("periodic", "dirichlet"):
         lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 6, bc)
-        comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask({1})
-        F = LatticeField(lat, frozenset({1}), comps)
+        F = one_form(lat)
         grad = action_gradient(L, F)
         res = discrete_ele_residual(L, F)
         dev = np.abs(grad.comps - lat.cell_volume * res.comps)[lat.interior_mask()].max()
@@ -645,13 +635,10 @@ def _scenario_lattice_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
 
     # gradient pairing against a finite difference of the action
     lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), 6, "periodic")
-    comps = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask({1})
-    F = LatticeField(lat, frozenset({1}), comps)
-    delta = rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask({1})
-    dF = LatticeField(lat, frozenset({1}), delta)
+    F, dF = one_form(lat), one_form(lat)
     h = 1e-6
-    fp = discrete_action(L, LatticeField(lat, frozenset({1}), comps + h * delta))
-    fm = discrete_action(L, LatticeField(lat, frozenset({1}), comps - h * delta))
+    fp = discrete_action(L, LatticeField(lat, frozenset({1}), F.comps + h * dF.comps))
+    fm = discrete_action(L, LatticeField(lat, frozenset({1}), F.comps - h * dF.comps))
     fd = (fp - fm) / (2 * h)
     pairing = action_gradient(L, F).pair(dF)
     run.check("gradient-vs-fd", [abs(fd - pairing) / max(1.0, abs(fd))], 1e-6)
@@ -660,22 +647,17 @@ def _scenario_lattice_maxwell(cfg: ScenarioConfig, run: _Runner) -> None:
     residuals = []
     for bc in ("periodic", "dirichlet"):
         lat = Lattice(np.zeros(4), 3.0 * np.ones(4), 7, bc)
-        v = LatticeField(
-            lat, frozenset({1}), rng.uniform(-1, 1, lat.shape + (16,)) * sta.grade_mask({1})
-        )
-        vol, flux = discrete_gauss(v)
+        vol, flux = discrete_gauss(one_form(lat))
         residuals.append(abs(vol - flux))
     run.check("discrete-gauss", residuals, 1e-12)
-    del comps, delta, F, dF, grad, res, v  # the N=12 residual below needs none of them
+    del F, dF, grad, res  # the N=12 residual below needs none of them
 
     # sampled continuum solution: residual order between N = 6 and N = 12
     def sampled_residual_rms(n: int) -> float:
         lat = Lattice(np.zeros(4), 2 * np.pi * np.ones(4), n, "periodic")
-        k1 = Multivector.vector([0.0, 1.0, 0.0, 0.0])
-        j_expr = prod(Const(GAMMA[2]), ScalarMap(coordinate(k1), "cos"), "gp")
-        a_expr = prod(Const(GAMMA[2]), ScalarMap(coordinate(k1), "cos"), "gp")
-        Lm = make_builtin("maxwell_flat", sources={"J": j_expr})
-        F = discretize(a_expr, lat, {1})
+        wave = _cos_wave([0.0, 1.0, 0.0, 0.0])
+        Lm = make_builtin("maxwell_flat", sources={"J": wave})
+        F = discretize(wave, lat, {1})
         resid = discrete_ele_residual(Lm, F).comps
         return float(np.linalg.norm(resid) / np.sqrt(lat.n_sites))
 

@@ -482,22 +482,28 @@ def oracle_maxwell(lat, comps):
 
 
 def oracle_dirichlet_potential(lat, jc, tol):
-    """MINRES on the signed, masked 16-wide system, as solve_maxwell ran it."""
+    """MINRES on the signed, masked 16-wide system, as solve_maxwell ran it:
+    its vectors hold the four vector components of every site component-major,
+    the order of the flattened compact (4, N, N, N, N) arrays."""
     vec, eps = sta.VECTOR_IDX, sta.SP_DIAG[sta.VECTOR_IDX]
 
-    def matvec(u):
+    def widen(u):
         comps = np.zeros(lat.shape + (DIM,))
-        comps[..., vec] = u.reshape(lat.shape + (4,))
-        return (oracle_maxwell(lat, _oracle_zero_boundary(lat, comps))[..., vec] * eps).reshape(-1)
+        comps[..., vec] = np.moveaxis(u.reshape((4,) + lat.shape), 0, -1)
+        return comps
+
+    def flatten(comps):
+        return np.moveaxis(comps[..., vec] * eps, -1, 0).reshape(-1)
+
+    def matvec(u):
+        return flatten(oracle_maxwell(lat, _oracle_zero_boundary(lat, widen(u))))
 
     nvec = 4 * lat.n_sites
-    b = (_oracle_zero_boundary(lat, jc)[..., vec] * eps).reshape(-1)
+    b = flatten(_oracle_zero_boundary(lat, jc))
     linop = spla.LinearOperator((nvec, nvec), matvec=matvec)
     u, info = spla.minres(linop, b, rtol=min(tol, 1e-12), maxiter=40 * lat.sites**2)
     assert info == 0
-    comps = np.zeros(lat.shape + (DIM,))
-    comps[..., vec] = u.reshape(lat.shape + (4,))
-    return _oracle_zero_boundary(lat, comps)
+    return _oracle_zero_boundary(lat, widen(u))
 
 
 def _aggregate(lat, kind, comps, grades):
