@@ -314,9 +314,8 @@ def _scenario_identities_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     residuals = []
     for _ in range(10):
         X = random_field(rng, all_grades)
-        grad = del_expr_kind(X, "gp").sample(pts)
-        split = del_expr_kind(X, "lc").sample(pts) + del_expr_kind(X, "op").sample(pts)
-        residuals.append(float(np.abs(grad - split).max()))
+        grad, lc, op = evaluate([del_expr_kind(X, kind) for kind in ("gp", "lc", "op")], pts)
+        residuals.append(float(np.abs(grad - (lc + op)).max()))
     run.check("gradient-splits", residuals, 1e-10)
 
     # midpoint Gauss checks: exact closure for v = x, then trig convergence
@@ -489,6 +488,20 @@ def _decomposition(run: _Runner, rng, L, count: int, pts, *background) -> None:
     run.check("decomposition", residuals, 1e-7)
 
 
+def _two_paths(run: _Runner, rng, L, count: int, pts, *background) -> None:
+    """The closed residual against the reference path at pts, per point, for
+    count random fields of L's grades."""
+    residuals = []
+    for _ in range(count):
+        X = random_field(rng, L.field_grades)
+        closed, reference = ele_residual_two_paths(L, X, pts, *background)
+        residuals.extend(
+            np.linalg.norm(r1 - r2) / max(1.0, np.linalg.norm(r1))
+            for r1, r2 in zip(closed, reference)
+        )
+    run.check("residual-two-paths", residuals, 1e-8)
+
+
 def _flat_degeneration(run: _Runner, rng, L, Lflat, residual, pts) -> None:
     """The gauge residual (ele_residual_gauge or ele_residual_spinor) of L on
     the identity background against the flat residual of Lflat, for three
@@ -510,13 +523,7 @@ def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
     A = _cos_wave([1.0, 1.0, 0.0, 0.0])
     run.check("plane-wave-residual", residual_norms(ele_residual_flat(L, A, pts)), 1e-9)
 
-    residuals = []
-    for _ in range(5):
-        Ar = random_field(rng, {1})
-        r1, r2 = ele_residual_two_paths(L, Ar, pts[:3])
-        for i in range(3):
-            residuals.append(np.linalg.norm(r1[i] - r2[i]) / max(1.0, np.linalg.norm(r1[i])))
-    run.check("residual-two-paths", residuals, 1e-8)
+    _two_paths(run, rng, L, 5, pts[:3])
 
     var, dec = [], []
     for _ in range(10):
@@ -529,8 +536,7 @@ def _scenario_maxwell_flat(cfg: ScenarioConfig, run: _Runner) -> None:
         roots = (plus, del_expr_kind(plus, "op"), minus, del_expr_kind(minus, "op"))
         Xp, dXp, Xm, dXm = evaluate(roots, p)
         fd = (L.density(Xp, dXp, p) - L.density(Xm, dXm, p)) / (2 * h)
-        for i in range(3):
-            var.append(abs(got[i] - fd[i]))
+        var.extend(np.abs(got - fd))
     run.check("variation-vs-fd", var, 1e-8)
     run.check("decomposition", dec, 1e-7)
 
@@ -571,16 +577,7 @@ def _scenario_maxwell_gauge(cfg: ScenarioConfig, run: _Runner) -> None:
 
     _flat_degeneration(run, rng, L, make_builtin("maxwell_flat"), ele_residual_gauge, pts[:3])
 
-    # each point set once: the background's shared nodes keep one value each
-    potentials = [random_field(rng, {1}) for _ in range(3)]
-    pairs = [ele_residual_two_paths(L, Ar, pts[:2], bg) for Ar in potentials]
-    residuals = [
-        np.linalg.norm(r1[i] - r2[i]) / max(1.0, np.linalg.norm(r1[i]))
-        for i in range(len(pairs[0][0]))
-        for r1, r2 in pairs
-    ]
-    run.check("residual-two-paths", residuals, 1e-8)
-
+    _two_paths(run, rng, L, 3, pts[:2], bg)
     _decomposition(run, rng, L, 5, pts[:2], bg)
 
 

@@ -197,9 +197,10 @@ def test_config_file_with_flag_overrides(capsys, tmp_path):
     assert report["config"]["points"] == 17  # file value survives
 
 
-def test_maxwell_gauge_runs_at_one_point(capsys):
-    code, out, err = run_cli(capsys, "verify", "maxwell-gauge", "--points", "1", "--json")
-    assert code in (0, 1)
+@pytest.mark.parametrize("name", ["maxwell-flat", "maxwell-gauge"])
+def test_maxwell_scenarios_run_at_one_point(capsys, name):
+    code, out, err = run_cli(capsys, "verify", name, "--points", "1", "--json")
+    assert code == 0
     assert "Traceback" not in out + err
     payload = json.loads(out)
     assert payload["config"]["points"] == 1

@@ -471,6 +471,20 @@ def test_spinor_identity_fails_on_a_spinor_that_is_not_finite(singular_first):
     assert not residual <= 1e-7
 
 
+def test_spinor_identity_fails_without_the_reverse(monkeypatch):
+    """With Rev the identity, w = phi Omega psi + psi Omega phi keeps grade-0
+    and grade-4 parts, which the non-grade-2 residual reads: the check fails
+    on finite spinors too."""
+    from multiform import gauge
+
+    rng = np.random.default_rng(16)
+    bg, pts = random_rotor_background(rng), random_points(rng, 10)
+    psi, phi = random_even_field(rng), random_even_field(rng)
+    assert check_identity_spinor(psi, phi, bg, pts) <= 1e-7
+    monkeypatch.setattr(gauge, "Rev", lambda X: X)
+    assert check_identity_spinor(psi, phi, bg, pts) > 1e-7
+
+
 def test_spinor_gradient_pairings_with_an_even_field_are_zero():
     """Why check_identity_spinor compares no aggregate pairing: D^s psi and
     D psi have grades {1, 3}, an even phi has {0, 2, 4}, and sta.sp pairs

@@ -86,21 +86,8 @@ def test_scenario_passes(name):
     assert all(c.max_residual <= c.tolerance for c in report.checks)
 
 
-# maxwell-flat's residual-two-paths and variation-vs-fd loops read three rows
-# of its point set, so one or two points raise IndexError: the known defect
-# "maxwell-flat --points 1 and --points 2 crash" in ROADMAP.md.  The fix that
-# its Direction 1 plans must flip this strict xfail into a pass.
-SMALL_POINTS_CRASH = pytest.mark.xfail(
-    strict=True, raises=IndexError, reason="maxwell-flat reads three points (ROADMAP.md)"
-)
-
-
 @pytest.mark.parametrize("points", [1, 2])
-@pytest.mark.parametrize(
-    "name",
-    [pytest.param(n, marks=SMALL_POINTS_CRASH) if n == "maxwell-flat" else n
-     for n in sorted(SCENARIOS)],
-)
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_passes_at_small_point_counts(name, points):
     report = run_scenario(ScenarioConfig(scenario=name, points=points, lattice_n=4))
     assert [c.name for c in report.checks] == CHECK_NAMES[name]
