@@ -7,14 +7,18 @@ spinor variant is D^s_a psi = a.d psi + (1/2) Omega(a) psi, and the covariant
 divergence / curl / gradient contract h*(g^mu) against D_{g_mu} with the
 matching product.
 
-Two constructions of the covariant aggregates are provided:
+The background's data decides how the covariant aggregates are built:
 
-* ``omega``      -- the literal sum over h*(g^mu) * D_{g_mu}X, requiring an
-                    Omega field (rotor-induced backgrounds are the compatible
-                    case);
-* ``pushforward``-- divergence and curl transported through the extension of
-                    h and its adjoint/star, defined for any smooth invertible
-                    h without reference to Omega.
+* with Omega    -- the literal sum over h*(g^mu) * D_{g_mu}X (the omega
+                   construction; rotor-induced backgrounds are the compatible
+                   case);
+* without Omega -- divergence and curl transported through the extension of
+                   h and its adjoint/star (the pushforward construction),
+                   defined for any smooth invertible h.
+
+So ``GaugeBackground(bg.h)`` is the pushforward on the same h.  Everything
+that needs Omega itself (the directional derivatives, the spinor machinery,
+the construction comparison) refuses a background without one.
 
 Everything is assembled from field expressions, so the covariant aggregates
 are themselves differentiable fields and can be nested (for second-order
@@ -238,33 +242,28 @@ class RotorField:
 
 
 class GaugeBackground:
-    """A gauge pair (h, Omega); ``compatible`` marks rotor-induced pairs."""
+    """A gauge pair (h, Omega), or h alone.
 
-    def __init__(
-        self,
-        h: ExtensorField,
-        omega: OmegaField | None = None,
-        compatible: bool = False,
-    ):
+    With Omega the covariant aggregates contract h*(g^mu) with D_{g_mu};
+    without it they are pushed forward through h, so ``GaugeBackground(bg.h)``
+    is the pushforward on bg's h.
+    """
+
+    def __init__(self, h: ExtensorField, omega: OmegaField | None = None):
         self.h = h
         self.omega = omega
-        self.compatible = compatible
 
-    def pick_construction(self, construction: str | None) -> str:
-        if construction is not None:
-            if construction not in ("omega", "pushforward"):
-                raise ValueError(f"unknown construction {construction!r}")
-            if construction == "omega" and self.omega is None:
-                raise ValueError("omega construction needs a connection field")
-            return construction
-        if self.omega is not None and self.compatible:
-            return "omega"
-        return "pushforward"
+
+def _connection(bg: GaugeBackground, what: str) -> OmegaField:
+    """The background's Omega, refusing a background that has none."""
+    if bg.omega is None:
+        raise ValueError(f"{what} need a connection field")
+    return bg.omega
 
 
 def identity_background() -> GaugeBackground:
     """Flat background: h = identity, Omega = 0 (rotor-induced by R = 1)."""
-    return GaugeBackground(ExtensorField.identity(), OmegaField.zero(), compatible=True)
+    return GaugeBackground(ExtensorField.identity(), OmegaField.zero())
 
 
 _PROBE = np.array(
@@ -290,7 +289,7 @@ def rotor_gauge(R) -> GaugeBackground:
     columns = [
         scale(-2.0, prod(expr.deriv(GAMMA[mu]), rev_r, "gp")) for mu in range(4)
     ]
-    return GaugeBackground(ExtensorField(entries), OmegaField(columns), compatible=True)
+    return GaugeBackground(ExtensorField(entries), OmegaField(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +299,8 @@ def rotor_gauge(R) -> GaugeBackground:
 
 def covariant_directional_expr(X: FieldExpr, a, bg: GaugeBackground) -> FieldExpr:
     """D_a X = a.dX + Omega(a) x X as a field, for a constant grade-1 direction a."""
+    omega = _connection(bg, "covariant directional derivatives")
     a = Multivector(_as_direction(a))
-    omega = bg.omega if bg.omega is not None else OmegaField.zero()
     return add(X.deriv(a), prod(omega.expr(a), X, "cross"))
 
 
@@ -335,8 +334,8 @@ def require_even(psi: FieldExpr, x=None) -> None:
 
 def spinor_directional_expr(psi: FieldExpr, a, bg: GaugeBackground) -> FieldExpr:
     """D^s_a psi = a.d psi + (1/2) Omega(a) psi as a field, for a constant grade-1 direction a."""
+    omega = _connection(bg, "spinor derivatives")
     a = Multivector(_as_direction(a))
-    omega = bg.omega if bg.omega is not None else OmegaField.zero()
     return add(psi.deriv(a), scale(0.5, prod(omega.expr(a), psi, "gp")))
 
 
@@ -349,19 +348,18 @@ def _star_contraction(X: FieldExpr, kind: str, bg: GaugeBackground, directional)
     return acc
 
 
-def gauge_del_expr(
-    X: FieldExpr, kind: str, bg: GaugeBackground, construction: str | None = None
-) -> FieldExpr:
+def gauge_del_expr(X: FieldExpr, kind: str, bg: GaugeBackground) -> FieldExpr:
     """Covariant aggregate sum_mu h*(g^mu) * D_{g_mu} X as a differentiable field.
 
     ``kind`` is the product *: lc (divergence), op (curl) or gp (gradient).
+    A background with Omega contracts with its covariant directional
+    derivatives; one without is pushed forward through h.
     Each call builds a new tree over X, which keeps no value between
     evaluation calls: a caller evaluates it with the trees it is compared
     with, in one ``evaluate`` call.
     """
     _check_kind(kind)
-    construction = bg.pick_construction(construction)
-    if construction == "omega":
+    if bg.omega is not None:
         return _star_contraction(X, kind, bg, covariant_directional_expr)
     if kind == "lc":
         # det h h^-1(X) = adj h(X I) I^-1 needs no inverse
@@ -373,10 +371,7 @@ def gauge_del_expr(
         )
     if kind == "op":
         return bg.h.apply_expr(del_expr_kind(bg.h.apply_expr(X, "adjoint"), "op"), "star")
-    return add(
-        gauge_del_expr(X, "lc", bg, construction),
-        gauge_del_expr(X, "op", bg, construction),
-    )
+    return add(gauge_del_expr(X, "lc", bg), gauge_del_expr(X, "op", bg))
 
 
 def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
@@ -385,10 +380,9 @@ def spinor_grad_expr(psi: FieldExpr, bg: GaugeBackground) -> FieldExpr:
     Defined for any multiform argument, since the Euler-Lagrange machinery
     also applies it to odd slot gradients; evenness is enforced where fields
     enter the spinor machinery, by ``ele_residual_spinor`` and
-    ``check_spinor_gradient_split``.
+    ``check_spinor_gradient_split``.  Its directional derivatives refuse a
+    background without Omega.
     """
-    if bg.omega is None:
-        raise ValueError("spinor derivatives need a connection field")
     return _star_contraction(psi, "gp", bg, spinor_directional_expr)
 
 
@@ -411,7 +405,6 @@ def check_identity_gauge(
     kind: str,
     bg: GaugeBackground,
     points,
-    construction: str | None = None,
 ) -> float:
     """Max residual of the covariant divergence-form identity.
 
@@ -420,8 +413,8 @@ def check_identity_gauge(
     the det(h)-weighted gauge current.
     """
     dual = _check_kind(kind)
-    dx = gauge_del_expr(X, kind, bg, construction)
-    dy = gauge_del_expr(Y, dual, bg, construction)
+    dx = gauge_del_expr(X, kind, bg)
+    dy = gauge_del_expr(Y, dual, bg)
     # the flat divergence of the gauge boundary current: det(h) times the covariant one
     div = del_expr_kind(boundary_current_gauge(X, Y, kind, bg), "lc")
     # one call, so that the trees share the background's values and X's and Y's
@@ -449,13 +442,12 @@ def check_identity_spinor(
     """
     require_even(psi, _PROBE[0])
     require_even(phi, _PROBE[0])
-    if bg.omega is None:
-        raise ValueError("spinor derivatives need a connection field")
+    omega = _connection(bg, "spinor derivatives")
     trees, rev_psi, rev_phi = [psi, phi], Rev(psi), Rev(phi)
     for mu in range(4):
         w = add(
-            prod(prod(phi, bg.omega.column(mu), "gp"), rev_psi, "gp"),
-            prod(prod(psi, bg.omega.column(mu), "gp"), rev_phi, "gp"),
+            prod(prod(phi, omega.column(mu), "gp"), rev_psi, "gp"),
+            prod(prod(psi, omega.column(mu), "gp"), rev_phi, "gp"),
         )
         trees.append(w)
     psiv, phiv, *ws = evaluate(trees, points)
@@ -470,9 +462,10 @@ def check_identity_spinor(
 def check_pushforward_vs_omega(
     X: FieldExpr, bg: GaugeBackground, points
 ) -> float:
-    """Max disagreement between the two covariant-aggregate constructions."""
-    kinds = ("lc", "op", "gp")
-    trees = [gauge_del_expr(X, k, bg, c) for k in kinds for c in ("omega", "pushforward")]
+    """Max disagreement between bg's aggregates and the pushforward GaugeBackground(bg.h)'s."""
+    _connection(bg, "construction comparisons")
+    backgrounds = (bg, GaugeBackground(bg.h))
+    trees = [gauge_del_expr(X, k, b) for k in ("lc", "op", "gp") for b in backgrounds]
     values = evaluate(trees, points)
     worst = 0.0
     for via_omega, via_push in zip(values[0::2], values[1::2]):
@@ -484,18 +477,13 @@ def check_spinor_gradient_split(
     psi: FieldExpr, bg: GaugeBackground, points
 ) -> float:
     """Max residual of D psi = D^s psi - (1/2) sum_mu h*(g^mu) psi Omega(g_mu)."""
-    if bg.omega is None:
-        raise ValueError("the gradient split needs a connection field")
+    omega = _connection(bg, "gradient splits")
     require_even(psi, _PROBE[0])
     correction: FieldExpr = ZERO
     for mu in range(4):
-        term = prod(
-            prod(bg.h.star_basis(mu, upper=True), psi, "gp"),
-            bg.omega.column(mu),
-            "gp",
-        )
+        term = prod(prod(bg.h.star_basis(mu, upper=True), psi, "gp"), omega.column(mu), "gp")
         correction = add(correction, term)
     d_psi, ds_psi, corr = evaluate(
-        (gauge_del_expr(psi, "gp", bg, "omega"), spinor_grad_expr(psi, bg), correction), points
+        (gauge_del_expr(psi, "gp", bg), spinor_grad_expr(psi, bg), correction), points
     )
     return float(np.abs(d_psi - ds_psi + 0.5 * corr).max())

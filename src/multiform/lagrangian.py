@@ -139,13 +139,7 @@ class LagrangianSpec:
         return _prod_grades(frozenset({1}), self.field_grades, self.mode.star)
 
 
-def _aggregate(
-    L: LagrangianSpec,
-    Y: FieldExpr,
-    kind: str,
-    bg: GaugeBackground | None,
-    construction: str | None,
-) -> FieldExpr:
+def _aggregate(L: LagrangianSpec, Y: FieldExpr, kind: str, bg: GaugeBackground | None) -> FieldExpr:
     """The aggregate of Y with product ``kind`` in the derivative family of L."""
     fam = L.mode.family
     if fam == "flat":
@@ -153,24 +147,19 @@ def _aggregate(
     if bg is None:
         raise ValueError(f"{L.mode.name} Lagrangians need a gauge background")
     if fam == "gauge":
-        return gauge_del_expr(Y, kind, bg, construction)
+        return gauge_del_expr(Y, kind, bg)
     return spinor_grad_expr(Y, bg)
 
 
-def _plan(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    bg: GaugeBackground | None,
-    construction: str | None,
-) -> dict:
+def _plan(L: LagrangianSpec, X: FieldExpr, bg: GaugeBackground | None) -> dict:
     """The residual trees of X under L; a public call builds one and passes it down."""
-    d_expr = _aggregate(L, X, L.mode.star, bg, construction)
+    d_expr = _aggregate(L, X, L.mode.star, bg)
     gd = L.grad_d(X, d_expr) if L.grad_d is not None else None
     return {
         "d": d_expr,
         "gx": L.grad_x(X, d_expr) if L.grad_x is not None else None,
         "gd": gd,
-        "dual_gd": None if gd is None else _aggregate(L, gd, L.mode.dual, bg, construction),
+        "dual_gd": None if gd is None else _aggregate(L, gd, L.mode.dual, bg),
     }
 
 
@@ -208,14 +197,7 @@ def blade_gradient(L: LagrangianSpec, slots: tuple, xs: np.ndarray, k: int) -> n
     return out
 
 
-def variation(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    A: FieldExpr,
-    x,
-    bg: GaugeBackground | None = None,
-    construction: str | None = None,
-):
+def variation(L: LagrangianSpec, X: FieldExpr, A: FieldExpr, x, bg: GaugeBackground | None = None):
     """d/dl of the (weighted) density along X + l A at l = 0.
 
     The composite in l is polynomial for polynomial densities, so the
@@ -226,7 +208,7 @@ def variation(
     if L.mode is DerivMode.SPINOR:
         require_even(X, x)
     # only the aggregates are needed: a plan would also build the slot gradients
-    dX, dA = (_aggregate(L, Y, L.mode.star, bg, construction) for Y in (X, A))
+    dX, dA = (_aggregate(L, Y, L.mode.star, bg) for Y in (X, A))
     out = _variation(L, X, A, evaluate((X, dX, A, dA), pts), _weights(L, bg, pts), pts)
     return float(out[0]) if single else out
 
@@ -338,20 +320,14 @@ def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x):
     """grad_X l - (dual flat derivative) grad_d l at x, grade-restricted."""
     if L.mode.family != "flat":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not flat")
-    return _ele_residual(L, X, x, _plan(L, X, None, None))
+    return _ele_residual(L, X, x, _plan(L, X, None))
 
 
-def ele_residual_gauge(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    x,
-    bg: GaugeBackground,
-    construction: str | None = None,
-):
+def ele_residual_gauge(L: LagrangianSpec, X: FieldExpr, x, bg: GaugeBackground):
     """grad_X l - (dual covariant derivative) grad_d l at x."""
     if L.mode.family != "gauge":
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not gauge")
-    return _ele_residual(L, X, x, _plan(L, X, bg, construction))
+    return _ele_residual(L, X, x, _plan(L, X, bg))
 
 
 def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackground):
@@ -359,16 +335,10 @@ def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackgroun
     if L.mode is not DerivMode.SPINOR:
         raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not spinor")
     require_even(psi, x)
-    return _ele_residual(L, psi, x, _plan(L, psi, bg, None))
+    return _ele_residual(L, psi, x, _plan(L, psi, bg))
 
 
-def ele_residual_two_paths(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    x,
-    bg: GaugeBackground | None = None,
-    construction: str | None = None,
-):
+def ele_residual_two_paths(L: LagrangianSpec, X: FieldExpr, x, bg: GaugeBackground | None = None):
     """``(closed, reference)``: the residual at x by closed slot gradients and
     by the independent path, from one plan and one evaluation at the points.
 
@@ -384,7 +354,7 @@ def ele_residual_two_paths(
     pts, single = _as_coords(x)
     if L.mode is DerivMode.SPINOR:
         require_even(X, x)
-    plan = _plan(L, X, bg, construction)
+    plan = _plan(L, X, bg)
     flat = L.mode.family == "flat"
     if not flat and plan["gd"] is None:
         raise ValueError("gauge/spinor reference path needs closed slot gradients")
@@ -412,12 +382,7 @@ def ele_residual_two_paths(
 
 
 def decomposition_check(
-    L: LagrangianSpec,
-    X: FieldExpr,
-    A: FieldExpr,
-    x,
-    bg: GaugeBackground | None = None,
-    construction: str | None = None,
+    L: LagrangianSpec, X: FieldExpr, A: FieldExpr, x, bg: GaugeBackground | None = None
 ):
     """``(variation, residual)``: the variation of :func:`variation`, bit for
     bit, and |variation - weight A.residual - div(current)|, at x.
@@ -431,14 +396,14 @@ def decomposition_check(
     pts, single = _as_coords(x)
     if L.mode is DerivMode.SPINOR:
         require_even(X, x)
-    plan = _plan(L, X, bg, construction)
+    plan = _plan(L, X, bg)
     if plan["gd"] is None:
         raise ValueError("decomposition check needs a closed-form grad_d")
     if L.mode.family == "flat":
         current = boundary_current_flat(A, plan["gd"], L.mode.star)
     else:
         current = boundary_current_gauge(A, plan["gd"], L.mode.star, bg)
-    varied = (X, plan["d"], A, _aggregate(L, A, L.mode.star, bg, construction))
+    varied = (X, plan["d"], A, _aggregate(L, A, L.mode.star, bg))
     div = del_expr_kind(current, "lc")
     trees = varied + (div,) + _residual_trees(X, plan)
     values = dict(zip(trees, evaluate(trees, pts)))

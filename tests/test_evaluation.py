@@ -77,7 +77,7 @@ def _trees(seed: int) -> list:
     """Trees over every node kind on a gauge background, built from one seed."""
     rng = np.random.default_rng(seed)
     h = random_invertible_h(rng)
-    bg = GaugeBackground(h, random_omega(rng), compatible=False)
+    bg = GaugeBackground(h, random_omega(rng))
     X = random_field(rng, {0, 1, 2, 3, 4})
     V = random_field(rng, {1, 2})
     psi = random_even_field(rng)
@@ -115,8 +115,8 @@ def _trees(seed: int) -> list:
         *two_tangents,
         *(t.deriv(a).deriv(b) for t in applied),
         h.det_expr(),
-        gauge_del_expr(V, "op", bg, "omega"),
-        gauge_del_expr(V, "gp", bg, "pushforward"),
+        gauge_del_expr(V, "op", bg),
+        gauge_del_expr(V, "gp", GaugeBackground(h)),
         spinor_grad_expr(psi, bg),
         boundary_current_gauge(X, V, "lc", bg),
     ]

@@ -63,8 +63,9 @@ def test_trivial_rotor_gives_flat_background():
     bg = rotor_gauge(Const(ONE))
     x = np.array([0.3, 0.1, -0.2, 0.5])
     assert np.allclose(bg.h.at(x).m, np.eye(4), atol=1e-14)
+    # a rotor background carries its Omega, so it takes the omega construction
+    assert bg.omega is not None
     assert bg.omega.expr(GAMMA[0]).at(x).norm() <= 1e-14
-    assert bg.compatible
 
 
 def test_rotor_background_properties():
@@ -228,11 +229,11 @@ def test_singular_h_raises_without_warning():
     inverse and star applications refuse the point before dividing by det h."""
     entries = [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)]
     entries[0][0] = coordinate(GAMMA[0])
-    bg = GaugeBackground(ExtensorField(entries), None, compatible=False)
+    bg = GaugeBackground(ExtensorField(entries))
     X = random_field(np.random.default_rng(23), {1, 2})
     x = np.array([0.0, 0.3, -0.2, 0.1])
     calls = [
-        lambda kind=kind: gauge_del_expr(X, kind, bg, "pushforward").at(x)
+        lambda kind=kind: gauge_del_expr(X, kind, bg).at(x)
         for kind in ("lc", "op", "gp")
     ]
     calls += [lambda v=v: bg.h.apply_expr(X, v).at(x) for v in ("inverse", "star")]
@@ -321,7 +322,7 @@ def test_spinor_directional():
     assert (got - psi.deriv(a).at(x)).norm() <= 1e-14
     # constant spinor with a nonzero connection: only the (1/2) Omega psi term
     om = random_omega(rng)
-    bg = GaugeBackground(ExtensorField.identity(), om, compatible=False)
+    bg = GaugeBackground(ExtensorField.identity(), om)
     psi0 = Multivector(rng.uniform(-1, 1, 16)).restrict({0, 2, 4})
     got = spinor_directional_expr(Const(psi0), a, bg).at(x)
     want = 0.5 * (om.expr(a).at(x) * psi0)
@@ -340,9 +341,10 @@ def test_aggregates_refuse_names_that_are_not_kinds(kind):
     for child in (X, ZERO):
         with pytest.raises(ValueError, match="kind must be one of"):
             del_expr_kind(child, kind)
-    for construction in ("omega", "pushforward"):
+    # the omega and the pushforward construction on the same h
+    for bg in (identity_background(), GaugeBackground(ExtensorField.identity())):
         with pytest.raises(ValueError, match="kind must be one of"):
-            gauge_del_expr(X, kind, identity_background(), construction)
+            gauge_del_expr(X, kind, bg)
 
 
 def test_gauge_del_flat_limit():
@@ -352,8 +354,8 @@ def test_gauge_del_flat_limit():
     x = rng.uniform(-1, 1, 4)
     for kind in ("gp", "lc", "op"):
         flat = del_expr_kind(X, kind).at(x)
-        for construction in ("omega", "pushforward"):
-            got = gauge_del_expr(X, kind, idbg, construction).at(x)
+        for bg in (idbg, GaugeBackground(idbg.h)):
+            got = gauge_del_expr(X, kind, bg).at(x)
             assert (got - flat).norm() <= 1e-12
 
 
@@ -370,17 +372,17 @@ def test_pushforward_curl_of_scaled_position():
     # constant h = 2 id: D ^ x = h*[d ^ (2x)] = 0, the curl of a linear
     # isotropic field
     h2 = ExtensorField.from_matrix(2.0 * np.eye(4))
-    bg = GaugeBackground(h2, None, compatible=False)
+    bg = GaugeBackground(h2)
     x = np.array([0.7, -0.1, 0.4, 0.2])
-    got = gauge_del_expr(position(), "op", bg, "pushforward").at(x)
+    got = gauge_del_expr(position(), "op", bg).at(x)
     assert got.norm() <= 1e-13
 
 
 def test_gauge_del_singular_h_rejected():
     entries = [[Const(Multivector.scalar(0.0)) for _ in range(4)] for _ in range(4)]
-    bad = GaugeBackground(ExtensorField(entries), None, compatible=False)
+    bad = GaugeBackground(ExtensorField(entries))
     with pytest.raises(SingularExtensorError):
-        gauge_del_expr(position(), "op", bad, "pushforward").at(np.zeros(4))
+        gauge_del_expr(position(), "op", bad).at(np.zeros(4))
 
 
 def test_gauge_identity_flat_limit():
@@ -397,20 +399,18 @@ def test_gauge_identities_rotor_and_pushforward():
     rng = np.random.default_rng(8)
     pts = random_points(rng, 40)
     rotor_bg = rotor_gauge(random_rotor(rng))
-    free_bg = GaugeBackground(random_invertible_h(rng), None, compatible=False)
+    free_bg = GaugeBackground(random_invertible_h(rng))
     # constant non-orthogonal h is also fine for the pushforward construction
     const_h = GaugeBackground(
-        ExtensorField.from_matrix(np.eye(4) + 0.2 * np.arange(16).reshape(4, 4) / 16),
-        None,
-        compatible=False,
+        ExtensorField.from_matrix(np.eye(4) + 0.2 * np.arange(16).reshape(4, 4) / 16)
     )
     for kind in ("lc", "op", "gp"):
         for _ in range(2):
             X = random_field(rng, {0, 1, 2, 3, 4})
             Y = random_field(rng, {0, 1, 2, 3, 4})
-            assert check_identity_gauge(X, Y, kind, rotor_bg, pts, "omega") <= 1e-7
-            assert check_identity_gauge(X, Y, kind, free_bg, pts, "pushforward") <= 1e-7
-            assert check_identity_gauge(X, Y, kind, const_h, pts, "pushforward") <= 1e-7
+            assert check_identity_gauge(X, Y, kind, rotor_bg, pts) <= 1e-7
+            assert check_identity_gauge(X, Y, kind, free_bg, pts) <= 1e-7
+            assert check_identity_gauge(X, Y, kind, const_h, pts) <= 1e-7
 
 
 def test_spinor_identities():
@@ -422,7 +422,7 @@ def test_spinor_identities():
         phi = random_even_field(rng)
         assert check_identity_spinor(psi, phi, bg, pts) <= 1e-7
     # the derivative form holds for arbitrary, incompatible connections
-    wild = GaugeBackground(random_invertible_h(rng), random_omega(rng), False)
+    wild = GaugeBackground(random_invertible_h(rng), random_omega(rng))
     for _ in range(3):
         psi = random_even_field(rng)
         phi = random_even_field(rng)
@@ -435,7 +435,7 @@ def test_spinor_identity_constant_equal_spinors():
     """The grade-2 cancellation mechanism at psi = phi = const."""
     rng = np.random.default_rng(10)
     om = random_omega(rng)
-    bg = GaugeBackground(ExtensorField.identity(), om, compatible=False)
+    bg = GaugeBackground(ExtensorField.identity(), om)
     psi0 = Multivector(rng.uniform(-1, 1, 16)).restrict({0, 2, 4})
     pts = random_points(rng, 20)
     psi = Const(psi0)
@@ -450,10 +450,52 @@ def test_spinor_identity_constant_equal_spinors():
 
 def test_spinor_identity_needs_a_connection():
     rng = np.random.default_rng(13)
-    bg = GaugeBackground(random_invertible_h(rng), None, compatible=False)
+    bg = GaugeBackground(random_invertible_h(rng))
     psi, phi = random_even_field(rng), random_even_field(rng)
     with pytest.raises(ValueError, match="spinor derivatives need a connection field"):
         check_identity_spinor(psi, phi, bg, random_points(rng, 5))
+
+
+def test_everything_that_reads_omega_refuses_a_background_without_one():
+    """No operation that reads Omega falls back to Omega = 0 on a bare h."""
+    rng = np.random.default_rng(17)
+    bg = GaugeBackground(random_invertible_h(rng))
+    X, psi, pts = random_field(rng, {1, 2}), random_even_field(rng), random_points(rng, 5)
+    calls = [
+        lambda: covariant_directional_expr(X, GAMMA[0], bg),
+        lambda: spinor_directional_expr(psi, GAMMA[0], bg),
+        lambda: spinor_grad_expr(psi, bg),
+        lambda: check_identity_spinor(psi, psi, bg, pts),
+        lambda: check_spinor_gradient_split(psi, bg, pts),
+        lambda: check_pushforward_vs_omega(X, bg, pts),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="need a connection field"):
+            call()
+
+
+def test_the_background_decides_the_construction():
+    """h = 1 with a nonzero Omega: the background's Omega enters the
+    aggregate, and GaugeBackground(bg.h) is the pushforward, the flat one."""
+    rng = np.random.default_rng(18)
+    bg = GaugeBackground(ExtensorField.identity(), random_omega(rng))
+    X = random_field(rng, {0, 1, 2})
+    pts = random_points(rng, 10)
+    with_omega, pushed, flat = evaluate(
+        (gauge_del_expr(X, "gp", bg), gauge_del_expr(X, "gp", GaugeBackground(bg.h)),
+         del_expr_kind(X, "gp")),
+        pts,
+    )
+    assert np.abs(with_omega - flat).max() > 1e-3
+    assert np.abs(pushed - flat).max() <= 1e-12
+
+
+def test_construction_agreement_fails_on_an_incompatible_connection():
+    """Omega unrelated to h: the two constructions disagree, so the check can fail."""
+    rng = np.random.default_rng(5)
+    bg = GaugeBackground(random_invertible_h(rng), random_omega(rng))
+    pts = random_points(rng, 10)
+    assert check_pushforward_vs_omega(random_field(rng, {0, 1, 2, 3, 4}), bg, pts) > 1e-3
 
 
 @pytest.mark.parametrize("singular_first", [True, False])
@@ -494,12 +536,12 @@ def test_spinor_gradient_pairings_with_an_even_field_are_zero():
     pts = random_points(rng, 20)
     for bg in (
         rotor_gauge(random_rotor(rng)),
-        GaugeBackground(random_invertible_h(rng), random_omega(rng), False),
+        GaugeBackground(random_invertible_h(rng), random_omega(rng)),
     ):
         for _ in range(2):
             psi, phi = random_even_field(rng), random_even_field(rng)
             ds_psi, d_psi, phiv = evaluate(
-                (spinor_grad_expr(psi, bg), gauge_del_expr(psi, "gp", bg, "omega"), phi), pts
+                (spinor_grad_expr(psi, bg), gauge_del_expr(psi, "gp", bg), phi), pts
             )
             for grad in (ds_psi, d_psi):
                 assert np.abs(grad).max() > 0.1  # zero by grade, not by value
@@ -511,7 +553,7 @@ def test_spinor_gradient_split_identity():
     pts = random_points(rng, 25)
     for bg in (
         rotor_gauge(random_rotor(rng)),
-        GaugeBackground(random_invertible_h(rng), random_omega(rng), False),
+        GaugeBackground(random_invertible_h(rng), random_omega(rng)),
     ):
         for _ in range(2):
             psi = random_even_field(rng)
