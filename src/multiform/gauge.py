@@ -216,10 +216,6 @@ class OmegaField:
             acc = add(acc, scale(float(coeffs[mu]), self._columns[mu]))
         return acc
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self._columns)
-
 
 class RotorField:
     """Even field R with R R~ = 1, generator of compatible backgrounds."""
@@ -304,7 +300,7 @@ def covariant_directional_expr(X: FieldExpr, a, bg: GaugeBackground) -> FieldExp
     return add(X.deriv(a), prod(omega.expr(a), X, "cross"))
 
 
-_PROBE_EVEN = np.array(
+_GRADE_PROBES = np.array(
     [
         [0.37, -0.21, 0.11, -0.43],
         [-0.52, 0.33, -0.18, 0.27],
@@ -313,23 +309,24 @@ _PROBE_EVEN = np.array(
 )
 
 
-def require_even(psi: FieldExpr, x=None) -> None:
-    """Reject fields that are not even-grade.
+def require_grades(X: FieldExpr, grades, x=None) -> None:
+    """Reject fields with parts outside ``grades``.
 
-    Fields whose conservative grade bound is even pass immediately; others
-    are sampled at a probe set (plus the point of use) so an odd field
-    cannot slip through by vanishing at a single point.
+    Fields whose conservative grade bound lies in ``grades`` pass at once;
+    others are sampled at a probe set (plus the points of use) so an
+    off-grade field cannot slip through by vanishing at a single point.
     """
-    if psi.grades <= EVEN_GRADES:
+    if X.grades <= grades:
         return
-    probes = [_PROBE_EVEN]
+    probes = [_GRADE_PROBES]
     if x is not None:
         probes.append(_as_coords(x)[0])
-    vals = psi.sample(np.vstack(probes))
-    odd = sta.GRADES % 2 == 1
-    if float(np.abs(vals[:, odd]).max()) <= 1e-12:
+    vals = X.sample(np.vstack(probes))
+    off = sta.grade_mask(grades) == 0.0
+    if float(np.abs(vals[:, off]).max()) <= 1e-12:
         return
-    raise GradeError("spinor operations take even-grade fields")
+    label = "even-grade fields" if grades == EVEN_GRADES else "fields"
+    raise GradeError(f"this operation takes {label} of grades {sorted(grades)}")
 
 
 def spinor_directional_expr(psi: FieldExpr, a, bg: GaugeBackground) -> FieldExpr:
@@ -440,8 +437,8 @@ def check_identity_spinor(
     directional form d_mu (psi.phi) = (D^s_mu psi).phi + psi.(D^s_mu phi)
     is one that is not vacuous.
     """
-    require_even(psi, _PROBE[0])
-    require_even(phi, _PROBE[0])
+    require_grades(psi, EVEN_GRADES, _PROBE[0])
+    require_grades(phi, EVEN_GRADES, _PROBE[0])
     omega = _connection(bg, "spinor derivatives")
     trees, rev_psi, rev_phi = [psi, phi], Rev(psi), Rev(phi)
     for mu in range(4):
@@ -478,7 +475,7 @@ def check_spinor_gradient_split(
 ) -> float:
     """Max residual of D psi = D^s psi - (1/2) sum_mu h*(g^mu) psi Omega(g_mu)."""
     omega = _connection(bg, "gradient splits")
-    require_even(psi, _PROBE[0])
+    require_grades(psi, EVEN_GRADES, _PROBE[0])
     correction: FieldExpr = ZERO
     for mu in range(4):
         term = prod(prod(bg.h.star_basis(mu, upper=True), psi, "gp"), omega.column(mu), "gp")

@@ -15,12 +15,19 @@ returns the variation with its pointwise distance from the residual pairing
 plus the divergence of the matching boundary current, the split the
 stationarity proofs rest on, from one evaluation of the trees of both.
 
-Points are batched: the residual operators, ``variation`` and
-``decomposition_check`` take one point or a (P, 4) array.  Each call
-plans the field once: a plan holds the aggregate d and the closed slot
-gradients, including the dual aggregate of grad_d, as expression trees, a
-point set is one evaluation of those trees, and the plan is freed when the
-call returns.  A single point gives a :class:`Multivector` (or a float;
+Every Euler-Lagrange operation (the typed residuals ``ele_residual_flat``,
+``_gauge`` and ``_spinor``, ``ele_residual_two_paths``, ``variation`` and
+``decomposition_check``) takes one point (a 4-array or a Multivector) or a
+(P, 4) array, and checks its input before it builds a tree.  The field must
+lie in L's grade set: a field whose grade bound does passes at once, and any
+other is sampled at fixed probe points and the call's points, where a part
+off the set above 1e-12 raises GradeError.  A typed residual takes only its
+own family, and gauge and spinor Lagrangians need a background (spinor ones
+with a connection), else ValueError; flat ones ignore it.  Each call plans
+the field once: a plan holds the aggregate d and the closed slot gradients,
+including the dual aggregate of grad_d, as expression trees, a point set is
+one evaluation of those trees, and the plan is freed when the call returns.
+A single point gives a :class:`Multivector` (or a float;
 ``decomposition_check`` gives two), a batch gives (P, 16) components (or
 one (P,) array per float), equal row for row to the single point results.
 
@@ -71,7 +78,7 @@ from .gauge import (
     GaugeBackground,
     boundary_current_gauge,
     gauge_del_expr,
-    require_even,
+    require_grades,
     spinor_grad_expr,
 )
 from .sta import DIM, EVEN_GRADES, GAMMA, GAMMA_UP, GRADES, Multivector, PSEUDOSCALAR, SP_DIAG
@@ -151,11 +158,14 @@ def _aggregate(L: LagrangianSpec, Y: FieldExpr, kind: str, bg: GaugeBackground |
     return spinor_grad_expr(Y, bg)
 
 
-def _plan(L: LagrangianSpec, X: FieldExpr, bg: GaugeBackground | None) -> dict:
-    """The residual trees of X under L; a public call builds one and passes it down."""
+def _plan(L: LagrangianSpec, X: FieldExpr, x, bg: GaugeBackground | None) -> tuple:
+    """``(pts, single, plan)``: x's points and, once X passes L's grade check,
+    its residual trees under L; a public call builds one and passes it down."""
+    pts, single = _as_coords(x)
+    require_grades(X, L.field_grades, pts)
     d_expr = _aggregate(L, X, L.mode.star, bg)
     gd = L.grad_d(X, d_expr) if L.grad_d is not None else None
-    return {
+    return pts, single, {
         "d": d_expr,
         "gx": L.grad_x(X, d_expr) if L.grad_x is not None else None,
         "gd": gd,
@@ -167,8 +177,6 @@ def _weights(L: LagrangianSpec, bg: GaugeBackground | None, pts: np.ndarray):
     """The density weight at each point: det(h) for weighted modes, else 1."""
     if not L.mode.weighted:
         return 1.0
-    if bg is None:
-        raise ValueError("weighted Lagrangians need a gauge background")
     return evaluate((bg.h.det_expr(),), pts)[0][:, 0]
 
 
@@ -205,8 +213,7 @@ def variation(L: LagrangianSpec, X: FieldExpr, A: FieldExpr, x, bg: GaugeBackgro
     Returns a float for one point and a (P,) array for a (P, 4) batch.
     """
     pts, single = _as_coords(x)
-    if L.mode is DerivMode.SPINOR:
-        require_even(X, x)
+    require_grades(X, L.field_grades, pts)
     # only the aggregates are needed: a plan would also build the slot gradients
     dX, dA = (_aggregate(L, Y, L.mode.star, bg) for Y in (X, A))
     out = _variation(L, X, A, evaluate((X, dX, A, dA), pts), _weights(L, bg, pts), pts)
@@ -252,8 +259,11 @@ def _residual(L: LagrangianSpec, X: FieldExpr, pts: np.ndarray, plan: dict, valu
     return sta.restrict(t1 - t2, L.field_grades)
 
 
-def _ele_residual(L: LagrangianSpec, X: FieldExpr, x, plan: dict):
-    pts, single = _as_coords(x)
+def _ele_residual(L: LagrangianSpec, X: FieldExpr, x, bg: GaugeBackground | None, family: str):
+    """The residual of X under L at x, for a Lagrangian of the given family."""
+    if L.mode.family != family:
+        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not {family}")
+    pts, single, plan = _plan(L, X, x, bg)
     trees = _residual_trees(X, plan)
     res = _residual(L, X, pts, plan, dict(zip(trees, evaluate(trees, pts))))
     return Multivector(res[0]) if single else res
@@ -318,24 +328,17 @@ def _dual_of_numeric_slot_gradient(
 
 def ele_residual_flat(L: LagrangianSpec, X: FieldExpr, x):
     """grad_X l - (dual flat derivative) grad_d l at x, grade-restricted."""
-    if L.mode.family != "flat":
-        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not flat")
-    return _ele_residual(L, X, x, _plan(L, X, None))
+    return _ele_residual(L, X, x, None, "flat")
 
 
 def ele_residual_gauge(L: LagrangianSpec, X: FieldExpr, x, bg: GaugeBackground):
     """grad_X l - (dual covariant derivative) grad_d l at x."""
-    if L.mode.family != "gauge":
-        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not gauge")
-    return _ele_residual(L, X, x, _plan(L, X, bg))
+    return _ele_residual(L, X, x, bg, "gauge")
 
 
 def ele_residual_spinor(L: LagrangianSpec, psi: FieldExpr, x, bg: GaugeBackground):
     """grad_psi l - D^s grad_{D^s psi} l at x, for even-grade psi."""
-    if L.mode is not DerivMode.SPINOR:
-        raise ValueError(f"Lagrangian {L.name!r} has mode {L.mode.name}, not spinor")
-    require_even(psi, x)
-    return _ele_residual(L, psi, x, _plan(L, psi, bg))
+    return _ele_residual(L, psi, x, bg, "spinor")
 
 
 def ele_residual_two_paths(L: LagrangianSpec, X: FieldExpr, x, bg: GaugeBackground | None = None):
@@ -351,10 +354,7 @@ def ele_residual_two_paths(L: LagrangianSpec, X: FieldExpr, x, bg: GaugeBackgrou
     anything.  Flat modes recompute both terms numerically.  A point gives
     two Multivectors.
     """
-    pts, single = _as_coords(x)
-    if L.mode is DerivMode.SPINOR:
-        require_even(X, x)
-    plan = _plan(L, X, bg)
+    pts, single, plan = _plan(L, X, x, bg)
     flat = L.mode.family == "flat"
     if not flat and plan["gd"] is None:
         raise ValueError("gauge/spinor reference path needs closed slot gradients")
@@ -393,10 +393,7 @@ def decomposition_check(
     stationarity argument.  Returns two floats for one point and two (P,)
     arrays for a (P, 4) batch.
     """
-    pts, single = _as_coords(x)
-    if L.mode is DerivMode.SPINOR:
-        require_even(X, x)
-    plan = _plan(L, X, bg)
+    pts, single, plan = _plan(L, X, x, bg)
     if plan["gd"] is None:
         raise ValueError("decomposition check needs a closed-form grad_d")
     if L.mode.family == "flat":

@@ -1,6 +1,7 @@
 """Lagrangian mapping, variation, and Euler-Lagrange residual tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from multiform.fields import (
     BladeExp,
     Const,
     GradeError,
+    Rev,
     ScalarMap,
     coordinate,
     del_expr_kind,
@@ -387,22 +389,58 @@ def test_spinor_residual_rejects_odd_fields():
         ele_residual_spinor(L, position(), np.zeros(4), bg)
 
 
-def test_spinor_variation_rejects_odd_fields_before_building_a_tree(monkeypatch):
-    """variation and decomposition_check raise GradeError for an odd field in
-    spinor mode, as ele_residual_spinor does, before any aggregate is built."""
-    rng = np.random.default_rng(33)
-    bg = rotor_gauge(random_rotor(rng))
-    L = make_builtin("dirac_gauge")
-    psi, eta = random_field(rng, {1, 3}), random_field(rng, {1, 3})
-    pts = random_points(rng, 2)
+def _family_operations(L, X, A, pts, bg):
+    """Every Euler-Lagrange operation of L's family, as calls on X (and A)."""
+    bg = None if L.mode.family == "flat" else bg
+    typed = {
+        "flat": lambda: ele_residual_flat(L, X, pts),
+        "gauge": lambda: ele_residual_gauge(L, X, pts, bg),
+        "spinor": lambda: ele_residual_spinor(L, X, pts, bg),
+    }[L.mode.family]
+    return (
+        typed,
+        lambda: ele_residual_two_paths(L, X, pts, bg),
+        lambda: variation(L, X, A, pts, bg),
+        lambda: decomposition_check(L, X, A, pts, bg),
+    )
 
+
+def _refuse_aggregates(monkeypatch):
     def refuse(*args):
-        raise AssertionError("an aggregate built for an odd spinor")
+        raise AssertionError("an aggregate was built")
 
     monkeypatch.setattr(lagrangian, "_aggregate", refuse)
-    for check in (variation, decomposition_check):
-        with pytest.raises(GradeError, match="even-grade"):
-            check(L, psi, eta, pts, bg)
+
+
+@pytest.mark.parametrize("name", ["maxwell_flat", "maxwell_gauge", "dirac_flat", "dirac_gauge"])
+def test_off_grade_fields_are_refused_before_building_a_tree(name, monkeypatch):
+    """Every operation of every built-in raises GradeError for a field
+    outside L.field_grades before any aggregate is built."""
+    rng = np.random.default_rng(33)
+    bg = rotor_gauge(random_rotor(rng))
+    L = make_builtin(name)
+    off = {2} if name.startswith("maxwell") else {1, 3}
+    X, A = random_field(rng, off), random_field(rng, L.field_grades)
+    pts = random_points(rng, 2)
+    _refuse_aggregates(monkeypatch)
+    for call in _family_operations(L, X, A, pts, bg):
+        with pytest.raises(GradeError, match=re.escape(f"grades {sorted(L.field_grades)}")):
+            call()
+
+
+def test_a_field_of_wide_bound_and_the_right_grades_is_accepted(monkeypatch):
+    """R a R~ has the grade bound {1, 3} but is a 1-form to rounding: the
+    probe sample lets it through to the aggregates under maxwell_flat."""
+    rng = np.random.default_rng(34)
+    R = random_rotor(rng)
+    X = prod(prod(R, random_field(rng, {1}), "gp"), Rev(R), "gp")
+    assert X.grades == {1, 3}
+    L = make_builtin("maxwell_flat")
+    A = random_field(rng, {1})
+    _refuse_aggregates(monkeypatch)
+    for call in _family_operations(L, X, A, random_points(rng, 2), None):
+        with pytest.raises(AssertionError, match="an aggregate was built"):
+            call()
 
 
 # ---------------------------------------------------------------------------

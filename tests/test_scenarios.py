@@ -183,7 +183,7 @@ def test_worst_of_ranks_nan_above_everything():
 
 
 # node evaluations at the CLI defaults, seed 3.  In the order below, the counts
-# are 4,854 / 10,118 / 10,465 / 14,050 / 15,484 / 2,930.  The oracles sample
+# are 4,854 / 10,118 / 10,465 / 14,050 / 15,484 / 2,930 / 3,053.  The oracles sample
 # each stencil as one batch; per-point oracles (18,105 / 39,398 / 18,819
 # evaluations) would exceed the first three bounds.  The identity scenarios
 # evaluate the gauge background's kept trees once per point set; without them
@@ -193,7 +193,8 @@ def test_worst_of_ranks_nan_above_everything():
 # each tree in calls of its own, variation-vs-fd's finite-difference oracle
 # sampled each perturbed field and its curl in calls of their own, and a
 # rotor background built R g_mu R~ once per entry of h (16 trees, not 4) and
-# the spinor identity built Rev(psi) and Rev(phi) once per mu
+# the spinor identity built Rev(psi) and Rev(phi) once per mu.  dirac-flat's
+# bound sits 1.5% over its count
 NODE_EVALUATION_BOUNDS = {
     "derivatives": 5100,
     "maxwell-flat": 10300,
@@ -201,6 +202,7 @@ NODE_EVALUATION_BOUNDS = {
     "identities-gauge": 14300,
     "identities-flat": 18600,
     "dirac-gauge": 3000,
+    "dirac-flat": 3100,
 }
 
 
